@@ -93,6 +93,10 @@ type WarpAddOp struct {
 // captured via SetRecorder, which records in parallel — one lock-free
 // shard per SM, folded in SM-ID order — and replays the bit-identical
 // stream any number of times without re-simulating.
+//
+// ops points at the SM's scratch buffer, which the next warp add
+// overwrites: it is valid only for the duration of the call and must be
+// copied if kept.
 type AddTracer interface {
 	TraceWarpAdds(unit core.UnitKind, pc, gtidBase uint32, ops *[32]WarpAddOp)
 }
@@ -361,9 +365,10 @@ func (d *Device) Launch(k *Kernel) (*RunStats, error) {
 	run.SMsUsed = numSMs
 
 	params := k.serializeParams()
+	code := d.decodeProgram(k.Program)
 	sms := make([]*smState, numSMs)
 	for smID := range sms {
-		sm, err := d.newSM(smID, k, params)
+		sm, err := d.newSM(smID, k, params, code)
 		if err != nil {
 			return nil, err
 		}
@@ -466,7 +471,7 @@ func (d *Device) foldMetrics(run *RunStats, sms []*smState) {
 	d.publishLaunch(run)
 }
 
-func (d *Device) newSM(id int, k *Kernel, params []byte) (*smState, error) {
+func (d *Device) newSM(id int, k *Kernel, params []byte, code []decodedInstr) (*smState, error) {
 	l1, err := NewCache(d.cfg.L1KB, d.cfg.LineBytes, d.cfg.L1Ways)
 	if err != nil {
 		return nil, err
@@ -481,6 +486,7 @@ func (d *Device) newSM(id int, k *Kernel, params []byte) (*smState, error) {
 		lastWarp:         -1,
 		kernel:           k,
 		params:           params,
+		code:             code,
 		l1:               l1,
 		l2:               l2,
 		liveBlocks:       make(map[int]int),

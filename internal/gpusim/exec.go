@@ -1,8 +1,10 @@
 package gpusim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"st2gpu/internal/adder"
 	"st2gpu/internal/core"
@@ -27,6 +29,15 @@ type warp struct {
 	preds  []bool    // flat: pred*32 + lane
 	shared []byte    // block shared memory (shared with sibling warps)
 
+	// Cached SIMT reconvergence state, derived from pc. rpc is the
+	// smallest live PC (-1 once every thread has exited) and atMask the
+	// lanes whose PC equals it; live is the lanes that have not exited.
+	// PCs move only in executeStep and launchBlock, so these are valid
+	// after every executeStep and change nowhere else.
+	rpc    int32
+	atMask uint32
+	live   uint32
+
 	// Scheduling state.
 	regReady  []uint64 // scoreboard: cycle each data register becomes readable
 	nextIssue uint64   // in-order issue point
@@ -34,34 +45,50 @@ type warp struct {
 	done      bool
 }
 
-func (w *warp) reg(r isa.Reg, lane int) uint64       { return w.regs[int(r)*32+lane] }
 func (w *warp) setReg(r isa.Reg, lane int, v uint64) { w.regs[int(r)*32+lane] = v }
-func (w *warp) pred(p isa.PReg, lane int) bool       { return w.preds[int(p)*32+lane] }
-func (w *warp) setPred(p isa.PReg, lane int, v bool) { w.preds[int(p)*32+lane] = v }
 
-// minPC returns the smallest live PC (SIMT min-PC reconvergence) or -1
-// when every thread has exited.
-func (w *warp) minPC() int32 {
-	min := int32(-1)
+// regRow returns register r's 32 lane values.
+func (w *warp) regRow(r isa.Reg) *[32]uint64 { return (*[32]uint64)(w.regs[int(r)*32:]) }
+
+// predRow returns predicate p's 32 lane values.
+func (w *warp) predRow(p isa.PReg) *[32]bool { return (*[32]bool)(w.preds[int(p)*32:]) }
+
+// reconverge recomputes rpc and atMask from the per-lane PCs (SIMT
+// min-PC reconvergence).
+func (w *warp) reconverge() {
+	rpc := int32(-1)
+	var at uint32
 	for l := 0; l < w.nLanes; l++ {
-		if w.pc[l] < 0 {
-			continue
-		}
-		if min < 0 || w.pc[l] < min {
-			min = w.pc[l]
+		switch p := w.pc[l]; {
+		case p < 0:
+		case rpc < 0 || p < rpc:
+			rpc, at = p, 1<<l
+		case p == rpc:
+			at |= 1 << l
 		}
 	}
-	return min
+	w.rpc, w.atMask = rpc, at
+}
+
+// jump moves the lanes in mask to next. When they were every live lane,
+// they stay together at the new PC; otherwise the reconvergence state is
+// rescanned.
+func (w *warp) jump(mask uint32, next int32) {
+	for m := mask; m != 0; m &= m - 1 {
+		w.pc[bits.TrailingZeros32(m)] = next
+	}
+	if mask == w.live {
+		w.rpc = next
+		return
+	}
+	w.reconverge()
 }
 
 // stepResult is what one warp instruction's functional execution reports
 // to the timing model.
 type stepResult struct {
-	class           isa.FUClass
 	latency         uint64 // producer→consumer latency
 	occupancy       uint64 // cycles the FU pipe stays busy (initiation interval)
-	dstReg          isa.Reg
-	hasDst          bool
 	activeLanes     int
 	memTransactions int
 	barrier         bool
@@ -69,33 +96,41 @@ type stepResult struct {
 	st2Stall        bool // warp pays the misprediction recompute cycle
 }
 
-// operand value fetch.
-func (sm *smState) operand(w *warp, o isa.Operand, lane int) uint64 {
+// srcVec returns operand o's value in each of the warp's 32 lanes: a view
+// of the register row for a register operand, otherwise buf filled in.
+// Lane l of the result is only read before lane l of any destination is
+// written, so a view aliasing the destination row is safe.
+func (sm *smState) srcVec(w *warp, o isa.Operand, buf *[32]uint64) *[32]uint64 {
 	switch o.Kind {
 	case isa.OpReg:
-		return w.reg(o.Reg, lane)
+		return w.regRow(o.Reg)
 	case isa.OpImm:
-		return o.Imm
+		for l := range buf {
+			buf[l] = o.Imm
+		}
 	case isa.OpSpecial:
+		var base, step uint64
 		switch o.SReg {
 		case isa.SRegTid:
-			return uint64(w.tidBase) + uint64(lane)
+			base, step = uint64(w.tidBase), 1
 		case isa.SRegNTid:
-			return uint64(sm.kernel.BlockDim)
+			base = uint64(sm.kernel.BlockDim)
 		case isa.SRegCtaid:
-			return uint64(w.blockIdx)
+			base = uint64(w.blockIdx)
 		case isa.SRegNCtaid:
-			return uint64(sm.kernel.GridDim)
+			base = uint64(sm.kernel.GridDim)
 		case isa.SRegGtid:
-			return uint64(w.gtidBase) + uint64(lane)
+			base, step = uint64(w.gtidBase), 1
 		case isa.SRegLane:
-			return uint64(lane)
-		default:
-			return 0
+			step = 1
+		}
+		for l := range buf {
+			buf[l] = base + step*uint64(l)
 		}
 	default:
-		return 0
+		*buf = [32]uint64{}
 	}
+	return buf
 }
 
 // truncate narrows a raw 64-bit value to the type's width with the
@@ -113,130 +148,103 @@ func truncate(ty isa.Type, v uint64) uint64 {
 	}
 }
 
-// executeStep functionally executes the instruction group at minPC for
-// all threads whose PC equals it, advances their PCs, and returns the
-// timing facts. Errors indicate simulator bugs or out-of-bounds memory.
-func (sm *smState) executeStep(w *warp) (stepResult, error) {
-	pc := w.minPC()
-	if pc < 0 {
+// executeStep functionally executes instruction d at the warp's
+// reconvergence PC for every thread there, advances their PCs, refreshes
+// the cached reconvergence state, and returns the timing facts. Errors
+// indicate simulator bugs or out-of-bounds memory.
+func (sm *smState) executeStep(w *warp, d *decodedInstr) (stepResult, error) {
+	if w.rpc < 0 {
 		return stepResult{exited: true}, nil
 	}
-	prog := sm.kernel.Program
-	in := prog.Instrs[pc]
-	res := stepResult{class: in.Op.Class(), dstReg: in.Dst, hasDst: in.Op.HasDst()}
+	pc, in := w.rpc, d.in
+	res := stepResult{latency: d.lat, occupancy: d.occ}
 
 	// The execution set: threads at this PC whose guard passes. Threads at
 	// this PC with a failing guard still advance their PC.
-	var atPC [32]bool
-	var execMask uint32
-	for l := 0; l < w.nLanes; l++ {
-		if w.pc[l] != pc {
-			continue
-		}
-		atPC[l] = true
-		pass := true
-		if in.Guard != isa.NoPred {
-			pass = w.pred(in.Guard, l) != in.GuardNeg
-		}
-		if pass {
-			execMask |= 1 << l
-			res.activeLanes++
-		}
-	}
-
-	advance := func() {
-		for l := 0; l < w.nLanes; l++ {
-			if atPC[l] {
-				w.pc[l] = pc + 1
+	atPC := w.atMask
+	execMask := atPC
+	if in.Guard != isa.NoPred {
+		guard := w.predRow(in.Guard)
+		execMask = 0
+		for m := atPC; m != 0; m &= m - 1 {
+			if l := bits.TrailingZeros32(m); guard[l] != in.GuardNeg {
+				execMask |= 1 << l
 			}
 		}
 	}
-
-	lat, occ := sm.dev.latency(in.Op)
-	res.latency, res.occupancy = lat, occ
+	res.activeLanes = bits.OnesCount32(execMask)
 
 	switch in.Op {
 	case isa.OpNop:
-		advance()
 
 	case isa.OpExit:
-		for l := 0; l < w.nLanes; l++ {
-			if atPC[l] && execMask&(1<<l) != 0 {
-				w.pc[l] = -1
-			} else if atPC[l] {
-				w.pc[l] = pc + 1
-			}
+		for m := execMask; m != 0; m &= m - 1 {
+			w.pc[bits.TrailingZeros32(m)] = -1
 		}
-		if w.minPC() < 0 {
-			res.exited = true
+		w.live &^= execMask
+		for m := atPC &^ execMask; m != 0; m &= m - 1 {
+			w.pc[bits.TrailingZeros32(m)] = pc + 1
 		}
+		w.reconverge()
+		res.exited = w.rpc < 0
+		return res, nil
 
 	case isa.OpBar:
-		advance()
 		res.barrier = true
 
 	case isa.OpBra:
-		for l := 0; l < w.nLanes; l++ {
-			if !atPC[l] {
-				continue
+		switch {
+		case execMask == atPC:
+			w.jump(atPC, int32(in.Target))
+		case execMask == 0:
+			w.jump(atPC, pc+1)
+		default:
+			for m := execMask; m != 0; m &= m - 1 {
+				w.pc[bits.TrailingZeros32(m)] = int32(in.Target)
 			}
-			if execMask&(1<<l) != 0 {
-				w.pc[l] = int32(in.Target)
-			} else {
-				w.pc[l] = pc + 1
+			for m := atPC &^ execMask; m != 0; m &= m - 1 {
+				w.pc[bits.TrailingZeros32(m)] = pc + 1
 			}
+			w.reconverge()
 		}
+		return res, nil
 
 	case isa.OpIAdd, isa.OpISub:
 		if err := sm.execIntAddSub(w, uint32(pc), in, execMask, &res); err != nil {
 			return res, err
 		}
-		advance()
 
 	case isa.OpFAdd, isa.OpFSub:
 		if err := sm.execFloatAddSub(w, uint32(pc), in, execMask, &res); err != nil {
 			return res, err
 		}
-		advance()
 
 	case isa.OpSetp:
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
-			a := sm.operand(w, in.Srcs[0], l)
-			b := sm.operand(w, in.Srcs[1], l)
-			w.setPred(in.PDst, l, compare(in.Cmp, in.Type, a, b))
+		a := sm.srcVec(w, in.Srcs[0], &sm.opA)
+		b := sm.srcVec(w, in.Srcs[1], &sm.opB)
+		p := w.predRow(in.PDst)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			p[l] = compare(in.Cmp, in.Type, a[l], b[l])
 		}
-		advance()
 
 	case isa.OpLd, isa.OpSt, isa.OpAtomAdd:
 		if err := sm.execMemory(w, in, execMask, &res); err != nil {
 			return res, err
 		}
-		advance()
 
 	default:
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
-			v, err := evalScalar(sm, w, in, l)
-			if err != nil {
-				return res, fmt.Errorf("gpusim: %s @%d lane %d: %w", prog.Name, pc, l, err)
-			}
-			if in.Op.HasDst() {
-				w.setReg(in.Dst, l, truncate(in.Type, v))
-			}
+		if err := sm.execScalar(w, pc, in, execMask); err != nil {
+			return res, err
 		}
-		advance()
 	}
+	w.jump(atPC, pc+1)
 	return res, nil
 }
 
 // execIntAddSub routes an integer add/sub through the ST² ALU (or the
 // baseline adder in baseline mode).
-func (sm *smState) execIntAddSub(w *warp, pc uint32, in isa.Instr, execMask uint32, res *stepResult) error {
+func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uint32, res *stepResult) error {
 	op := adder.Add
 	if in.Op == isa.OpISub {
 		op = adder.Sub
@@ -245,53 +253,61 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in isa.Instr, execMask uint
 	if in.Type.Is64() {
 		unit = sm.alu64
 	}
-	var lanes [32]core.LaneOp
-	for l := 0; l < w.nLanes; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
+	a := sm.srcVec(w, in.Srcs[0], &sm.opA)
+	b := sm.srcVec(w, in.Srcs[1], &sm.opB)
+	dst := w.regRow(in.Dst)
+	st2 := sm.dev.cfg.AdderMode == ST2Adders
+	if st2 || sm.observed() {
+		lanes := &sm.lanes
+		*lanes = [32]core.LaneOp{}
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			lanes[l] = core.LaneOp{Active: true, A: a[l], B: b[l], Op: op}
 		}
-		a := sm.operand(w, in.Srcs[0], l)
-		b := sm.operand(w, in.Srcs[1], l)
-		lanes[l] = core.LaneOp{Active: true, A: a, B: b, Op: op}
-	}
-	if sm.dev.tracer != nil || sm.rec != nil {
-		if err := sm.observeLanes(unit, pc, w, &lanes); err != nil {
-			return err
-		}
-	}
-	if sm.dev.cfg.AdderMode == ST2Adders {
-		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, &lanes)
-		for l := 0; l < w.nLanes; l++ {
-			if lanes[l].Active {
-				w.setReg(in.Dst, l, truncate(in.Type, wr.Sums[l]))
+		if sm.observed() {
+			if err := sm.observeLanes(unit, pc, w, lanes); err != nil {
+				return err
 			}
 		}
-		if wr.Cycles == 2 {
-			res.st2Stall = true
+		if st2 {
+			wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, lanes)
+			for m := execMask; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				dst[l] = truncate(in.Type, wr.Sums[l])
+			}
+			if wr.Cycles == 2 {
+				res.st2Stall = true
+			}
+			return nil
 		}
-		return nil
 	}
 	// Baseline: exact native arithmetic; count the op for pricing.
-	for l := 0; l < w.nLanes; l++ {
-		if !lanes[l].Active {
-			continue
+	if op == adder.Sub {
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			dst[l] = truncate(in.Type, a[l]-b[l])
 		}
-		v := lanes[l].A + lanes[l].B
-		if op == adder.Sub {
-			v = lanes[l].A - lanes[l].B
+	} else {
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			dst[l] = truncate(in.Type, a[l]+b[l])
 		}
-		w.setReg(in.Dst, l, truncate(in.Type, v))
 	}
 	sm.baselineAdderOps[unit.Kind] += uint64(res.activeLanes)
 	return nil
 }
+
+// observed reports whether a live tracer or a recording shard watches
+// this SM's adder operations.
+func (sm *smState) observed() bool { return sm.dev.tracer != nil || sm.rec != nil }
 
 // observeLanes reports the warp's effective adder operations — in one
 // warp-synchronous batch — to the installed live tracer and/or this SM's
 // recording shard. The only error it can return is the recording
 // byte-cap tripping.
 func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]core.LaneOp) error {
-	var ops [32]WarpAddOp
+	ops := &sm.addOps
+	*ops = [32]WarpAddOp{}
 	any := false
 	for l := 0; l < w.nLanes; l++ {
 		if !lanes[l].Active {
@@ -306,10 +322,10 @@ func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]
 		return nil
 	}
 	if sm.dev.tracer != nil {
-		sm.dev.tracer.TraceWarpAdds(unit.Kind, pc, w.gtidBase, &ops)
+		sm.dev.tracer.TraceWarpAdds(unit.Kind, pc, w.gtidBase, ops)
 	}
 	if sm.rec != nil {
-		return sm.rec.append(unit.Kind, pc, w.gtidBase, &ops)
+		return sm.rec.append(unit.Kind, pc, w.gtidBase, ops)
 	}
 	return nil
 }
@@ -317,53 +333,58 @@ func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]
 // execFloatAddSub: the architectural result is native IEEE; in ST² mode
 // the aligned mantissa operation additionally flows through the FPU/DPU
 // sliced adder for timing/energy/misprediction accounting.
-func (sm *smState) execFloatAddSub(w *warp, pc uint32, in isa.Instr, execMask uint32, res *stepResult) error {
+func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask uint32, res *stepResult) error {
 	is64 := in.Type == isa.F64
 	unit := sm.fpu
 	if is64 {
 		unit = sm.dpu
 	}
-	var lanes [32]core.LaneOp
-	for l := 0; l < w.nLanes; l++ {
-		if execMask&(1<<l) == 0 {
-			continue
-		}
-		a := sm.operand(w, in.Srcs[0], l)
-		b := sm.operand(w, in.Srcs[1], l)
-		// Architectural result.
-		var out uint64
-		if is64 {
-			x, y := f64fromBits(a), f64fromBits(b)
-			if in.Op == isa.OpFSub {
+	st2 := sm.dev.cfg.AdderMode == ST2Adders
+	mantissa := st2 || sm.observed()
+	lanes := &sm.lanes
+	if mantissa {
+		*lanes = [32]core.LaneOp{}
+	}
+	a := sm.srcVec(w, in.Srcs[0], &sm.opA)
+	b := sm.srcVec(w, in.Srcs[1], &sm.opB)
+	dst := w.regRow(in.Dst)
+	sub := in.Op == isa.OpFSub
+	if is64 {
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			x, y := f64fromBits(a[l]), f64fromBits(b[l])
+			if sub {
 				y = -y
 			}
-			out = f64bits(x + y)
-			if sm.dev.cfg.AdderMode == ST2Adders || sm.dev.tracer != nil || sm.rec != nil {
+			dst[l] = f64bits(x + y)
+			if mantissa {
 				if mop, ok := core.MantissaOpF64(x, y); ok {
 					lanes[l] = mop
 				}
 			}
-		} else {
-			x, y := f32fromBits(uint32(a)), f32fromBits(uint32(b))
-			if in.Op == isa.OpFSub {
+		}
+	} else {
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			x, y := f32fromBits(uint32(a[l])), f32fromBits(uint32(b[l]))
+			if sub {
 				y = -y
 			}
-			out = uint64(f32bits(x + y))
-			if sm.dev.cfg.AdderMode == ST2Adders || sm.dev.tracer != nil || sm.rec != nil {
+			dst[l] = uint64(f32bits(x + y))
+			if mantissa {
 				if mop, ok := core.MantissaOpF32(x, y); ok {
 					lanes[l] = mop
 				}
 			}
 		}
-		w.setReg(in.Dst, l, out)
 	}
-	if sm.dev.tracer != nil || sm.rec != nil {
-		if err := sm.observeLanes(unit, pc, w, &lanes); err != nil {
+	if sm.observed() {
+		if err := sm.observeLanes(unit, pc, w, lanes); err != nil {
 			return err
 		}
 	}
-	if sm.dev.cfg.AdderMode == ST2Adders {
-		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, &lanes)
+	if st2 {
+		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, lanes)
 		if wr.Cycles == 2 {
 			res.st2Stall = true
 		}
@@ -414,159 +435,269 @@ func compare(cmp isa.CmpOp, ty isa.Type, a, b uint64) bool {
 	}
 }
 
-// evalScalar executes the non-memory, non-add scalar opcodes for one lane.
-func evalScalar(sm *smState, w *warp, in isa.Instr, l int) (uint64, error) {
-	a := sm.operand(w, in.Srcs[0], l)
-	var b, c uint64
-	if in.Op.NumSrcs() >= 2 {
-		b = sm.operand(w, in.Srcs[1], l)
-	}
-	if in.Op.NumSrcs() >= 3 && in.Op != isa.OpSelp {
-		c = sm.operand(w, in.Srcs[2], l)
+// execScalar executes the non-memory, non-add scalar opcodes: one switch
+// per warp instruction, then a typed loop over the exec mask. Lanes run
+// in ascending order, so a failing lane reports the same error it would
+// in a lane-by-lane interpreter.
+func (sm *smState) execScalar(w *warp, pc int32, in *isa.Instr, execMask uint32) error {
+	if execMask == 0 {
+		return nil
 	}
 	ty := in.Type
-
-	// Float helpers.
-	fa := func(v uint64) float64 {
-		if ty == isa.F32 {
-			return float64(f32fromBits(uint32(v)))
-		}
-		return f64fromBits(v)
+	a := sm.srcVec(w, in.Srcs[0], &sm.opA)
+	b, c := &sm.opB, &sm.opC
+	if in.Op.NumSrcs() >= 2 {
+		b = sm.srcVec(w, in.Srcs[1], b)
 	}
-	enc := func(v float64) uint64 {
-		if ty == isa.F32 {
-			return uint64(f32bits(float32(v)))
-		}
-		return f64bits(v)
+	if in.Op.NumSrcs() >= 3 && in.Op != isa.OpSelp {
+		c = sm.srcVec(w, in.Srcs[2], c)
 	}
+	d := w.regRow(in.Dst)
 
 	switch in.Op {
 	case isa.OpMov:
-		return a, nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, a[l])
+		}
 	case isa.OpIMin, isa.OpIMax:
-		amin := a < b
-		if ty.IsSigned() {
-			if ty == isa.S32 {
-				amin = int32(uint32(a)) < int32(uint32(b))
-			} else {
-				amin = int64(a) < int64(b)
+		wantMin := in.Op == isa.OpIMin
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			x, y := a[l], b[l]
+			var amin bool
+			switch {
+			case ty == isa.S32:
+				amin = int32(uint32(x)) < int32(uint32(y))
+			case ty.IsSigned():
+				amin = int64(x) < int64(y)
+			case ty == isa.U32:
+				amin = uint32(x) < uint32(y)
+			default:
+				amin = x < y
 			}
-		} else if ty == isa.U32 {
-			amin = uint32(a) < uint32(b)
+			if wantMin != amin {
+				x = y
+			}
+			d[l] = truncate(ty, x)
 		}
-		if (in.Op == isa.OpIMin) == amin {
-			return a, nil
-		}
-		return b, nil
 	case isa.OpAnd:
-		return a & b, nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, a[l]&b[l])
+		}
 	case isa.OpOr:
-		return a | b, nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, a[l]|b[l])
+		}
 	case isa.OpXor:
-		return a ^ b, nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, a[l]^b[l])
+		}
 	case isa.OpNot:
-		return ^a, nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, ^a[l])
+		}
 	case isa.OpShl:
-		return a << (b & 63), nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, a[l]<<(b[l]&63))
+		}
 	case isa.OpShr:
-		if ty.IsSigned() {
-			if ty == isa.S32 {
-				return uint64(int32(uint32(a)) >> (b & 31)), nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			var v uint64
+			switch {
+			case ty == isa.S32:
+				v = uint64(int32(uint32(a[l])) >> (b[l] & 31))
+			case ty.IsSigned():
+				v = uint64(int64(a[l]) >> (b[l] & 63))
+			case ty == isa.U32:
+				v = uint64(uint32(a[l]) >> (b[l] & 31))
+			default:
+				v = a[l] >> (b[l] & 63)
 			}
-			return uint64(int64(a) >> (b & 63)), nil
+			d[l] = truncate(ty, v)
 		}
-		if ty == isa.U32 {
-			return uint64(uint32(a) >> (b & 31)), nil
-		}
-		return a >> (b & 63), nil
 	case isa.OpAbs:
-		if ty == isa.S32 {
-			v := int32(uint32(a))
-			if v < 0 {
-				v = -v
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			var v uint64
+			if ty == isa.S32 {
+				x := int32(uint32(a[l]))
+				if x < 0 {
+					x = -x
+				}
+				v = uint64(x)
+			} else {
+				x := int64(a[l])
+				if x < 0 {
+					x = -x
+				}
+				v = uint64(x)
 			}
-			return uint64(v), nil
+			d[l] = truncate(ty, v)
 		}
-		v := int64(a)
-		if v < 0 {
-			v = -v
-		}
-		return uint64(v), nil
 	case isa.OpSelp:
-		if w.pred(isa.PReg(in.Srcs[2].Reg), l) {
-			return a, nil
+		p := w.predRow(isa.PReg(in.Srcs[2].Reg))
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			v := b[l]
+			if p[l] {
+				v = a[l]
+			}
+			d[l] = truncate(ty, v)
 		}
-		return b, nil
 	case isa.OpCvt:
-		return convert(isa.Type(in.Srcs[1].Imm), ty, a), nil
+		from := isa.Type(in.Srcs[1].Imm)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, convert(from, ty, a[l]))
+		}
 	case isa.OpIMul:
-		if ty == isa.S32 || ty == isa.U32 {
-			return uint64(uint32(a) * uint32(b)), nil
+		narrow := ty == isa.S32 || ty == isa.U32
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			v := a[l] * b[l]
+			if narrow {
+				v = uint64(uint32(a[l]) * uint32(b[l]))
+			}
+			d[l] = truncate(ty, v)
 		}
-		return a * b, nil
 	case isa.OpIMad:
-		if ty == isa.S32 || ty == isa.U32 {
-			return uint64(uint32(a)*uint32(b) + uint32(c)), nil
+		narrow := ty == isa.S32 || ty == isa.U32
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			v := a[l]*b[l] + c[l]
+			if narrow {
+				v = uint64(uint32(a[l])*uint32(b[l]) + uint32(c[l]))
+			}
+			d[l] = truncate(ty, v)
 		}
-		return a*b + c, nil
 	case isa.OpIDiv, isa.OpIRem:
-		if b == 0 || (ty == isa.S32 && uint32(b) == 0) || (ty == isa.U32 && uint32(b) == 0) {
-			return 0, fmt.Errorf("division by zero")
-		}
-		switch ty {
-		case isa.S32:
-			x, y := int32(uint32(a)), int32(uint32(b))
-			if in.Op == isa.OpIDiv {
-				return uint64(uint32(x / y)), nil
+		div := in.Op == isa.OpIDiv
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			x, y := a[l], b[l]
+			if y == 0 || ((ty == isa.S32 || ty == isa.U32) && uint32(y) == 0) {
+				return sm.laneError(pc, l, errDivByZero)
 			}
-			return uint64(uint32(x % y)), nil
-		case isa.U32:
-			if in.Op == isa.OpIDiv {
-				return uint64(uint32(a) / uint32(b)), nil
+			var v uint64
+			switch ty {
+			case isa.S32:
+				if div {
+					v = uint64(uint32(int32(uint32(x)) / int32(uint32(y))))
+				} else {
+					v = uint64(uint32(int32(uint32(x)) % int32(uint32(y))))
+				}
+			case isa.U32:
+				if div {
+					v = uint64(uint32(x) / uint32(y))
+				} else {
+					v = uint64(uint32(x) % uint32(y))
+				}
+			case isa.S64:
+				if div {
+					v = uint64(int64(x) / int64(y))
+				} else {
+					v = uint64(int64(x) % int64(y))
+				}
+			default:
+				if div {
+					v = x / y
+				} else {
+					v = x % y
+				}
 			}
-			return uint64(uint32(a) % uint32(b)), nil
-		case isa.S64:
-			if in.Op == isa.OpIDiv {
-				return uint64(int64(a) / int64(b)), nil
-			}
-			return uint64(int64(a) % int64(b)), nil
-		default:
-			if in.Op == isa.OpIDiv {
-				return a / b, nil
-			}
-			return a % b, nil
+			d[l] = truncate(ty, v)
 		}
 	case isa.OpFMul:
-		return enc(fa(a) * fa(b)), nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, fenc(ty, fdec(ty, a[l])*fdec(ty, b[l])))
+		}
 	case isa.OpFFma:
-		return enc(fa(a)*fa(b) + fa(c)), nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, fenc(ty, fdec(ty, a[l])*fdec(ty, b[l])+fdec(ty, c[l])))
+		}
 	case isa.OpFDiv:
-		return enc(fa(a) / fa(b)), nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, fenc(ty, fdec(ty, a[l])/fdec(ty, b[l])))
+		}
 	case isa.OpFMin:
-		return enc(math.Min(fa(a), fa(b))), nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, fenc(ty, math.Min(fdec(ty, a[l]), fdec(ty, b[l]))))
+		}
 	case isa.OpFMax:
-		return enc(math.Max(fa(a), fa(b))), nil
-	case isa.OpFNeg:
-		return enc(-fa(a)), nil
-	case isa.OpFAbs:
-		return enc(math.Abs(fa(a))), nil
-	case isa.OpSqrt:
-		return enc(math.Sqrt(fa(a))), nil
-	case isa.OpRsqrt:
-		return enc(1 / math.Sqrt(fa(a))), nil
-	case isa.OpSin:
-		return enc(math.Sin(fa(a))), nil
-	case isa.OpCos:
-		return enc(math.Cos(fa(a))), nil
-	case isa.OpExp2:
-		return enc(math.Exp2(fa(a))), nil
-	case isa.OpLog2:
-		return enc(math.Log2(fa(a))), nil
-	case isa.OpRcp:
-		return enc(1 / fa(a)), nil
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, fenc(ty, math.Max(fdec(ty, a[l]), fdec(ty, b[l]))))
+		}
+	case isa.OpFNeg, isa.OpFAbs, isa.OpSqrt, isa.OpRsqrt, isa.OpSin, isa.OpCos, isa.OpExp2, isa.OpLog2, isa.OpRcp:
+		f := floatUnary(in.Op)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			d[l] = truncate(ty, fenc(ty, f(fdec(ty, a[l]))))
+		}
 	default:
-		return 0, fmt.Errorf("unimplemented opcode %v", in.Op)
+		return sm.laneError(pc, bits.TrailingZeros32(execMask), fmt.Errorf("unimplemented opcode %v", in.Op))
 	}
+	return nil
+}
+
+var errDivByZero = errors.New("division by zero")
+
+// laneError attributes a functional-execution failure to its kernel, PC
+// and lane.
+func (sm *smState) laneError(pc int32, lane int, err error) error {
+	return fmt.Errorf("gpusim: %s @%d lane %d: %w", sm.kernel.Program.Name, pc, lane, err)
+}
+
+// floatUnary returns a one-operand floating-point opcode's arithmetic,
+// evaluated in float64 and rounded to the instruction's type by fenc.
+func floatUnary(op isa.Opcode) func(float64) float64 {
+	switch op {
+	case isa.OpFNeg:
+		return func(x float64) float64 { return -x }
+	case isa.OpFAbs:
+		return math.Abs
+	case isa.OpSqrt:
+		return math.Sqrt
+	case isa.OpRsqrt:
+		return func(x float64) float64 { return 1 / math.Sqrt(x) }
+	case isa.OpSin:
+		return math.Sin
+	case isa.OpCos:
+		return math.Cos
+	case isa.OpExp2:
+		return math.Exp2
+	case isa.OpLog2:
+		return math.Log2
+	default: // isa.OpRcp
+		return func(x float64) float64 { return 1 / x }
+	}
+}
+
+// fdec widens a register value of floating-point type ty to float64.
+func fdec(ty isa.Type, v uint64) float64 {
+	if ty == isa.F32 {
+		return float64(f32fromBits(uint32(v)))
+	}
+	return f64fromBits(v)
+}
+
+// fenc rounds v to floating-point type ty and returns its register bits.
+func fenc(ty isa.Type, v float64) uint64 {
+	if ty == isa.F32 {
+		return uint64(f32bits(float32(v)))
+	}
+	return f64bits(v)
 }
 
 // convert implements CVT between the numeric types via the natural Go

@@ -3,15 +3,21 @@ package gpusim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"st2gpu/internal/isa"
 )
 
 // execMemory executes LD/ST/ATOM for the active lanes, modeling
 // coalescing into cache-line transactions for the global space.
-func (sm *smState) execMemory(w *warp, in isa.Instr, execMask uint32, res *stepResult) error {
+func (sm *smState) execMemory(w *warp, in *isa.Instr, execMask uint32, res *stepResult) error {
 	size := in.Type.Size()
-	cfg := sm.dev.cfg
+	cfg := &sm.dev.cfg
+	addrs := sm.srcVec(w, in.Srcs[0], &sm.opA)
+	var vals *[32]uint64
+	if in.Op != isa.OpLd {
+		vals = sm.srcVec(w, in.Srcs[1], &sm.opB)
+	}
 
 	switch in.Space {
 	case isa.Param:
@@ -22,27 +28,23 @@ func (sm *smState) execMemory(w *warp, in isa.Instr, execMask uint32, res *stepR
 		if in.Op != isa.OpLd {
 			return fmt.Errorf("gpusim: %v on param space", in.Op)
 		}
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
-			off := sm.operand(w, in.Srcs[0], l)
-			v, err := paramLoad(sm.params, off, size)
+		dst := w.regRow(in.Dst)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			v, err := paramLoad(sm.params, addrs[l], size)
 			if err != nil {
 				return err
 			}
-			w.setReg(in.Dst, l, truncate(in.Type, v))
+			dst[l] = truncate(in.Type, v)
 		}
 		return nil
 
 	case isa.Shared:
 		res.memTransactions = 1
 		res.latency = cfg.SharedLatency
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
-			addr := sm.operand(w, in.Srcs[0], l)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			addr := addrs[l]
 			if addr+size > uint64(len(w.shared)) {
 				return fmt.Errorf("gpusim: shared access [%#x,%#x) outside %d-byte block allocation",
 					addr, addr+size, len(w.shared))
@@ -52,11 +54,11 @@ func (sm *smState) execMemory(w *warp, in isa.Instr, execMask uint32, res *stepR
 			case isa.OpLd:
 				w.setReg(in.Dst, l, truncate(in.Type, loadLE(w.shared[addr:], size)))
 			case isa.OpSt:
-				storeLE(w.shared[addr:], size, sm.operand(w, in.Srcs[1], l))
+				storeLE(w.shared[addr:], size, vals[l])
 			case isa.OpAtomAdd:
 				sm.stats.AtomicLaneOps++
 				old := loadLE(w.shared[addr:], size)
-				storeLE(w.shared[addr:], size, old+sm.operand(w, in.Srcs[1], l))
+				storeLE(w.shared[addr:], size, old+vals[l])
 			}
 		}
 		if in.Op == isa.OpAtomAdd {
@@ -76,11 +78,9 @@ func (sm *smState) execMemory(w *warp, in isa.Instr, execMask uint32, res *stepR
 		var lines [32]uint64
 		nLines := 0
 		worst := uint64(0)
-		for l := 0; l < w.nLanes; l++ {
-			if execMask&(1<<l) == 0 {
-				continue
-			}
-			addr := sm.operand(w, in.Srcs[0], l)
+		for m := execMask; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			addr := addrs[l]
 			switch in.Op {
 			case isa.OpLd:
 				v, err := sm.dev.mem.Load(addr, size)
@@ -89,14 +89,14 @@ func (sm *smState) execMemory(w *warp, in isa.Instr, execMask uint32, res *stepR
 				}
 				w.setReg(in.Dst, l, truncate(in.Type, v))
 			case isa.OpSt:
-				if err := sm.dev.mem.Store(addr, size, sm.operand(w, in.Srcs[1], l)); err != nil {
+				if err := sm.dev.mem.Store(addr, size, vals[l]); err != nil {
 					return err
 				}
 			case isa.OpAtomAdd:
 				sm.stats.AtomicLaneOps++
 				// The RMW must be indivisible: concurrently simulated SMs
 				// contend on the same addresses (histogram bins etc.).
-				if _, err := sm.dev.mem.AtomicAdd(addr, size, sm.operand(w, in.Srcs[1], l)); err != nil {
+				if _, err := sm.dev.mem.AtomicAdd(addr, size, vals[l]); err != nil {
 					return err
 				}
 			}

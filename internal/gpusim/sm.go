@@ -39,6 +39,51 @@ func poolFor(c isa.FUClass) poolKind {
 	}
 }
 
+// decodedInstr is one instruction's issue-path facts. decodeProgram
+// derives the table once per launch from the Program; every SM of the
+// launch shares it read-only and nothing mutates it.
+type decodedInstr struct {
+	in       *isa.Instr
+	class    isa.FUClass
+	pool     poolKind
+	lat, occ uint64 // producer latency and FU occupancy (memory ops refine lat)
+	hasDst   bool
+	numSrcs  int
+	// waitRegs[:nWait] are the registers the scoreboard waits on before
+	// issue: the register sources (SELP's predicate excluded) and, since
+	// the warp is in order, the destination (write-after-write/read).
+	waitRegs [4]isa.Reg
+	nWait    int
+}
+
+// decodeProgram builds the per-PC issue table for one launch.
+func (d *Device) decodeProgram(prog *isa.Program) []decodedInstr {
+	code := make([]decodedInstr, len(prog.Instrs))
+	for pc := range prog.Instrs {
+		in := &prog.Instrs[pc]
+		di := decodedInstr{
+			in:      in,
+			class:   in.Op.Class(),
+			pool:    poolFor(in.Op.Class()),
+			hasDst:  in.Op.HasDst(),
+			numSrcs: in.Op.NumSrcs(),
+		}
+		di.lat, di.occ = d.latency(in.Op)
+		for s := 0; s < di.numSrcs; s++ {
+			if in.Srcs[s].Kind == isa.OpReg && (in.Op != isa.OpSelp || s < 2) {
+				di.waitRegs[di.nWait] = in.Srcs[s].Reg
+				di.nWait++
+			}
+		}
+		if di.hasDst {
+			di.waitRegs[di.nWait] = in.Dst
+			di.nWait++
+		}
+		code[pc] = di
+	}
+	return code
+}
+
 // SMStats aggregates one SM's activity over a kernel run. The
 // per-FU-class instruction counters are dense arrays indexed by FUClass:
 // they are bumped once per issued instruction, and an array index is a
@@ -70,7 +115,8 @@ type smState struct {
 	dev    *Device
 	id     int
 	kernel *Kernel
-	params []byte // kernel params, serialized once per launch (read-only)
+	params []byte         // kernel params, serialized once per launch (read-only)
+	code   []decodedInstr // the launch's decoded program (read-only)
 
 	l1 *Cache
 	// l2 is this SM's private shard of the L2 model: tags and statistics
@@ -113,6 +159,15 @@ type smState struct {
 	// installed); appended to lock-free on the execution hot path, folded
 	// by the device in SM-ID order after all workers join.
 	rec *recShard
+
+	// Per-instruction scratch, reused by every warp instruction so the
+	// issue path allocates nothing: immediate/special operand vectors, the
+	// ST² unit's lane operations and the observed warp adds. lanes and
+	// addOps are handed to Speculator and AddTracer implementations by
+	// pointer, valid only for the duration of the call.
+	opA, opB, opC [32]uint64
+	lanes         [32]core.LaneOp
+	addOps        [32]WarpAddOp
 }
 
 // units returns the SM's ST² execution units in a fixed fold order.
@@ -163,6 +218,8 @@ func (sm *smState) launchBlock(b int) {
 		for l := lanes; l < 32; l++ {
 			w.pc[l] = -1
 		}
+		w.live = uint32(1<<lanes - 1)
+		w.reconverge()
 		sm.warps = append(sm.warps, w)
 	}
 	sm.liveBlocks[b] = nWarps
@@ -218,25 +275,14 @@ func (sm *smState) releaseBarriers() {
 // srcReadyAt returns the cycle at which the warp's next instruction can
 // read all its operands.
 func (sm *smState) srcReadyAt(w *warp) uint64 {
-	pc := w.minPC()
-	if pc < 0 {
-		return w.nextIssue
-	}
-	in := sm.kernel.Program.Instrs[pc]
 	t := w.nextIssue
-	for s := 0; s < in.Op.NumSrcs(); s++ {
-		o := in.Srcs[s]
-		if o.Kind == isa.OpReg && in.Op != isa.OpSelp || (in.Op == isa.OpSelp && s < 2 && o.Kind == isa.OpReg) {
-			if r := w.regReady[o.Reg]; r > t {
-				t = r
-			}
-		}
+	if w.rpc < 0 {
+		return t
 	}
-	// Write-after-write / write-after-read on the destination: the warp is
-	// in-order, so only the destination's pending latency matters.
-	if in.Op.HasDst() {
-		if r := w.regReady[in.Dst]; r > t {
-			t = r
+	d := &sm.code[w.rpc]
+	for _, r := range d.waitRegs[:d.nWait] {
+		if ready := w.regReady[r]; ready > t {
+			t = ready
 		}
 	}
 	return t
@@ -246,10 +292,8 @@ func (sm *smState) srcReadyAt(w *warp) uint64 {
 // and FU pool availability.
 func (sm *smState) earliestIssue(w *warp) uint64 {
 	t := sm.srcReadyAt(w)
-	pc := w.minPC()
-	if pc >= 0 {
-		pool := poolFor(sm.kernel.Program.Instrs[pc].Op.Class())
-		if pool != poolNone {
+	if w.rpc >= 0 {
+		if pool := sm.code[w.rpc].pool; pool != poolNone {
 			pipe := sm.nextFreePipe(pool)
 			if b := sm.pools[pool][pipe]; b > t {
 				t = b
@@ -268,13 +312,12 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	if sm.srcReadyAt(w) > sm.cycle {
 		return false, nil
 	}
-	pc := w.minPC()
-	if pc < 0 {
+	if w.rpc < 0 {
 		w.done = true
 		return false, nil
 	}
-	in := sm.kernel.Program.Instrs[pc]
-	pool := poolFor(in.Op.Class())
+	d := &sm.code[w.rpc]
+	pool := d.pool
 	pipe := -1
 	if pool != poolNone {
 		pipe = sm.nextFreePipe(pool)
@@ -283,7 +326,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 		}
 	}
 
-	res, err := sm.executeStep(w)
+	res, err := sm.executeStep(w, d)
 	if err != nil {
 		return false, err
 	}
@@ -303,15 +346,15 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	if pipe >= 0 {
 		sm.pools[pool][pipe] = sm.cycle + occ
 	}
-	if res.hasDst {
-		w.regReady[res.dstReg] = sm.cycle + lat
+	if d.hasDst {
+		w.regReady[d.in.Dst] = sm.cycle + lat
 		sm.stats.RegWrites += uint64(res.activeLanes)
 	}
-	sm.stats.RegReads += uint64(res.activeLanes * in.Op.NumSrcs())
+	sm.stats.RegReads += uint64(res.activeLanes * d.numSrcs)
 	w.nextIssue = sm.cycle + 1
 
 	// Bookkeeping.
-	cls := in.Op.Class()
+	cls := d.class
 	sm.stats.WarpInstrs[cls]++
 	sm.stats.ThreadInstrs[cls] += uint64(res.activeLanes)
 	if res.barrier {
