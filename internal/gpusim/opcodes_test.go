@@ -7,15 +7,34 @@ import (
 	"st2gpu/internal/isa"
 )
 
-// evalOp runs a one-instruction program: r0 = <op>(inputs...) on a single
-// warp and returns lane 0's result. Inputs are staged with typed movs.
-func evalOp(t *testing.T, stage func(b *isa.Builder, dst isa.Reg)) uint64 {
+// opSentinel is what the destination holds before the op under test runs;
+// lanes the guard disables must still hold it afterwards.
+const opSentinel = 0xDEADBEEFCAFEF00D
+
+// runOp builds a program around stage: a prologue computing the guard
+// predicate (even block-local thread ids pass) and setting the
+// destination to opSentinel, then stage, then a store of every thread's
+// destination to 0x100 + 8·tid. stage calls guard right after emitting
+// the instruction under test, which guards it when guarded is set. It
+// launches one block of blockDim threads (a multiple of 32 or not) and
+// returns each thread's stored value and whether the guard passed for it.
+// mode selects the adders add/sub instructions run on.
+func runOp(t *testing.T, mode AdderMode, blockDim int, guarded bool, stage func(b *isa.Builder, dst isa.Reg, guard func())) (vals []uint64, active []bool) {
 	t.Helper()
 	b := isa.NewBuilder("op")
 	dst := b.Reg()
-	stage(b, dst)
-	addr := b.Reg()
-	b.Mov(isa.U64, addr, isa.Imm(0x100))
+	tid, bit, addr := b.Reg(), b.Reg(), b.Reg()
+	even := b.PredReg()
+	b.MovSpecial(tid, isa.SRegTid)
+	b.And(isa.U32, bit, isa.R(tid), isa.Imm(1))
+	b.Setp(isa.EQ, isa.U32, even, isa.R(bit), isa.Imm(0))
+	b.Mov(isa.U64, dst, isa.Imm(opSentinel))
+	stage(b, dst, func() {
+		if guarded {
+			b.Guarded(even, false)
+		}
+	})
+	b.IMad(isa.U64, addr, isa.R(tid), isa.Imm(8), isa.Imm(0x100))
 	b.St(isa.Global, isa.U64, isa.R(addr), isa.R(dst))
 	b.Exit()
 	prog, err := b.Build()
@@ -24,18 +43,66 @@ func evalOp(t *testing.T, stage func(b *isa.Builder, dst isa.Reg)) uint64 {
 	}
 	cfg := DefaultConfig()
 	cfg.NumSMs = 1
+	cfg.GlobalMemBytes = 1 << 20
+	cfg.AdderMode = mode
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Launch(&Kernel{Program: prog, GridDim: 1, BlockDim: 32}); err != nil {
+	if _, err := d.Launch(&Kernel{Program: prog, GridDim: 1, BlockDim: blockDim}); err != nil {
 		t.Fatal(err)
 	}
-	v, err := d.Memory().Load(0x100, 8)
-	if err != nil {
-		t.Fatal(err)
+	vals = make([]uint64, blockDim)
+	active = make([]bool, blockDim)
+	for l := range vals {
+		v, err := d.Memory().Load(0x100+8*uint64(l), 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals[l], active[l] = v, !guarded || l%2 == 0
 	}
-	return v
+	return vals, active
+}
+
+// maskedVariants are the launches every opcode test runs: a full warp with
+// every lane active, then half the lanes disabled by a guard on a full
+// warp and on a partial second warp, under both adder modes.
+var maskedVariants = []struct {
+	mode     AdderMode
+	blockDim int
+	guarded  bool
+}{
+	{ST2Adders, 32, false},
+	{ST2Adders, 32, true},
+	{ST2Adders, 48, true},
+	{BaselineAdders, 48, true},
+}
+
+// evalOp runs the instruction stage emits last (r0 = <op>(inputs...),
+// inputs staged with typed movs) under every masked variant and returns
+// its result. Every executing thread must produce the same value and
+// every disabled thread must keep opSentinel.
+func evalOp(t *testing.T, stage func(b *isa.Builder, dst isa.Reg)) uint64 {
+	t.Helper()
+	var want uint64
+	for i, v := range maskedVariants {
+		vals, active := runOp(t, v.mode, v.blockDim, v.guarded, func(b *isa.Builder, dst isa.Reg, guard func()) {
+			stage(b, dst)
+			guard()
+		})
+		if i == 0 {
+			want = vals[0]
+		}
+		for l, got := range vals {
+			if active[l] && got != want {
+				t.Errorf("%v block %d guarded=%v: thread %d got %#x, want %#x", v.mode, v.blockDim, v.guarded, l, got, want)
+			}
+			if !active[l] && got != opSentinel {
+				t.Errorf("%v block %d: disabled thread %d was written: %#x", v.mode, v.blockDim, l, got)
+			}
+		}
+	}
+	return want
 }
 
 // movI stages an integer constant of the given type.
@@ -55,6 +122,27 @@ func TestIntegerOpcodeSemantics(t *testing.T) {
 		emit func(b *isa.Builder, dst isa.Reg)
 		want uint64
 	}{
+		{"add.u32 wraps", func(b *isa.Builder, d isa.Reg) {
+			b.IAdd(isa.U32, d, isa.R(movI(b, isa.U32, 0xFFFFFFFF)), isa.Imm(2))
+		}, 1},
+		{"sub.s64", func(b *isa.Builder, d isa.Reg) {
+			b.ISub(isa.S64, d, isa.R(movI(b, isa.S64, 5)), isa.Imm(7))
+		}, ^uint64(1)},
+		{"mov.u32 truncates", func(b *isa.Builder, d isa.Reg) {
+			b.Mov(isa.U32, d, isa.Imm(1<<40|9))
+		}, 9},
+		{"and.u64", func(b *isa.Builder, d isa.Reg) {
+			b.And(isa.U64, d, isa.R(movI(b, isa.U64, 0xFF00FF)), isa.Imm(0x0FF0))
+		}, 0xF0},
+		{"or.u64", func(b *isa.Builder, d isa.Reg) {
+			b.Or(isa.U64, d, isa.R(movI(b, isa.U64, 0xF0)), isa.Imm(0x0F))
+		}, 0xFF},
+		{"xor.u64", func(b *isa.Builder, d isa.Reg) {
+			b.Xor(isa.U64, d, isa.R(movI(b, isa.U64, 0xFF)), isa.Imm(0x0F))
+		}, 0xF0},
+		{"shl.u32 truncates", func(b *isa.Builder, d isa.Reg) {
+			b.Shl(isa.U32, d, isa.R(movI(b, isa.U32, 0x80000001)), isa.Imm(1))
+		}, 2},
 		{"min.s32 negative", func(b *isa.Builder, d isa.Reg) {
 			b.IMin(isa.S32, d, isa.R(movI(b, isa.S32, neg5)), isa.Imm(3))
 		}, ^uint64(4)}, // -5 sign-extended
@@ -132,6 +220,12 @@ func TestFloatOpcodeSemantics(t *testing.T) {
 		emit func(b *isa.Builder, dst isa.Reg)
 		want uint64
 	}{
+		{"add.f32", func(b *isa.Builder, d isa.Reg) {
+			b.FAdd(isa.F32, d, isa.R(movI(b, isa.F32, f32b(1.5))), isa.ImmF32(0.25))
+		}, f32b(1.75)},
+		{"sub.f64", func(b *isa.Builder, d isa.Reg) {
+			b.FSub(isa.F64, d, isa.R(movI(b, isa.F64, f64b(1))), isa.ImmF64(4))
+		}, f64b(-3)},
 		{"mul.f64", func(b *isa.Builder, d isa.Reg) {
 			b.FMul(isa.F64, d, isa.R(movI(b, isa.F64, f64b(1.5))), isa.ImmF64(-2))
 		}, f64b(-3)},
@@ -220,20 +314,32 @@ func TestCvtSemantics(t *testing.T) {
 }
 
 // Every comparison operator × representative type, captured through Selp.
+// The predicate starts at the opposite of the expected result, so threads
+// the guard disables must read it back unchanged.
 func TestSetpSemantics(t *testing.T) {
 	check := func(name string, ty isa.Type, cmp isa.CmpOp, a, b uint64, want bool) {
 		t.Helper()
-		got := evalOp(t, func(bb *isa.Builder, d isa.Reg) {
-			ra := bb.Reg()
-			rb := bb.Reg()
-			bb.Mov(ty, ra, isa.Imm(a))
-			bb.Mov(ty, rb, isa.Imm(b))
-			p := bb.PredReg()
-			bb.Setp(cmp, ty, p, isa.R(ra), isa.R(rb))
-			bb.Selp(isa.U64, d, isa.Imm(1), isa.Imm(0), p)
-		})
-		if (got == 1) != want {
-			t.Errorf("%s: got %d, want %v", name, got, want)
+		for _, v := range maskedVariants {
+			vals, active := runOp(t, v.mode, v.blockDim, v.guarded, func(bb *isa.Builder, d isa.Reg, guard func()) {
+				ra := bb.Reg()
+				rb := bb.Reg()
+				bb.Mov(ty, ra, isa.Imm(a))
+				bb.Mov(ty, rb, isa.Imm(b))
+				p := bb.PredReg()
+				initial := uint64(1)
+				if want {
+					initial = 0
+				}
+				bb.Setp(isa.EQ, isa.U32, p, isa.Imm(1), isa.Imm(initial))
+				bb.Setp(cmp, ty, p, isa.R(ra), isa.R(rb))
+				guard()
+				bb.Selp(isa.U64, d, isa.Imm(1), isa.Imm(0), p)
+			})
+			for l, got := range vals {
+				if exp := want == active[l]; (got == 1) != exp {
+					t.Errorf("%s %v block %d guarded=%v: thread %d got %d, want %v", name, v.mode, v.blockDim, v.guarded, l, got, exp)
+				}
+			}
 		}
 	}
 	neg := uint64(0xFFFFFFFC)
