@@ -35,13 +35,15 @@ race:
 # test` invocation): the recording decoder and the columnar decoded-store
 # reader. Seed corpora (valid, truncated, and oversized-declaration
 # inputs) plus a few seconds of mutation must never panic, over-allocate,
-# or round-trip unstably.
+# or round-trip unstably. The sliced-adder pass checks every Execute
+# result field against the slice-by-slice reference model.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadRecording -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
 
 # The gate CI runs: static analysis (vet + st2lint), the full test suite
-# under the race detector, a short decoder fuzz pass, a suite smoke pass
+# under the race detector, a short decoder and adder fuzz pass, a suite smoke pass
 # with the run manifest sanity-checked, the record-vs-replay DSE
 # benchmark with bit-identity verified, and the st2trend regression gate
 # over both trend arrays.
