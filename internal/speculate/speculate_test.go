@@ -367,7 +367,7 @@ func TestCRFReadWriteCycle(t *testing.T) {
 	if c.ReadLane(21, 3) != 0x55 {
 		t.Error("PC aliasing into the same row failed")
 	}
-	row := c.ReadRow(5)
+	row := c.ReadRow(5, make([]uint64, 32))
 	if row[3] != 0x55 || row[7] != 0x2A {
 		t.Error("ReadRow wrong")
 	}
