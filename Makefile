@@ -35,10 +35,12 @@ race:
 # test` invocation): the recording decoder and the columnar decoded-store
 # reader. Seed corpora (valid, truncated, and oversized-declaration
 # inputs) plus a few seconds of mutation must never panic, over-allocate,
-# or round-trip unstably. The sliced-adder pass checks every Execute
-# result field against the slice-by-slice reference model.
+# or round-trip unstably. The paged-memory pass replays random op streams
+# against the flat []byte oracle. The sliced-adder pass checks every
+# Execute result field against the slice-by-slice reference model.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadRecording -fuzztime=5s ./internal/gpusim
+	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
 

@@ -16,7 +16,8 @@ import (
 //
 //   - parameters of a worker callback invoked by a dispatcher (a
 //     function that calls its func-typed parameter from inside a
-//     goroutine, like experiments.runGrid / Config.forEachKernel);
+//     goroutine, like experiments.runGrid / forEach, or from inside a
+//     callback it hands such a dispatcher, like Config.forEachKernel);
 //   - variables captured from a loop iteration that encloses the `go`
 //     statement (Go ≥1.22 loop variables are per-iteration);
 //   - results of an atomic claim (x.Add(1) on a sync/atomic value) or a
@@ -244,52 +245,115 @@ type workerCtx struct {
 // one of its own func-typed parameters from inside a `go` literal, how
 // owned each argument of that call is. A func literal passed to such a
 // parameter elsewhere in the package is then analyzed as a worker body.
+// Dispatchers layer: a function that calls its func-typed parameter from
+// inside a callback it hands to another dispatcher (experiments'
+// forEachKernel over forEach) is one too, so the search iterates to a
+// fixpoint. Ownedness only ever narrows, so the iteration terminates.
 func (so *shardOwn) findDispatchers() {
 	so.dispatchers = make(map[types.Object][]bool)
-	info := so.pass.TypesInfo
-	for _, fd := range so.decls {
-		fd := fd
-		walkStack(fd, func(n ast.Node, stack []ast.Node) bool {
-			gs, ok := n.(*ast.GoStmt)
-			if !ok {
-				return true
-			}
-			lit, ok := gs.Call.Fun.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			ctx := so.newGoCtx(fd, gs, lit, stack)
-			ast.Inspect(lit.Body, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-				if !ok {
-					return true
-				}
-				obj := info.ObjectOf(id)
-				if obj == nil || !isFuncParamOf(obj, fd) {
-					return true
-				}
-				ownedArgs := make([]bool, len(call.Args))
-				for i, a := range call.Args {
-					ownedArgs[i] = ctx.ownedExpr(a) == ownOwned
-				}
-				if prev, ok := so.dispatchers[obj]; ok {
-					for i := range prev {
-						if i < len(ownedArgs) {
-							prev[i] = prev[i] && ownedArgs[i]
-						}
+	for changed := true; changed; {
+		changed = false
+		for _, fd := range so.decls {
+			fd := fd
+			walkStack(fd, func(n ast.Node, stack []ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.GoStmt:
+					if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
+						changed = so.recordParamCalls(fd, lit, so.newGoCtx(fd, n, lit, stack)) || changed
 					}
-				} else {
-					so.dispatchers[obj] = ownedArgs
+				case *ast.CallExpr:
+					so.forDispatchedLits(n, func(lit *ast.FuncLit, ownedArgs []bool) {
+						ctx := so.dispatchedCtx(lit, ownedArgs, fd)
+						changed = so.recordParamCalls(fd, lit, ctx) || changed
+					})
 				}
 				return true
 			})
-			return true
-		})
+		}
 	}
+}
+
+// recordParamCalls folds the ownedness of every call to one of fd's
+// func-typed parameters inside worker body lit into so.dispatchers, and
+// reports whether that added a dispatcher or narrowed one.
+func (so *shardOwn) recordParamCalls(fd *ast.FuncDecl, lit *ast.FuncLit, ctx *workerCtx) bool {
+	info := so.pass.TypesInfo
+	changed := false
+	ast.Inspect(lit.Body, func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := info.ObjectOf(id)
+		if obj == nil || !isFuncParamOf(obj, fd) {
+			return true
+		}
+		ownedArgs := make([]bool, len(call.Args))
+		for i, a := range call.Args {
+			ownedArgs[i] = ctx.ownedExpr(a) == ownOwned
+		}
+		prev, ok := so.dispatchers[obj]
+		if !ok {
+			so.dispatchers[obj] = ownedArgs
+			changed = true
+			return true
+		}
+		for i := range prev {
+			if i < len(ownedArgs) && prev[i] && !ownedArgs[i] {
+				prev[i] = false
+				changed = true
+			}
+		}
+		return true
+	})
+	return changed
+}
+
+// forDispatchedLits calls fn for every func literal that call passes to a
+// known dispatcher parameter, with the ownedness of the arguments the
+// dispatcher invokes it with.
+func (so *shardOwn) forDispatchedLits(call *ast.CallExpr, fn func(lit *ast.FuncLit, ownedArgs []bool)) {
+	info := so.pass.TypesInfo
+	callee := calleeObject(info, call.Fun)
+	if callee == nil {
+		return
+	}
+	fd, ok := so.decls[callee]
+	if !ok {
+		return
+	}
+	params := paramObjs(info, fd.Type)
+	for i, a := range call.Args {
+		lit, ok := ast.Unparen(a).(*ast.FuncLit)
+		if !ok || i >= len(params) {
+			continue
+		}
+		if ownedArgs, ok := so.dispatchers[params[i]]; ok {
+			fn(lit, ownedArgs)
+		}
+	}
+}
+
+// dispatchedCtx builds the worker context for a func literal a dispatcher
+// runs on worker goroutines: its parameters are owned where the
+// dispatcher passes owned arguments.
+func (so *shardOwn) dispatchedCtx(lit *ast.FuncLit, ownedArgs []bool, encl *ast.FuncDecl) *workerCtx {
+	ctx := &workerCtx{
+		so:    so,
+		fn:    lit,
+		encl:  encl,
+		owned: make(map[types.Object]bool),
+	}
+	for j, p := range paramObjs(so.pass.TypesInfo, lit.Type) {
+		if j < len(ownedArgs) && ownedArgs[j] {
+			ctx.owned[p] = true
+		}
+	}
+	return ctx
 }
 
 // isFuncParamOf reports whether obj is a func-typed parameter of fd.
@@ -328,40 +392,11 @@ func (so *shardOwn) checkFile(file *ast.File) {
 				return false // literal handled; don't double-visit nested go stmts? keep walking for nested
 			}
 		case *ast.CallExpr:
-			callee := calleeObject(info, n.Fun)
-			if callee == nil {
-				return true
-			}
-			fd, ok := so.decls[callee]
-			if !ok {
-				return true
-			}
-			// Map call args to parameter objects; a func literal passed to
-			// a dispatcher parameter runs on worker goroutines.
-			params := paramObjs(info, fd.Type)
-			for i, a := range n.Args {
-				lit, ok := ast.Unparen(a).(*ast.FuncLit)
-				if !ok || i >= len(params) {
-					continue
-				}
-				ownedArgs, ok := so.dispatchers[params[i]]
-				if !ok {
-					continue
-				}
-				ctx := &workerCtx{
-					so:    so,
-					fn:    lit,
-					encl:  enclosingDecl(stack),
-					owned: make(map[types.Object]bool),
-				}
-				litParams := paramObjs(info, lit.Type)
-				for j, p := range litParams {
-					if j < len(ownedArgs) && ownedArgs[j] {
-						ctx.owned[p] = true
-					}
-				}
-				ctx.checkBody(lit.Body)
-			}
+			// A func literal passed to a dispatcher parameter runs on
+			// worker goroutines.
+			so.forDispatchedLits(n, func(lit *ast.FuncLit, ownedArgs []bool) {
+				so.dispatchedCtx(lit, ownedArgs, enclosingDecl(stack)).checkBody(lit.Body)
+			})
 		}
 		return true
 	})

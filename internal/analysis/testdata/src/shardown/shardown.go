@@ -175,6 +175,27 @@ func useDispatcher(n int) ([]int, error) {
 	return out, err
 }
 
+// eachName layers a dispatcher over runGrid: it invokes its own func
+// parameter from inside the callback it hands runGrid, so it is a
+// dispatcher too, with both arguments owned (names[i] is read at the
+// owned index).
+func eachName(names []string, fn func(i int, name string) error) error {
+	return runGrid(len(names), func(i int) error {
+		return fn(i, names[i])
+	})
+}
+
+// useLayered's callback is a worker body through two dispatcher layers.
+func useLayered(names []string) ([]int, error) {
+	out := make([]int, len(names))
+	err := eachName(names, func(i int, name string) error {
+		out[i] = len(name)
+		out[0] = 1 // want `not derived from the worker-owned index`
+		return nil
+	})
+	return out, err
+}
+
 // fill is a helper handed a shared slice plus an owned index: ownership
 // facts propagate into it from helperCall's worker body.
 func fill(dst []int, i, v int) {

@@ -185,32 +185,41 @@ func RecordSuite(cfg Config) (*trace.Set, error) {
 	return set, nil
 }
 
-// forEachKernel runs fn over the evaluation suite concurrently (one
-// goroutine per kernel, bounded by GOMAXPROCS). Each invocation gets its
-// own device, so results are deterministic and order-independent; fn
-// receives the kernel's index for order-preserving collection. If
+// forEachKernel runs fn over the evaluation suite on the forEach pool;
+// fn receives the kernel's index for order-preserving collection. If
 // c.Progress is set it is invoked under a mutex as each kernel finishes.
 func (c Config) forEachKernel(fn func(i int, w kernels.Workload) error) error {
 	ws := kernels.Suite()
-	errs := make([]error, len(ws))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	done := 0
-	for i, w := range ws {
-		i, w := i, w
+	return forEach(len(ws), func(i int) error {
+		err := fn(i, ws[i])
+		if c.Progress != nil {
+			mu.Lock()
+			done++
+			c.Progress(done, len(ws), ws[i].Name)
+			mu.Unlock()
+		}
+		return err
+	})
+}
+
+// forEach runs fn(i) for every i in [0, n) concurrently (one goroutine
+// per index, at most GOMAXPROCS at a time) and returns the error of the
+// lowest failing index. Each invocation builds its own devices, so
+// results are deterministic and order-independent as long as fn stores
+// them by index.
+func forEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = fn(i, w)
-			if c.Progress != nil {
-				mu.Lock()
-				done++
-				c.Progress(done, len(ws), w.Name)
-				mu.Unlock()
-			}
+			errs[i] = fn(i)
 		}()
 	}
 	wg.Wait()
@@ -823,41 +832,59 @@ func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, po
 	// blocks → 1..NumSMs busy SMs).
 	chipSMs := 2 * cfg.NumSMs
 
+	// The launches run on the forEach pool and are priced there; the
+	// silicon's noise RNG is stateful, so measure calls it in index order
+	// after the pool joins, keeping the model and report bit-identical at
+	// any GOMAXPROCS.
 	sample := func(name string, rs *gpusim.RunStats, d *gpusim.Device) power.Sample {
-		b := power.FromRun(rs, d.Prices(), tbl)
-		secs := tbl.Seconds(rs)
-		idle := chipSMs - rs.SMsUsed
 		return power.Sample{
-			Name: name, B: b, Seconds: secs, IdleSMs: idle,
-			Measured: silicon.Measure(b, secs, idle),
+			Name:    name,
+			B:       power.FromRun(rs, d.Prices(), tbl),
+			Seconds: tbl.Seconds(rs),
+			IdleSMs: chipSMs - rs.SMsUsed,
+		}
+	}
+	measure := func(ss []power.Sample) {
+		for i := range ss {
+			ss[i].Measured = silicon.Measure(ss[i].B, ss[i].Seconds, ss[i].IdleSMs)
 		}
 	}
 
-	train := make([]power.Sample, 0, kernels.NumMicro)
-	for i := 0; i < kernels.NumMicro; i++ {
+	train := make([]power.Sample, kernels.NumMicro)
+	err = forEach(kernels.NumMicro, func(i int) error {
 		spec, err := kernels.Micro(i)
 		if err != nil {
-			return power.ValidationReport{}, power.Model{}, err
+			return err
 		}
 		rs, d, err := cfg.runSpec(spec, gpusim.BaselineAdders, nil)
 		if err != nil {
-			return power.ValidationReport{}, power.Model{}, err
+			return err
 		}
-		train = append(train, sample(spec.Name, rs, d))
+		train[i] = sample(spec.Name, rs, d)
+		return nil
+	})
+	if err != nil {
+		return power.ValidationReport{}, power.Model{}, err
 	}
+	measure(train)
 	model, err := power.Calibrate(train)
 	if err != nil {
 		return power.ValidationReport{}, power.Model{}, err
 	}
 
-	val := make([]power.Sample, 0, 23)
-	for _, w := range kernels.Suite() {
+	val := make([]power.Sample, len(kernels.Suite()))
+	err = cfg.forEachKernel(func(i int, w kernels.Workload) error {
 		rs, d, err := cfg.runWorkload(w, gpusim.BaselineAdders, nil)
 		if err != nil {
-			return power.ValidationReport{}, power.Model{}, err
+			return err
 		}
-		val = append(val, sample(w.Name, rs, d))
+		val[i] = sample(w.Name, rs, d)
+		return nil
+	})
+	if err != nil {
+		return power.ValidationReport{}, power.Model{}, err
 	}
+	measure(val)
 	rep, err := power.Validate(model, val)
 	return rep, model, err
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -223,6 +225,28 @@ func TestPowerValidationWorkflow(t *testing.T) {
 		if s < 0 {
 			t.Errorf("scale[%v] negative: %g", power.Component(i), s)
 		}
+	}
+}
+
+// TestPowerValidationDeterministic pins the pooled calibration: the
+// launches finish in any order, but the silicon is measured in index
+// order, so the report and model are identical at any GOMAXPROCS.
+func TestPowerValidationDeterministic(t *testing.T) {
+	run := func(procs int) (power.ValidationReport, power.Model) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		rep, model, err := PowerValidation(Default(), 0.06)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, model
+	}
+	rep1, model1 := run(1)
+	rep4, model4 := run(4)
+	if !reflect.DeepEqual(rep1, rep4) {
+		t.Errorf("validation report differs:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=4: %+v", rep1, rep4)
+	}
+	if !reflect.DeepEqual(model1, model4) {
+		t.Errorf("calibrated model differs:\nGOMAXPROCS=1: %+v\nGOMAXPROCS=4: %+v", model1, model4)
 	}
 }
 

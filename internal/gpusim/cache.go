@@ -42,22 +42,32 @@ type Cache struct {
 	stats    CacheStats
 }
 
-// NewCache builds a cache of sizeKB with the given line size and ways.
-func NewCache(sizeKB, lineBytes, ways int) (*Cache, error) {
+// cacheGeometry checks a cache of sizeKB with the given line size and ways
+// and returns its set count and line-offset bits. It is pure arithmetic,
+// so Config.Validate checks both cache levels without building either.
+func cacheGeometry(sizeKB, lineBytes, ways int) (sets int, lineBits uint, err error) {
 	if sizeKB <= 0 || lineBytes <= 0 || ways <= 0 {
-		return nil, fmt.Errorf("gpusim: bad cache geometry %d KB / %d B / %d ways", sizeKB, lineBytes, ways)
+		return 0, 0, fmt.Errorf("gpusim: bad cache geometry %d KB / %d B / %d ways", sizeKB, lineBytes, ways)
 	}
 	lines := sizeKB * 1024 / lineBytes
 	if lines < ways {
-		return nil, fmt.Errorf("gpusim: cache too small for %d ways", ways)
+		return 0, 0, fmt.Errorf("gpusim: cache too small for %d ways", ways)
 	}
-	sets := lines / ways
+	sets = lines / ways
 	if sets&(sets-1) != 0 {
-		return nil, fmt.Errorf("gpusim: set count %d not a power of two", sets)
+		return 0, 0, fmt.Errorf("gpusim: set count %d not a power of two", sets)
 	}
-	var lb uint
-	for 1<<lb < lineBytes {
-		lb++
+	for 1<<lineBits < lineBytes {
+		lineBits++
+	}
+	return sets, lineBits, nil
+}
+
+// NewCache builds a cache of sizeKB with the given line size and ways.
+func NewCache(sizeKB, lineBytes, ways int) (*Cache, error) {
+	sets, lb, err := cacheGeometry(sizeKB, lineBytes, ways)
+	if err != nil {
+		return nil, err
 	}
 	return &Cache{
 		sets:     sets,

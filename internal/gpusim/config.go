@@ -166,8 +166,13 @@ func (c Config) Validate() error {
 	if c.LineBytes == 0 || c.LineBytes&(c.LineBytes-1) != 0 {
 		return fmt.Errorf("gpusim: cache line %d not a power of two", c.LineBytes)
 	}
-	if c.L1KB <= 0 || c.L2KB <= 0 || c.L1Ways <= 0 || c.L2Ways <= 0 {
-		return fmt.Errorf("gpusim: bad cache geometry")
+	// Caches are built per SM at launch; check their geometry here so a
+	// bad config fails at New, not mid-launch.
+	if _, _, err := cacheGeometry(c.L1KB, c.LineBytes, c.L1Ways); err != nil {
+		return fmt.Errorf("%w (L1)", err)
+	}
+	if _, _, err := cacheGeometry(c.L2KB, c.LineBytes, c.L2Ways); err != nil {
+		return fmt.Errorf("%w (L2)", err)
 	}
 	if c.MaxCycles == 0 {
 		return fmt.Errorf("gpusim: MaxCycles is zero")

@@ -151,11 +151,6 @@ func New(cfg Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	// L2 shards are built per SM at launch; validate the geometry now so a
-	// bad config fails at New, not mid-launch.
-	if _, err := NewCache(cfg.L2KB, cfg.LineBytes, cfg.L2Ways); err != nil {
-		return nil, err
-	}
 	tech := circuit.SAED90()
 	prices := make(map[core.UnitKind]core.EnergyParams)
 	for _, kind := range []core.UnitKind{core.ALU, core.ALU32, core.FPU, core.DPU} {

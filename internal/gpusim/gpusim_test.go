@@ -378,6 +378,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.GlobalMemBytes = 0 },
 		func(c *Config) { c.LineBytes = 100 },
 		func(c *Config) { c.L1KB = 0 },
+		func(c *Config) { c.L1Ways = 2048 },
+		func(c *Config) { c.L2KB = 3000 },
 		func(c *Config) { c.MaxCycles = 0 },
 		func(c *Config) { c.Speculation = ""; c.AdderMode = ST2Adders },
 	}
