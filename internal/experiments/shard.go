@@ -161,10 +161,10 @@ func CloseShardConns(conns []*ShardConn) {
 
 // ServeShardWorker serves one coordinator connection on r/w: it opens
 // the store named by the open message, loads each cell's kernel section
-// on first use (partial loads — never the whole store), and evaluates
-// cells on an internal pool of the coordinator-requested size, so a
-// worker keeps its cores busy while replies stay serialized. Returns
-// nil on a clean "done" or EOF.
+// (partial loads — never the whole store — keeping only the latest few
+// loaded), and evaluates cells on an internal pool of the
+// coordinator-requested size, so a worker keeps its cores busy while
+// replies stay serialized. Returns nil on a clean "done" or EOF.
 func ServeShardWorker(r io.Reader, w io.Writer) error {
 	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
 	bw := bufio.NewWriter(w)
@@ -184,7 +184,14 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 	}
 
 	var h *trace.StoreHandle
-	cache := map[string]*trace.DecodedKernel{} // touched only by this loop
+	// recent holds the kernels of the latest cells, most recent last, at
+	// most one per eval slot; it is touched only by this loop. The
+	// coordinator dispatches cells kernel-major, so a kernel's cells
+	// arrive together and an evicted kernel comes back only with a
+	// requeued cell, which reloads it. Keeping every kernel the worker
+	// has seen would hold its whole share of the store until the sweep
+	// ends.
+	var recent []shardKernel
 	var sem chan struct{}
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -218,10 +225,17 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 			if h == nil {
 				return fatal(fmt.Errorf("experiments: shard cell %d before open", m.ID))
 			}
-			// The kernel section loads in the read loop (the cache is
+			// The kernel section loads in the read loop (recent is
 			// loop-owned); only the pure array-walk eval fans out.
-			k, ok := cache[m.Kernel]
-			if !ok {
+			var k *trace.DecodedKernel
+			for i, e := range recent {
+				if e.name == m.Kernel {
+					k = e.k
+					recent = append(recent[:i], recent[i+1:]...)
+					break
+				}
+			}
+			if k == nil {
 				d, err := h.LoadKernels([]string{m.Kernel}, 0)
 				if err != nil {
 					if sendErr := send(shardMsg{Type: "error", ID: m.ID, Msg: err.Error()}); sendErr != nil {
@@ -230,8 +244,11 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 					continue
 				}
 				k, _ = d.Kernel(m.Kernel)
-				cache[m.Kernel] = k
+				if len(recent) == cap(sem) {
+					recent = append(recent[:0], recent[1:]...)
+				}
 			}
+			recent = append(recent, shardKernel{m.Kernel, k})
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(m shardMsg, k *trace.DecodedKernel) {
@@ -259,6 +276,12 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 			return fatal(fmt.Errorf("experiments: shard worker got unknown message type %q", m.Type))
 		}
 	}
+}
+
+// shardKernel is one kernel section a shard worker has loaded.
+type shardKernel struct {
+	name string
+	k    *trace.DecodedKernel
 }
 
 // ShardOptions tunes the coordinator's robustness machinery.

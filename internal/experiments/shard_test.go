@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"st2gpu/internal/kernels"
+	"st2gpu/internal/speculate"
 	"st2gpu/internal/trace"
 )
 
@@ -273,4 +274,68 @@ func TestShardedSweepAllWorkersDead(t *testing.T) {
 	if !strings.Contains(err.Error(), "workers died") {
 		t.Errorf("all-dead error %q does not say the workers died", err)
 	}
+}
+
+// TestShardWorkerReloadsEvictedKernel drives one in-process worker with
+// a single eval slot through cells that hit its latest kernel, evict it,
+// and come back to it; every reply must equal the in-process batch eval
+// of the same kernel and designs.
+func TestShardWorkerReloadsEvictedKernel(t *testing.T) {
+	storePath, dec := suiteStore(t)
+	a, b, c := dec.Names()[0], dec.Names()[1], dec.Names()[2]
+	half := len(speculate.DesignSpace) / 2
+	cells := []shardMsg{
+		{Kernel: a, Designs: speculate.DesignSpace[:half]},
+		{Kernel: a, Designs: speculate.DesignSpace[half:]}, // latest kernel: no reload
+		{Kernel: b, Designs: speculate.DesignSpace},        // evicts a
+		{Kernel: a, Designs: speculate.DesignSpace},        // reloads a
+		{Kernel: c, Designs: speculate.DesignSpace},
+		{Kernel: b, Designs: speculate.DesignSpace}, // reloads b
+	}
+
+	workerR, coordW := io.Pipe()
+	coordR, workerW := io.Pipe()
+	served := make(chan error, 1)
+	go func() {
+		served <- ServeShardWorker(workerR, workerW)
+		workerW.Close()
+	}()
+	enc := json.NewEncoder(coordW)
+	replies := json.NewDecoder(coordR)
+	if err := enc.Encode(shardMsg{Type: "open", ID: -1, Store: storePath,
+		Scale: dec.Scale, NumSMs: dec.NumSMs, Seed: dec.Seed, Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var ready shardMsg
+	if err := replies.Decode(&ready); err != nil || ready.Type != "ready" {
+		t.Fatalf("open: got %+v, %v; want ready", ready, err)
+	}
+	for id, c := range cells {
+		c.Type, c.ID, c.Op = "cell", id, shardOpMiss
+		if err := enc.Encode(c); err != nil {
+			t.Fatal(err)
+		}
+		var got shardMsg
+		if err := replies.Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if got.Type != "result" || got.ID != id {
+			t.Fatalf("cell %d: got %+v, want its result", id, got)
+		}
+		k, _ := dec.Kernel(c.Kernel)
+		want, err := k.EvalMissBatch(c.Designs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Rates, want) {
+			t.Errorf("cell %d (%s): rates %v, want %v", id, c.Kernel, got.Rates, want)
+		}
+	}
+	if err := enc.Encode(shardMsg{Type: "done", ID: -1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	coordW.Close()
 }
