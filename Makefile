@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-clean race fuzz-smoke check bench bench-smoke bench-dse trend-gate
+.PHONY: build test vet lint lint-clean race fuzz-smoke pinned check bench bench-smoke bench-dse trend-gate
 
 build:
 	$(GO) build ./...
@@ -44,12 +44,19 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
 
+# The scale-4 simulate pass checked against perfbench's pinned output
+# digests: the one bit-identity check at a scale where blocks retire and
+# queued blocks launch mid-kernel. perfbench is its own module, so
+# `go test ./...` does not reach it.
+pinned:
+	GOWORK=off GOTOOLCHAIN=local $(GO) test -C perfbench -run TestPinnedSimulate -count=1 .
+
 # The gate CI runs: static analysis (vet + st2lint), the full test suite
-# under the race detector, a short decoder and adder fuzz pass, a suite smoke pass
-# with the run manifest sanity-checked, the record-vs-replay DSE
-# benchmark with bit-identity verified, and the st2trend regression gate
-# over both trend arrays.
-check: vet lint race fuzz-smoke bench-smoke bench-dse trend-gate
+# under the race detector, a short decoder and adder fuzz pass, the
+# scale-4 pinned simulate pass, a suite smoke pass with the run manifest
+# sanity-checked, the record-vs-replay DSE benchmark with bit-identity
+# verified, and the st2trend regression gate over both trend arrays.
+check: vet lint race fuzz-smoke pinned bench-smoke bench-dse trend-gate
 
 bench:
 	$(GO) test -bench=. -benchmem

@@ -151,12 +151,16 @@ func (s *SlicedAdder) EffectiveOperands(a, b uint64, op Op) (ea, eb uint64, cin0
 // possibilities are available everywhere and the exact result is selected.
 func (s *SlicedAdder) Execute(a, b uint64, op Op, predicted uint64) Result {
 	ea, eb, cin0 := s.EffectiveOperands(a, b, op)
-	return s.executeEffective(ea, eb, cin0, predicted)
+	return s.ExecuteEffective(ea, eb, cin0, predicted)
 }
 
-// executeEffective derives every per-slice signal from one full-width
-// addition instead of simulating the slices one by one. With bit i of each
-// mask standing for slice i:
+// ExecuteEffective is Execute on operands EffectiveOperands has already
+// transformed, for callers that computed them anyway (the ST² unit hands
+// the same effective operands to its speculator first).
+//
+// It derives every per-slice signal from one full-width addition instead
+// of simulating the slices one by one. With bit i of each mask standing
+// for slice i:
 //
 //   - trueCin is the exact carry into each slice (bit 0 is the injected
 //     carry), read off the carry vector ea^eb^sum;
@@ -170,7 +174,7 @@ func (s *SlicedAdder) Execute(a, b uint64, op Op, predicted uint64) Result {
 // = usedCin[i] ^ cout1[i-1] = wrong[i] ^ flip[i-1]. The final select takes
 // each slice's computation with its true carry-in, which together is the
 // exact full-width sum.
-func (s *SlicedAdder) executeEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
+func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
 	n, boundaries := s.n, s.boundaries
 	res := Result{Predicted: predicted & boundaries}
 

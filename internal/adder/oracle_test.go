@@ -7,7 +7,7 @@ import (
 	"st2gpu/internal/bitmath"
 )
 
-// executeEffectiveOracle is the array-based datapath model executeEffective
+// executeEffectiveOracle is the array-based datapath model ExecuteEffective
 // replaced: per-slice carry-in, carry-out and sum arrays for cycle 1, E/S
 // derived slice by slice, and a final pass that keeps the cycle-1 sum where
 // the speculation held and recomputes only suspect slices. It is kept as

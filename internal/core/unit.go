@@ -237,7 +237,7 @@ func (u *Unit) ExecuteWarp(spec Speculator, pc, gtidBase uint32, lanes *[WarpSiz
 			continue
 		}
 		res.ActiveLanes++
-		r := u.ad.Execute(lanes[l].A, lanes[l].B, lanes[l].Op, preds[l].Carries)
+		r := u.ad.ExecuteEffective(eff[l].EA, eff[l].EB, eff[l].Cin0, preds[l].Carries)
 		res.Sums[l] = r.Sum
 		actual[l] = r.ActualCarries
 		res.SliceComputations += int(u.price.NumSlices) + r.Recomputed

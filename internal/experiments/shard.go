@@ -213,11 +213,7 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 			if err := h.Matches(m.Scale, m.NumSMs, m.Seed); err != nil {
 				return fatal(err)
 			}
-			workers := m.Workers
-			if workers < 1 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			sem = make(chan struct{}, workers)
+			sem = make(chan struct{}, shardEvalSlots(m.Workers))
 			if err := send(shardMsg{Type: "ready", ID: -1, Kernels: h.Names()}); err != nil {
 				return err
 			}
@@ -276,6 +272,18 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 			return fatal(fmt.Errorf("experiments: shard worker got unknown message type %q", m.Type))
 		}
 	}
+}
+
+// shardEvalSlots is the number of cells a shard worker evaluates at once
+// (and so of kernels it keeps loaded) for the peer's requested count: at
+// most GOMAXPROCS, whatever the peer sends, and GOMAXPROCS when it asks
+// for none.
+func shardEvalSlots(requested int) int {
+	procs := runtime.GOMAXPROCS(0)
+	if requested < 1 || requested > procs {
+		return procs
+	}
+	return requested
 }
 
 // shardKernel is one kernel section a shard worker has loaded.

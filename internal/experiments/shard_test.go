@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -284,15 +285,42 @@ func TestShardWorkerReloadsEvictedKernel(t *testing.T) {
 	storePath, dec := suiteStore(t)
 	a, b, c := dec.Names()[0], dec.Names()[1], dec.Names()[2]
 	half := len(speculate.DesignSpace) / 2
-	cells := []shardMsg{
+	checkShardWorkerReplies(t, storePath, dec, 1, []shardMsg{
 		{Kernel: a, Designs: speculate.DesignSpace[:half]},
 		{Kernel: a, Designs: speculate.DesignSpace[half:]}, // latest kernel: no reload
 		{Kernel: b, Designs: speculate.DesignSpace},        // evicts a
 		{Kernel: a, Designs: speculate.DesignSpace},        // reloads a
 		{Kernel: c, Designs: speculate.DesignSpace},
 		{Kernel: b, Designs: speculate.DesignSpace}, // reloads b
-	}
+	})
+}
 
+// TestShardWorkerClampsPeerWorkers opens a worker with an absurd eval
+// slot count: the worker bounds it by GOMAXPROCS and still answers every
+// cell with the in-process batch eval.
+func TestShardWorkerClampsPeerWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ requested, want int }{
+		{-1, procs}, {0, procs}, {1, 1}, {procs, procs}, {procs + 1, procs}, {1 << 30, procs},
+	} {
+		if got := shardEvalSlots(c.requested); got != c.want {
+			t.Errorf("shardEvalSlots(%d) = %d, want %d", c.requested, got, c.want)
+		}
+	}
+	storePath, dec := suiteStore(t)
+	var cells []shardMsg
+	for _, name := range dec.Names()[:4] {
+		cells = append(cells, shardMsg{Kernel: name, Designs: speculate.DesignSpace})
+	}
+	checkShardWorkerReplies(t, storePath, dec, 1<<30, cells)
+}
+
+// checkShardWorkerReplies opens an in-process worker on the store with
+// the given eval slot count, sends it the miss-rate cells one at a time,
+// and checks each reply against the in-process batch eval of the same
+// kernel and designs.
+func checkShardWorkerReplies(t *testing.T, storePath string, dec *trace.Decoded, workers int, cells []shardMsg) {
+	t.Helper()
 	workerR, coordW := io.Pipe()
 	coordR, workerW := io.Pipe()
 	served := make(chan error, 1)
@@ -303,7 +331,7 @@ func TestShardWorkerReloadsEvictedKernel(t *testing.T) {
 	enc := json.NewEncoder(coordW)
 	replies := json.NewDecoder(coordR)
 	if err := enc.Encode(shardMsg{Type: "open", ID: -1, Store: storePath,
-		Scale: dec.Scale, NumSMs: dec.NumSMs, Seed: dec.Seed, Workers: 1}); err != nil {
+		Scale: dec.Scale, NumSMs: dec.NumSMs, Seed: dec.Seed, Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	var ready shardMsg

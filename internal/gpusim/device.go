@@ -492,7 +492,6 @@ func (d *Device) newSM(id int, k *Kernel, params []byte, code []decodedInstr) (*
 	// Execution pipe pools (Volta-like counts).
 	sm.pools[poolALU] = make([]uint64, d.cfg.SchedulersPerSM)
 	sm.pools[poolFP32] = make([]uint64, d.cfg.SchedulersPerSM)
-	sm.pools[poolFP64] = make([]uint64, 2)
 	sm.pools[poolSFU] = make([]uint64, 1)
 	sm.pools[poolMEM] = make([]uint64, 2)
 

@@ -41,6 +41,7 @@ type warp struct {
 	// Scheduling state.
 	regReady  []uint64 // scoreboard: cycle each data register becomes readable
 	nextIssue uint64   // in-order issue point
+	readyAt   uint64   // max(nextIssue, regReady of code[rpc].waitRegs); see refreshReady
 	atBarrier bool
 	done      bool
 }

@@ -25,7 +25,10 @@ const goldenRunsPath = "testdata/golden_runs.txt"
 // goldenConfigs are the simulator configurations whose complete output the
 // golden file pins: both adder modes, both ST² speculation paths (the CRF
 // and the trace-level predictor), and the GTO scheduler, each on the
-// sequential and the parallel per-SM launch path.
+// sequential and the parallel per-SM launch path. The refill configs
+// shrink the per-SM warp and block limits so that, unlike at the default
+// limits, blocks retire and queued blocks launch mid-kernel under both
+// schedulers.
 func goldenConfigs() []struct {
 	name string
 	cfg  gpusim.Config
@@ -41,6 +44,13 @@ func goldenConfigs() []struct {
 	gto := base
 	gto.Scheduler = gpusim.GTO
 
+	refill := func(c gpusim.Config, sched gpusim.SchedPolicy) gpusim.Config {
+		c.MaxWarpsPerSM = 16
+		c.MaxBlocksPerSM = 2
+		c.Scheduler = sched
+		return c
+	}
+
 	var out []struct {
 		name string
 		cfg  gpusim.Config
@@ -53,6 +63,10 @@ func goldenConfigs() []struct {
 		{"st2-crf", crf},
 		{"st2-predictor", predictor},
 		{"st2-crf-gto", gto},
+		{"baseline-refill", refill(baseline, gpusim.LRR)},
+		{"baseline-refill-gto", refill(baseline, gpusim.GTO)},
+		{"st2-crf-refill", refill(crf, gpusim.LRR)},
+		{"st2-crf-refill-gto", refill(crf, gpusim.GTO)},
 	} {
 		for _, workers := range []int{1, 2} {
 			cfg := c.cfg
@@ -130,7 +144,7 @@ func goldenRun(t *testing.T, w kernels.Workload, cfg gpusim.Config) (statsSum, r
 // regenerate it with -update-golden only for a deliberate model change.
 func TestGoldenRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("simulates the whole suite 16 times")
+		t.Skip("simulates the whole suite 32 times")
 	}
 	var got []string
 	for _, c := range goldenConfigs() {

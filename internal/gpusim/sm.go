@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"sort"
 
 	"st2gpu/internal/core"
 	"st2gpu/internal/isa"
@@ -10,14 +11,14 @@ import (
 )
 
 // poolKind buckets functional-unit classes into the SM's physical
-// execution pipes (Volta-like: per-scheduler INT32/FP32 pipes, shared
-// FP64, shared SFU, shared LSU).
+// execution pipes (Volta-like: per-scheduler INT32 and FP32 pipes, one
+// shared SFU, two shared LSUs). The model has no separate FP64 pipe:
+// double-precision FP ops issue to the FP32 pipes.
 type poolKind int
 
 const (
 	poolALU poolKind = iota
 	poolFP32
-	poolFP64
 	poolSFU
 	poolMEM
 	poolNone
@@ -138,6 +139,15 @@ type smState struct {
 	blockQueue []int               // global block indices awaiting launch
 	liveBlocks map[int]int         // blockIdx → live (not done) warp count
 	pools      [poolCount][]uint64 // busy-until per pipe
+	freePipe   [poolCount]int      // per pool, its earliest-free pipe (kept by occupyPipe)
+
+	// active holds, in ascending order, the indices into warps of every
+	// warp not done as of the last compaction, followed by any warps
+	// launched since. A retirement only sets retired; run compacts the
+	// list at the top of the next cycle, so a scan never sees it move.
+	active   []int
+	retired  bool
+	resident int // warps launched and not done
 
 	cycle    uint64
 	rrPos    int
@@ -175,18 +185,19 @@ func (sm *smState) units() []*core.Unit {
 	return []*core.Unit{sm.alu32, sm.alu64, sm.fpu, sm.dpu}
 }
 
-func (sm *smState) poolPipes(k poolKind) []uint64 { return sm.pools[k] }
-
-// nextFreePipe returns the pipe index with the earliest busy-until time.
-func (sm *smState) nextFreePipe(k poolKind) int {
+// occupyPipe marks pipe busy until cycle until and refreshes the pool's
+// cached free pipe: the lowest-indexed pipe with the earliest busy-until
+// time. It is the only writer of a pipe's busy-until time.
+func (sm *smState) occupyPipe(k poolKind, pipe int, until uint64) {
 	pipes := sm.pools[k]
+	pipes[pipe] = until
 	best := 0
 	for i := 1; i < len(pipes); i++ {
 		if pipes[i] < pipes[best] {
 			best = i
 		}
 	}
-	return best
+	sm.freePipe[k] = best
 }
 
 // launchBlock instantiates the warps of global block b on this SM.
@@ -220,20 +231,35 @@ func (sm *smState) launchBlock(b int) {
 		}
 		w.live = uint32(1<<lanes - 1)
 		w.reconverge()
+		sm.refreshReady(w)
+		sm.active = append(sm.active, w.id)
 		sm.warps = append(sm.warps, w)
 	}
+	sm.resident += nWarps
 	sm.liveBlocks[b] = nWarps
 }
 
-// residentWarps counts warps that have not finished.
-func (sm *smState) residentWarps() int {
-	n := 0
-	for _, w := range sm.warps {
-		if !w.done {
-			n++
+// retire marks w done and drops its register and shared-memory
+// references, which nothing reads again, so a long launch holds state
+// only for its resident warps. Its entry leaves the active list at the
+// next compaction.
+func (sm *smState) retire(w *warp) {
+	w.done = true
+	w.regs, w.preds, w.regReady, w.shared = nil, nil, nil, nil
+	sm.resident--
+	sm.retired = true
+}
+
+// compactActive drops retired warps from the active list.
+func (sm *smState) compactActive() {
+	live := sm.active[:0]
+	for _, i := range sm.active {
+		if !sm.warps[i].done {
+			live = append(live, i)
 		}
 	}
-	return n
+	sm.active = live
+	sm.retired = false
 }
 
 // refill launches queued blocks while resources allow.
@@ -241,7 +267,7 @@ func (sm *smState) refill() {
 	warpsPerBlock := (sm.kernel.BlockDim + 31) / 32
 	for len(sm.blockQueue) > 0 &&
 		len(sm.liveBlocks) < sm.dev.cfg.MaxBlocksPerSM &&
-		sm.residentWarps()+warpsPerBlock <= sm.dev.cfg.MaxWarpsPerSM {
+		sm.resident+warpsPerBlock <= sm.dev.cfg.MaxWarpsPerSM {
 		b := sm.blockQueue[0]
 		sm.blockQueue = sm.blockQueue[1:]
 		sm.launchBlock(b)
@@ -259,12 +285,13 @@ func (sm *smState) releaseBarriers() {
 	//st2:det-ok per-block effects are disjoint and idempotent: each b releases only its own block's warps, so visit order cannot reach results
 	for b, n := range sm.barrierArrived {
 		if n == sm.liveBlocks[b] {
-			for _, w := range sm.warps {
-				if w.blockIdx == b && w.atBarrier {
+			for _, i := range sm.active {
+				if w := sm.warps[i]; w.blockIdx == b && w.atBarrier {
 					w.atBarrier = false
 					if w.nextIssue < sm.cycle+1 {
 						w.nextIssue = sm.cycle + 1
 					}
+					sm.refreshReady(w)
 				}
 			}
 			delete(sm.barrierArrived, b)
@@ -272,30 +299,30 @@ func (sm *smState) releaseBarriers() {
 	}
 }
 
-// srcReadyAt returns the cycle at which the warp's next instruction can
-// read all its operands.
-func (sm *smState) srcReadyAt(w *warp) uint64 {
+// refreshReady recomputes w.readyAt: the cycle at which the warp's next
+// instruction can read all its operands and the warp's in-order issue
+// point allows it. Every write to w.nextIssue, w.regReady or w.rpc is
+// followed by a call here.
+func (sm *smState) refreshReady(w *warp) {
 	t := w.nextIssue
-	if w.rpc < 0 {
-		return t
-	}
-	d := &sm.code[w.rpc]
-	for _, r := range d.waitRegs[:d.nWait] {
-		if ready := w.regReady[r]; ready > t {
-			t = ready
+	if w.rpc >= 0 {
+		d := &sm.code[w.rpc]
+		for _, r := range d.waitRegs[:d.nWait] {
+			if ready := w.regReady[r]; ready > t {
+				t = ready
+			}
 		}
 	}
-	return t
+	w.readyAt = t
 }
 
 // earliestIssue computes when warp w could issue, considering scoreboard
 // and FU pool availability.
 func (sm *smState) earliestIssue(w *warp) uint64 {
-	t := sm.srcReadyAt(w)
+	t := w.readyAt
 	if w.rpc >= 0 {
 		if pool := sm.code[w.rpc].pool; pool != poolNone {
-			pipe := sm.nextFreePipe(pool)
-			if b := sm.pools[pool][pipe]; b > t {
+			if b := sm.pools[pool][sm.freePipe[pool]]; b > t {
 				t = b
 			}
 		}
@@ -306,21 +333,18 @@ func (sm *smState) earliestIssue(w *warp) uint64 {
 // tryIssue attempts to issue warp w at the current cycle; reports whether
 // it issued.
 func (sm *smState) tryIssue(w *warp) (bool, error) {
-	if w.done || w.atBarrier || w.nextIssue > sm.cycle {
-		return false, nil
-	}
-	if sm.srcReadyAt(w) > sm.cycle {
+	if w.done || w.atBarrier || w.readyAt > sm.cycle {
 		return false, nil
 	}
 	if w.rpc < 0 {
-		w.done = true
+		sm.retire(w)
 		return false, nil
 	}
 	d := &sm.code[w.rpc]
 	pool := d.pool
 	pipe := -1
 	if pool != poolNone {
-		pipe = sm.nextFreePipe(pool)
+		pipe = sm.freePipe[pool]
 		if sm.pools[pool][pipe] > sm.cycle {
 			return false, nil
 		}
@@ -344,7 +368,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 		lat += extra
 	}
 	if pipe >= 0 {
-		sm.pools[pool][pipe] = sm.cycle + occ
+		sm.occupyPipe(pool, pipe, sm.cycle+occ)
 	}
 	if d.hasDst {
 		w.regReady[d.in.Dst] = sm.cycle + lat
@@ -352,6 +376,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	}
 	sm.stats.RegReads += uint64(res.activeLanes * d.numSrcs)
 	w.nextIssue = sm.cycle + 1
+	sm.refreshReady(w)
 
 	// Bookkeeping.
 	cls := d.class
@@ -363,7 +388,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 		sm.stats.BarrierWaits++
 	}
 	if res.exited {
-		w.done = true
+		sm.retire(w)
 		sm.liveBlocks[w.blockIdx]--
 		if sm.liveBlocks[w.blockIdx] == 0 {
 			delete(sm.liveBlocks, w.blockIdx)
@@ -386,10 +411,16 @@ func (sm *smState) run() error {
 		if sm.crf != nil {
 			sm.crf.BeginCycle(sm.cycle)
 		}
+		if sm.retired {
+			sm.compactActive()
+		}
 		sm.releaseBarriers()
 
+		// The scan visits the warps active at the top of the cycle; warps
+		// a retirement launches mid-scan wait for the next cycle.
 		issued := 0
 		n := len(sm.warps)
+		act := sm.active
 		greedy := sm.dev.cfg.Scheduler == GTO
 		// GTO: give the most recent issuer first claim on a slot.
 		if greedy && sm.lastWarp >= 0 && sm.lastWarp < n {
@@ -403,18 +434,23 @@ func (sm *smState) run() error {
 				sm.lastWarp = -1
 			}
 		}
-		for scanned := 0; scanned < n && issued < sm.dev.cfg.SchedulersPerSM; scanned++ {
-			var idx int
-			if greedy {
-				idx = scanned // oldest-first
-			} else {
-				idx = (sm.rrPos + scanned) % n
+		// LRR starts at warp rrPos mod n (every warp ever launched
+		// counts) and walks the active warps cyclically from the first
+		// index at or after it; GTO walks them oldest-first.
+		first := 0
+		if !greedy && len(act) > 0 {
+			first = sort.SearchInts(act, sm.rrPos%n)
+		}
+		for scanned := 0; scanned < len(act) && issued < sm.dev.cfg.SchedulersPerSM; scanned++ {
+			pos := first + scanned
+			if pos >= len(act) {
+				pos -= len(act)
 			}
+			idx := act[pos]
 			if greedy && idx == sm.lastWarp {
 				continue
 			}
-			w := sm.warps[idx]
-			ok, err := sm.tryIssue(w)
+			ok, err := sm.tryIssue(sm.warps[idx])
 			if err != nil {
 				return err
 			}
@@ -434,7 +470,8 @@ func (sm *smState) run() error {
 		// Nothing issuable: fast-forward to the next event.
 		next := ^uint64(0)
 		anyWaiting := false
-		for _, w := range sm.warps {
+		for _, i := range sm.active {
+			w := sm.warps[i]
 			if w.done || w.atBarrier {
 				continue
 			}
@@ -446,24 +483,13 @@ func (sm *smState) run() error {
 		if !anyWaiting {
 			// Everyone is at a barrier (or done): barriers must be
 			// releasable next round; advance one cycle.
-			stuck := 0
-			for _, w := range sm.warps {
-				if !w.done && w.atBarrier {
-					stuck++
-				}
-			}
+			stuck := sm.atBarrier()
 			if stuck > 0 && len(sm.liveBlocks) > 0 {
 				sm.cycle++
 				// If releaseBarriers cannot free anyone, the kernel has a
 				// divergent barrier — detect by re-checking.
 				sm.releaseBarriers()
-				still := 0
-				for _, w := range sm.warps {
-					if !w.done && w.atBarrier {
-						still++
-					}
-				}
-				if still == stuck {
+				if still := sm.atBarrier(); still == stuck {
 					return fmt.Errorf("gpusim: SM %d: %d warps deadlocked at a barrier", sm.id, stuck)
 				}
 				continue
@@ -484,6 +510,17 @@ func (sm *smState) run() error {
 	sm.stats.Cycles = sm.cycle
 	sm.publishShard()
 	return nil
+}
+
+// atBarrier counts the live warps waiting at a barrier.
+func (sm *smState) atBarrier() int {
+	n := 0
+	for _, i := range sm.active {
+		if w := sm.warps[i]; !w.done && w.atBarrier {
+			n++
+		}
+	}
+	return n
 }
 
 func max(a, b int) int {
