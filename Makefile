@@ -46,16 +46,26 @@ fuzz-smoke:
 
 # The scale-4 simulate pass checked against perfbench's pinned output
 # digests: the one bit-identity check at a scale where blocks retire and
-# queued blocks launch mid-kernel. perfbench is its own module, so
-# `go test ./...` does not reach it.
+# queued blocks launch mid-kernel. Then one scale-1 repro pass, which
+# checks every figure, table and ablation driver's rows against their
+# pinned digests. perfbench exits 0 on a digest mismatch, so its verdict
+# line is checked. perfbench is its own module, so `go test ./...` does
+# not reach it.
 pinned:
 	GOWORK=off GOTOOLCHAIN=local $(GO) test -C perfbench -run TestPinnedSimulate -count=1 .
+	@out=$$(bash perfbench/run.sh --workload repro --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+	if echo "$$out" | grep -Eq '^verdict correct=true attempted=[0-9]+ failed=0 '; then \
+		echo "$$out" | grep '^verdict'; \
+	else \
+		echo "$$out"; echo "pinned: the repro pass does not match its pinned digests"; exit 1; \
+	fi
 
 # The gate CI runs: static analysis (vet + st2lint), the full test suite
 # under the race detector, a short decoder and adder fuzz pass, the
-# scale-4 pinned simulate pass, a suite smoke pass with the run manifest
-# sanity-checked, the record-vs-replay DSE benchmark with bit-identity
-# verified, and the st2trend regression gate over both trend arrays.
+# scale-4 pinned simulate pass and the pinned scale-1 repro pass, a suite
+# smoke pass with the run manifest sanity-checked, the record-vs-replay
+# DSE benchmark with bit-identity verified, and the st2trend regression
+# gate over both trend arrays.
 check: vet lint race fuzz-smoke pinned bench-smoke bench-dse trend-gate
 
 bench:

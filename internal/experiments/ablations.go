@@ -15,57 +15,54 @@ type AblationResult struct {
 	SansRate float64 // without it
 }
 
-// suiteMissRate runs the whole suite under a device-config mutation and
-// returns the average thread misprediction rate. This is the hardware
-// ST² path: the in-pipeline CRF's contention, arbitration and capacity
-// interact with execution timing, so these ablations genuinely need
-// re-simulation and cannot be answered from a recorded stream (contrast
-// the predictor-only ablations, which ride Fig5's record-once/replay-many
-// path).
-func (c Config) suiteMissRate(mut func(*gpusim.Config)) (float64, error) {
-	rates := make([]float64, 23)
-	err := c.forEachKernel(func(i int, w kernels.Workload) error {
+// suiteMissRates runs the whole suite once per device-config mutation and
+// returns each config's average thread misprediction rate, in muts order.
+// This is the hardware ST² path: the in-pipeline CRF's contention,
+// arbitration and capacity interact with execution timing, so these
+// ablations genuinely need re-simulation and cannot be answered from a
+// recorded stream (contrast the predictor-only ablations, which ride
+// Fig5's record-once/replay-many path). The whole (config × kernel) grid
+// shares one forEach pool, and every launch's outputs are verified like
+// any other experiment run: a mutated config must keep the adder exact.
+func (c Config) suiteMissRates(muts ...func(*gpusim.Config)) ([]float64, error) {
+	n := len(kernels.Suite())
+	rates := make([]float64, len(muts)*n)
+	err := c.forEachPassKernel(len(muts), func(cell int, w kernels.Workload) error {
 		spec, err := w.Build(c.Scale)
 		if err != nil {
 			return err
 		}
 		dc := c.deviceConfig(gpusim.ST2Adders)
-		mut(&dc)
-		d, err := gpusim.New(dc)
+		muts[cell/n](&dc)
+		rs, _, err := c.runSpec(spec, dc, nil)
 		if err != nil {
 			return err
 		}
-		if spec.Setup != nil {
-			if err := spec.Setup(d.Memory()); err != nil {
-				return err
-			}
-		}
-		rs, err := d.Launch(spec.Kernel)
-		if err != nil {
-			return err
-		}
-		rates[i] = rs.MispredictionRate()
+		rates[cell] = rs.MispredictionRate()
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return stats.Mean(rates), nil
+	out := make([]float64, len(muts))
+	for m := range muts {
+		out[m] = stats.Mean(rates[m*n : (m+1)*n])
+	}
+	return out, nil
 }
 
 // AblationPeek toggles the Peek static-resolution filter on the hardware
 // ST² path (Section IV-B: "Retrofitting VaLHALLA with Peek reduces its
 // misprediction rate by 18%" — here applied to the final design).
 func AblationPeek(cfg Config) (AblationResult, error) {
-	with, err := cfg.suiteMissRate(func(*gpusim.Config) {})
+	r, err := cfg.suiteMissRates(
+		func(*gpusim.Config) {},
+		func(dc *gpusim.Config) { dc.DisablePeek = true },
+	)
 	if err != nil {
 		return AblationResult{}, err
 	}
-	sans, err := cfg.suiteMissRate(func(dc *gpusim.Config) { dc.DisablePeek = true })
-	if err != nil {
-		return AblationResult{}, err
-	}
-	return AblationResult{Name: "Peek", WithRate: with, SansRate: sans}, nil
+	return AblationResult{Name: "Peek", WithRate: r[0], SansRate: r[1]}, nil
 }
 
 // AblationContention compares the hardware CRF (write-back contention,
@@ -73,16 +70,15 @@ func AblationPeek(cfg Config) (AblationResult, error) {
 // free predictor the Figure 5 sweep assumes — quantifying what the
 // paper's "random arbitration is enough" argument costs.
 func AblationContention(cfg Config) (AblationResult, error) {
-	hw, err := cfg.suiteMissRate(func(*gpusim.Config) {})
-	if err != nil {
-		return AblationResult{}, err
-	}
-	ideal, err := cfg.suiteMissRate(func(dc *gpusim.Config) { dc.UseCRF = false })
+	r, err := cfg.suiteMissRates(
+		func(*gpusim.Config) {},
+		func(dc *gpusim.Config) { dc.UseCRF = false },
+	)
 	if err != nil {
 		return AblationResult{}, err
 	}
 	// "With" the hardware constraint; "sans" is the idealized table.
-	return AblationResult{Name: "CRF contention", WithRate: hw, SansRate: ideal}, nil
+	return AblationResult{Name: "CRF contention", WithRate: r[0], SansRate: r[1]}, nil
 }
 
 // AblationSharing contrasts thread-history sharing policies on identical
@@ -206,14 +202,17 @@ func AblationCRFSize(cfg Config, sizes []int) ([]CRFSizeRow, error) {
 	if sizes == nil {
 		sizes = []int{4, 8, 16, 32, 64}
 	}
-	out := make([]CRFSizeRow, 0, len(sizes))
-	for _, n := range sizes {
-		n := n
-		rate, err := cfg.suiteMissRate(func(dc *gpusim.Config) { dc.CRFEntries = n })
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, CRFSizeRow{Entries: n, MissRate: rate})
+	muts := make([]func(*gpusim.Config), len(sizes))
+	for i, n := range sizes {
+		muts[i] = func(dc *gpusim.Config) { dc.CRFEntries = n }
+	}
+	rates, err := cfg.suiteMissRates(muts...)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]CRFSizeRow, len(sizes))
+	for i, n := range sizes {
+		out[i] = CRFSizeRow{Entries: n, MissRate: rates[i]}
 	}
 	return out, nil
 }

@@ -76,8 +76,8 @@ func (c Config) deviceConfig(mode gpusim.AdderMode) gpusim.Config {
 // observability (metrics registry, span tracer) installed. Many devices
 // may share one registry: launch counters are atomic sums, so the folded
 // totals are schedule-independent.
-func (c Config) newDevice(mode gpusim.AdderMode) (*gpusim.Device, error) {
-	d, err := gpusim.New(c.deviceConfig(mode))
+func (c Config) newDevice(dc gpusim.Config) (*gpusim.Device, error) {
+	d, err := gpusim.New(dc)
 	if err != nil {
 		return nil, err
 	}
@@ -88,9 +88,10 @@ func (c Config) newDevice(mode gpusim.AdderMode) (*gpusim.Device, error) {
 	return d, nil
 }
 
-// runSpec executes one workload spec on a fresh device.
-func (c Config) runSpec(spec *kernels.Spec, mode gpusim.AdderMode, tracer gpusim.AddTracer) (*gpusim.RunStats, *gpusim.Device, error) {
-	d, err := c.newDevice(mode)
+// runSpec sets up, launches and verifies one workload spec on a fresh
+// device with configuration dc.
+func (c Config) runSpec(spec *kernels.Spec, dc gpusim.Config, tracer gpusim.AddTracer) (*gpusim.RunStats, *gpusim.Device, error) {
+	d, err := c.newDevice(dc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -118,7 +119,7 @@ func (c Config) runSpec(spec *kernels.Spec, mode gpusim.AdderMode, tracer gpusim
 // installed (the parallel launch path stays enabled — recording shards
 // are per-SM) and returns the captured adder-op stream.
 func (c Config) recordSpec(spec *kernels.Spec, mode gpusim.AdderMode) (*gpusim.Recording, error) {
-	d, err := c.newDevice(mode)
+	d, err := c.newDevice(c.deviceConfig(mode))
 	if err != nil {
 		return nil, err
 	}
@@ -189,15 +190,25 @@ func RecordSuite(cfg Config) (*trace.Set, error) {
 // fn receives the kernel's index for order-preserving collection. If
 // c.Progress is set it is invoked under a mutex as each kernel finishes.
 func (c Config) forEachKernel(fn func(i int, w kernels.Workload) error) error {
+	return c.forEachPassKernel(1, fn)
+}
+
+// forEachPassKernel runs fn over passes × the evaluation suite on one
+// forEach pool, so no pass waits for the previous pass's slowest kernel.
+// fn receives the cell index pass·len(suite) + kernel index. Progress
+// counts kernels over all passes.
+func (c Config) forEachPassKernel(passes int, fn func(cell int, w kernels.Workload) error) error {
 	ws := kernels.Suite()
+	total := passes * len(ws)
 	var mu sync.Mutex
 	done := 0
-	return forEach(len(ws), func(i int) error {
-		err := fn(i, ws[i])
+	return forEach(total, func(cell int) error {
+		w := ws[cell%len(ws)]
+		err := fn(cell, w)
 		if c.Progress != nil {
 			mu.Lock()
 			done++
-			c.Progress(done, len(ws), ws[i].Name)
+			c.Progress(done, total, w.Name)
 			mu.Unlock()
 		}
 		return err
@@ -237,7 +248,7 @@ func (c Config) runWorkload(w kernels.Workload, mode gpusim.AdderMode, tracer gp
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.runSpec(spec, mode, tracer)
+	return c.runSpec(spec, c.deviceConfig(mode), tracer)
 }
 
 // RunSuite runs the full evaluation suite sequentially under one adder
@@ -856,7 +867,7 @@ func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, po
 		if err != nil {
 			return err
 		}
-		rs, d, err := cfg.runSpec(spec, gpusim.BaselineAdders, nil)
+		rs, d, err := cfg.runSpec(spec, cfg.deviceConfig(gpusim.BaselineAdders), nil)
 		if err != nil {
 			return err
 		}

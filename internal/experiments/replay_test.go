@@ -122,7 +122,7 @@ func TestFig2ReplayMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	vt := trace.NewValueTrace(gtid, maxPts)
-	if _, _, err := cfg.runSpec(spec, gpusim.BaselineAdders, vt); err != nil {
+	if _, _, err := cfg.runSpec(spec, cfg.deviceConfig(gpusim.BaselineAdders), vt); err != nil {
 		t.Fatal(err)
 	}
 	live := make([]Fig2Series, 0, 8)

@@ -1,6 +1,9 @@
 package gpusim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // CacheStats counts accesses for the timing and energy models.
 type CacheStats struct {
@@ -29,18 +32,27 @@ func (s *CacheStats) Merge(o CacheStats) {
 // granularity (no data storage — the simulator's memory is always
 // coherent, caches only shape timing and energy).
 //
+// Sets are stored in blocks of cacheBlockSets, each allocated on the
+// block's first access: a launch that touches a few hundred lines of a
+// 4 MB L2 shard allocates a few blocks instead of zeroing every set. A
+// block holds its sets' tags followed by their LRU stamps, laid out as
+// the sets×ways arrays of a flat cache would be.
+//
 // Cache is not safe for concurrent use. The device never shares one: each
 // SM owns a private L1 and a private L2 shard (see the concurrency model
 // in DESIGN.md), so the simulation hot path needs no cache locking.
 type Cache struct {
-	sets     int
-	ways     int
-	lineBits uint
-	tags     []uint64 // sets×ways; 0 = invalid (tag 0 encoded as tag+1)
-	lru      []uint64 // per-line last-use stamp
-	stamp    uint64
-	stats    CacheStats
+	sets      int
+	ways      int
+	lineBits  uint
+	blockBits uint       // log2 of the sets per block, min(sets, cacheBlockSets)
+	blocks    [][]uint64 // nil until first touched; tags (0 = invalid, tag 0 encoded as tag+1), then LRU stamps
+	stamp     uint64
+	stats     CacheStats
 }
+
+// cacheBlockSets is the number of sets allocated together on first touch.
+const cacheBlockSets = 64
 
 // cacheGeometry checks a cache of sizeKB with the given line size and ways
 // and returns its set count and line-offset bits. It is pure arithmetic,
@@ -69,12 +81,13 @@ func NewCache(sizeKB, lineBytes, ways int) (*Cache, error) {
 	if err != nil {
 		return nil, err
 	}
+	bb := uint(bits.TrailingZeros(uint(min(sets, cacheBlockSets))))
 	return &Cache{
-		sets:     sets,
-		ways:     ways,
-		lineBits: lb,
-		tags:     make([]uint64, sets*ways),
-		lru:      make([]uint64, sets*ways),
+		sets:      sets,
+		ways:      ways,
+		lineBits:  lb,
+		blockBits: bb,
+		blocks:    make([][]uint64, sets>>bb),
 	}, nil
 }
 
@@ -86,36 +99,40 @@ func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
 	set := int(line) & (c.sets - 1)
 	tag := line + 1 // +1 so a zero entry means invalid
-	base := set * c.ways
-	victim := base
+	blk := c.blocks[set>>c.blockBits]
+	if blk == nil {
+		blk = make([]uint64, 2*c.ways<<c.blockBits)
+		c.blocks[set>>c.blockBits] = blk
+	}
+	base := (set & (1<<c.blockBits - 1)) * c.ways
+	tags := blk[base : base+c.ways]
+	lru := blk[c.ways<<c.blockBits+base:][:c.ways]
+	victim := 0
 	oldest := ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.tags[i] == tag {
-			c.lru[i] = c.stamp
+	for w, t := range tags {
+		if t == tag {
+			lru[w] = c.stamp
 			c.stats.Hits++
 			return true
 		}
-		if c.lru[i] < oldest {
-			oldest = c.lru[i]
-			victim = i
+		if lru[w] < oldest {
+			oldest = lru[w]
+			victim = w
 		}
 	}
 	c.stats.Misses++
-	c.tags[victim] = tag
-	c.lru[victim] = c.stamp
+	tags[victim] = tag
+	lru[victim] = c.stamp
 	return false
 }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 
-// Reset invalidates all lines and clears statistics.
+// Reset invalidates all lines and clears statistics. It drops every
+// block, so the next access to a set allocates its block afresh.
 func (c *Cache) Reset() {
-	for i := range c.tags {
-		c.tags[i] = 0
-		c.lru[i] = 0
-	}
+	clear(c.blocks)
 	c.stamp = 0
 	c.stats = CacheStats{}
 }

@@ -12,10 +12,25 @@ import (
 // specific GPU hardware components" (Section V-C).
 const NumMicro = 123
 
+// microBlockDim is every stressor's block size.
+const microBlockDim = 128
+
+// The global-memory stressors' address arithmetic, shared by their
+// builders and their input reach so the two cannot drift apart.
+const (
+	streamStrideBytes = 1024          // gmem_stream: per-iteration address step
+	scatterMask       = (4 << 20) - 4 // gmem_scatter: byte-offset mask of the hash walk
+)
+
 // microFamily is one component-stressing kernel template.
 type microFamily struct {
 	name  string
 	build func(b *isa.Builder, iters int)
+	// inWords is the number of AddrIn0 words the family's program can
+	// read at the given thread count and loop count: Micro stages only
+	// that prefix of the stressor's input stream. Nil means the program
+	// never loads from AddrIn0.
+	inWords func(threads, iters int) int
 }
 
 // microFamilies isolates each power-model component: integer add, logic,
@@ -31,7 +46,7 @@ var microFamilies = []microFamily{
 			b.ISub(isa.U32, acc, isa.R(acc), isa.Imm(1))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"ialu_logic", func(b *isa.Builder, iters int) {
 		acc, x := microSeed(b)
 		microLoop(b, iters, func() {
@@ -41,7 +56,7 @@ var microFamilies = []microFamily{
 			b.And(isa.U32, acc, isa.R(acc), isa.Imm(0xFFFFFF))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"imul", func(b *isa.Builder, iters int) {
 		acc, x := microSeed(b)
 		microLoop(b, iters, func() {
@@ -49,7 +64,7 @@ var microFamilies = []microFamily{
 			b.IMad(isa.U32, acc, isa.R(acc), isa.Imm(3), isa.Imm(7))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"idiv", func(b *isa.Builder, iters int) {
 		acc, x := microSeed(b)
 		b.IAdd(isa.U32, x, isa.R(x), isa.Imm(3)) // never zero
@@ -58,7 +73,7 @@ var microFamilies = []microFamily{
 			b.IAdd(isa.U32, acc, isa.R(acc), isa.Imm(0x10001))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"fadd", func(b *isa.Builder, iters int) {
 		acc, x := microSeed(b)
 		b.Cvt(isa.F32, acc, isa.R(acc), isa.U32)
@@ -69,7 +84,7 @@ var microFamilies = []microFamily{
 			b.FAdd(isa.F32, x, isa.R(x), isa.ImmF32(0.125))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"fmul", func(b *isa.Builder, iters int) {
 		acc, x := microSeed(b)
 		b.Cvt(isa.F32, acc, isa.R(acc), isa.U32)
@@ -80,7 +95,7 @@ var microFamilies = []microFamily{
 			b.FFma(isa.F32, acc, isa.R(acc), isa.ImmF32(0.9999), isa.R(x))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"fdiv", func(b *isa.Builder, iters int) {
 		acc, x := microSeed(b)
 		b.Cvt(isa.F32, acc, isa.R(acc), isa.U32)
@@ -91,7 +106,7 @@ var microFamilies = []microFamily{
 			b.FDiv(isa.F32, acc, isa.R(x), isa.R(acc))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"fp64", func(b *isa.Builder, iters int) {
 		acc, x := microSeed(b)
 		b.Cvt(isa.F64, acc, isa.R(acc), isa.U32)
@@ -104,7 +119,7 @@ var microFamilies = []microFamily{
 		acc32 := b.Reg()
 		b.Cvt(isa.F32, acc32, isa.R(acc), isa.F64)
 		microStore(b, acc32)
-	}},
+	}, nil},
 	{"sfu", func(b *isa.Builder, iters int) {
 		acc, _ := microSeed(b)
 		b.Cvt(isa.F32, acc, isa.R(acc), isa.U32)
@@ -115,7 +130,7 @@ var microFamilies = []microFamily{
 			b.Sqrt(isa.F32, acc, isa.R(acc))
 		})
 		microStore(b, acc)
-	}},
+	}, nil},
 	{"shared", func(b *isa.Builder, iters int) {
 		sh := b.Shared(256 * 4)
 		tid, v, addr := b.Reg(), b.Reg(), b.Reg()
@@ -128,7 +143,7 @@ var microFamilies = []microFamily{
 			b.IAdd(isa.U32, v, isa.R(v), isa.Imm(1))
 		})
 		microStore(b, v)
-	}},
+	}, nil},
 	{"gmem_stream", func(b *isa.Builder, iters int) {
 		gtid, v, addr, acc := b.Reg(), b.Reg(), b.Reg(), b.Reg()
 		b.MovSpecial(gtid, isa.SRegGtid)
@@ -137,9 +152,12 @@ var microFamilies = []microFamily{
 		microLoop(b, iters, func() {
 			b.Ld(isa.Global, isa.U32, v, isa.R(addr))
 			b.IAdd(isa.U32, acc, isa.R(acc), isa.R(v))
-			b.IAdd(isa.U64, addr, isa.R(addr), isa.Imm(1024))
+			b.IAdd(isa.U64, addr, isa.R(addr), isa.Imm(streamStrideBytes))
 		})
 		microStore(b, acc)
+	}, func(threads, iters int) int {
+		// Thread gtid reads word gtid + k·stride/4 in iteration k.
+		return threads + streamStrideBytes/4*(iters-1)
 	}},
 	{"gmem_scatter", func(b *isa.Builder, iters int) {
 		gtid, v, addr, acc := b.Reg(), b.Reg(), b.Reg(), b.Reg()
@@ -148,14 +166,14 @@ var microFamilies = []microFamily{
 		b.IMad(isa.U32, v, isa.R(gtid), isa.Imm(2654435761), isa.Imm(12345))
 		b.Mov(isa.U32, acc, isa.Imm(0))
 		microLoop(b, iters, func() {
-			b.And(isa.U32, addr, isa.R(v), isa.Imm((4<<20)-4))
+			b.And(isa.U32, addr, isa.R(v), isa.Imm(scatterMask))
 			b.IAdd(isa.U64, addr, isa.R(addr), isa.Imm(AddrIn0))
 			b.Ld(isa.Global, isa.U32, v, isa.R(addr))
 			b.IMad(isa.U32, v, isa.R(v), isa.Imm(2654435761), isa.Imm(17))
 			b.IAdd(isa.U32, acc, isa.R(acc), isa.R(v))
 		})
 		microStore(b, acc)
-	}},
+	}, func(int, int) int { return scatterMask/4 + 1 }},
 	{"atomics", func(b *isa.Builder, iters int) {
 		gtid, bin, addr := b.Reg(), b.Reg(), b.Reg()
 		b.MovSpecial(gtid, isa.SRegGtid)
@@ -167,7 +185,7 @@ var microFamilies = []microFamily{
 		zero := b.Reg()
 		b.Mov(isa.U32, zero, isa.Imm(0))
 		microStore(b, zero)
-	}},
+	}, nil},
 }
 
 // microLoop wraps body in a counted loop. The loop counter adds are part
@@ -203,8 +221,22 @@ func microSeed(b *isa.Builder) (acc, x isa.Reg) {
 	return acc, x
 }
 
+// microInput draws the first n words of stressor i's input stream. The
+// stream is fixed per stressor, so a shorter draw is a prefix of a longer.
+func microInput(i, n int) []uint32 {
+	data := make([]uint32, n)
+	r := rng(int64(1000 + i))
+	for j := range data {
+		data[j] = r.Uint32()
+	}
+	return data
+}
+
 // Micro builds stressor i ∈ [0, NumMicro): family i%len, loop intensity
-// growing with i/len. Every instance is a complete runnable Spec.
+// growing with i/len. Every instance is a complete runnable Spec. Its
+// Setup stages only the prefix of the input stream the family can read
+// at AddrIn0, so every word the program loads is the same as if the
+// whole 4 MiB buffer had been written.
 func Micro(i int) (*Spec, error) {
 	if i < 0 || i >= NumMicro {
 		return nil, fmt.Errorf("kernels: micro index %d outside [0,%d)", i, NumMicro)
@@ -221,11 +253,12 @@ func Micro(i int) (*Spec, error) {
 		return nil, fmt.Errorf("kernels: building %s: %w", name, err)
 	}
 
-	data := make([]uint32, 1<<20)
-	r := rng(int64(1000 + i))
-	for j := range data {
-		data[j] = r.Uint32()
+	grid := 1 + i%4
+	var words int
+	if fam.inWords != nil {
+		words = fam.inWords(grid*microBlockDim, iters)
 	}
+	data := microInput(i, words)
 	return &Spec{
 		Name:  name,
 		Suite: "micro",
@@ -234,8 +267,8 @@ func Micro(i int) (*Spec, error) {
 			// calibration needs to identify P_idleSM separately from
 			// P_const (a fixed grid would make the two columns collinear).
 			Program:  prog,
-			GridDim:  1 + i%4,
-			BlockDim: 128,
+			GridDim:  grid,
+			BlockDim: microBlockDim,
 		},
 		Setup: func(m *gpusim.Memory) error {
 			if err := m.WriteU32s(AddrIn0, data); err != nil {
