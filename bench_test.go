@@ -10,7 +10,6 @@
 package st2gpu
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -104,136 +103,6 @@ func BenchmarkFig5DesignSpace(b *testing.B) {
 			}
 			fmt.Println("  (paper: staticZero high, VaLHALLA ~26%, final design ~9%)")
 			b.ReportMetric(100*rows[len(rows)-1].MissRate, "%final-missrate")
-		}
-	}
-}
-
-// BenchmarkFig5Replay vs BenchmarkFig5Live time the record-once/
-// replay-many sweep against the legacy simulate-per-design baseline over
-// the same 12 designs. `make bench-dse` runs the same comparison via
-// `st2dse -bench` and additionally asserts the rates are bit-identical.
-
-func BenchmarkFig5Replay(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5(benchCfg(), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig5Live(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, d := range speculate.DesignSpace {
-			if _, err := experiments.Fig5Live(benchCfg(), []string{d}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkReplayDecodeOnce vs BenchmarkReplayPerDesign isolate the
-// decode-once trade on an already-recorded suite (simulation excluded
-// from the timer): one SoA decode plus 12 array-walk evaluations against
-// 12 full varint replays. The rows are proven bit-identical by
-// TestSweepBitIdenticalAcrossWorkers; only the work distribution differs.
-
-func BenchmarkReplayDecodeOnce(b *testing.B) {
-	cfg := benchCfg()
-	set, err := experiments.RecordSuite(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs() // lane arrays are preallocated from the recording's counters
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec, err := trace.DecodeSet(set)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := experiments.Fig5FromDecoded(cfg, dec, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(set.NumOps())*float64(b.N)/b.Elapsed().Seconds(), "decoded-ops/s")
-}
-
-// BenchmarkStoreLoad times loading the columnar decoded store against
-// BenchmarkStoreDecode, the varint decode it replaces: the store load is
-// the steady-state cost of every st2dse -store sweep after the first.
-// bench_dse.sh gates the same ratio (store_load_speedup ≥ 3x) end to end.
-func BenchmarkStoreLoad(b *testing.B) {
-	set, err := experiments.RecordSuite(benchCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := trace.DecodeSet(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := trace.WriteDecoded(&buf, dec, trace.StoreOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(buf.Len()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.ReadDecoded(bytes.NewReader(buf.Bytes())); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(set.NumOps())*float64(b.N)/b.Elapsed().Seconds(), "loaded-ops/s")
-}
-
-func BenchmarkStoreDecode(b *testing.B) {
-	set, err := experiments.RecordSuite(benchCfg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := trace.DecodeSet(set); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(set.NumOps())*float64(b.N)/b.Elapsed().Seconds(), "decoded-ops/s")
-}
-
-// BenchmarkReplayBatched isolates the design-batched evaluation kernel
-// itself: decode excluded from the timer, one (kernel × design-batch)
-// sweep per iteration scoring all 12 designs in a single pass per
-// kernel. eval-ops/s counts records × designs — the figure the
-// bench_dse.sh throughput floor gates.
-func BenchmarkReplayBatched(b *testing.B) {
-	cfg := benchCfg()
-	set, err := experiments.RecordSuite(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dec, err := trace.DecodeSet(set)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5FromDecoded(cfg, dec, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(set.NumOps())*float64(len(speculate.DesignSpace))*float64(b.N)/b.Elapsed().Seconds(), "eval-ops/s")
-}
-
-func BenchmarkReplayPerDesign(b *testing.B) {
-	cfg := benchCfg()
-	set, err := experiments.RecordSuite(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig5FromSetPerDesign(cfg, set, nil); err != nil {
-			b.Fatal(err)
 		}
 	}
 }
@@ -479,37 +348,6 @@ func BenchmarkCRFWarpOp(b *testing.B) {
 		res := unit.ExecuteWarp(spec, uint32(i)&15, 0, &lanes)
 		lanes[0].A = res.Sums[0]
 	}
-}
-
-// BenchmarkSimulatorThroughput measures full-pipeline simulation speed in
-// thread-instructions per second on the pathfinder kernel. Only Launch is
-// timed: the device build and input staging run with the timer stopped.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	spec, err := kernels.Pathfinder(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := gpusim.DefaultConfig()
-	cfg.NumSMs = 2
-	var instrs uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		d, err := gpusim.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := spec.Setup(d.Memory()); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		rs, err := d.Launch(spec.Kernel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		instrs = rs.TotalThreadInstrs()
-	}
-	b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds(), "thread-instrs/s")
 }
 
 // BenchmarkLaunchParallelSMs measures the parallel per-SM launch path

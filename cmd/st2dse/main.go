@@ -13,11 +13,6 @@
 // step further: the first run saves the decoded form itself as a
 // columnar st2gpu.decoded store, and later runs load the flat arrays
 // with no varint decoding at all — the decode is paid once, ever.
-// -bench times the design-batched sweep against the unbatched
-// decode-once grid and the per-design replay baseline (each design
-// varint-decoding the stream from scratch), times the store load
-// against the decode pass, verifies all strategies stay bit-identical
-// at several worker counts, and appends the comparison to a JSON array.
 //
 // -shards distributes the sweep: the coordinator spawns N worker
 // subprocesses (this same binary with -shard-worker), each of which
@@ -33,24 +28,18 @@
 //	st2dse -store suite.decoded            # decode once, load thereafter
 //	st2dse -store suite.decoded -shards 4  # distribute over 4 worker processes
 //	st2dse -widths                         # slice-width characterization
-//	st2dse -bench BENCH_dse.json           # batched vs decode-once vs per-design vs store vs sharded
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
-	"reflect"
-	"runtime"
-	"time"
 
 	"st2gpu/internal/experiments"
 	"st2gpu/internal/metrics"
 	"st2gpu/internal/obs"
 	"st2gpu/internal/report"
-	"st2gpu/internal/speculate"
 	"st2gpu/internal/trace"
 )
 
@@ -65,7 +54,6 @@ func main() {
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address")
 		reuse    = flag.String("reuse-trace", "", "recording-set file: replay the sweep from it if it exists, else simulate once and save it first")
 		store    = flag.String("store", "", "columnar decoded-store file: load the sweep's flat arrays from it if it exists (no simulation, no varint decode), else build it — from -reuse-trace when given, or a fresh simulation — and save it first")
-		bench    = flag.String("bench", "", "time the decode-once parallel sweep vs per-design replay, check bit-identity, write JSON here")
 		recCap   = flag.Uint64("record-max-bytes", 0, "per-kernel recording byte cap (0 = default 1 GiB)")
 		workers  = flag.Int("sweep-workers", 0, "worker pool for the (kernel × design) sweep grid (0 = GOMAXPROCS, 1 = sequential; results identical at any count)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file")
@@ -133,13 +121,6 @@ func main() {
 		cfg.Progress = func(done, total int, name string) {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, name)
 		}
-	}
-
-	if *bench != "" {
-		if err := runBench(cfg, *bench); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	var rows []experiments.Fig5Row
@@ -292,243 +273,6 @@ func sweepSharded(cfg experiments.Config, storePath, reusePath string, shards in
 	}
 	fmt.Fprintf(os.Stderr, "st2dse: sweeping over %d shard workers from %s\n", shards, storePath)
 	return experiments.Fig5Sharded(cfg, storePath, nil, conns, experiments.ShardOptions{})
-}
-
-// benchResult is one BENCH_dse.json entry: wall-clock for the three
-// sweep strategies — design-batched (one array walk per kernel scores a
-// whole design batch), unbatched decode-once (one walk per design), and
-// the per-design replay baseline (each design varint-decoding the
-// recorded stream from scratch) — plus the eval throughputs behind the
-// trade and the bit-identity verdict. BENCH_dse.json is an append-only
-// JSON array of these, newest last.
-type benchResult struct {
-	Scale             int     `json:"scale"`
-	NumSMs            int     `json:"num_sms"`
-	Designs           int     `json:"designs"`
-	SweepWorkers      int     `json:"sweep_workers"`       // grid pool size the timed sweeps used
-	RecordSeconds     float64 `json:"record_seconds"`      // simulate the suite once, recording
-	DecodeSeconds     float64 `json:"decode_seconds"`      // the single SoA decode pass
-	DecodeOpsPerSec   float64 `json:"decode_ops_per_sec"`  // recorded_ops / decode_seconds
-	BatchedSeconds    float64 `json:"batched_seconds"`     // design-batched (kernel × design-batch) grid, post-decode
-	DecodeOnceSeconds float64 `json:"decode_once_seconds"` // unbatched (kernel × design) grid, post-decode
-	PerDesignSeconds  float64 `json:"per_design_seconds"`  // PR-3 path: one full replay per design
-	EvalOps           uint64  `json:"eval_ops"`            // recorded_ops × designs: the work every strategy performs
-	BatchedEvalRate   float64 `json:"batched_eval_ops_per_sec"`
-	PerDesignEvalRate float64 `json:"per_design_eval_ops_per_sec"`
-	Speedup           float64 `json:"speedup"`         // per_design / (decode + decode_once)
-	BatchedSpeedup    float64 `json:"batched_speedup"` // per_design / batched: the design-batching win
-	Identical         bool    `json:"identical"`       // all strategies agree at every tested worker count
-	RecordedBytes     uint64  `json:"recorded_bytes"`  // encoded stream size for the suite
-	RecordedOps       uint64  `json:"recorded_ops"`    // warp-add records captured
-	StoreBytes        uint64  `json:"store_bytes"`     // columnar decoded-store size
-	StoreEncodeSecs   float64 `json:"store_encode_seconds"`
-	StoreLoadSecs     float64 `json:"store_load_seconds"`     // load the flat arrays back (no varint decode)
-	StoreLoadRate     float64 `json:"store_load_ops_per_sec"` // recorded_ops / store_load_seconds
-	StoreSpeedup      float64 `json:"store_load_speedup"`     // decode_seconds / store_load_seconds
-	Shards            int     `json:"shards"`                 // worker subprocesses the sharded sweep used
-	ShardedSecs       float64 `json:"sharded_seconds"`        // distributed sweep wall-clock (incl. worker spawn + partial loads)
-	ShardedEvalRate   float64 `json:"sharded_eval_ops_per_sec"`
-	ShardedVsBatched  float64 `json:"sharded_vs_batched"`               // batched_seconds / sharded_seconds (<1 on one box: IPC tax)
-	PartialLoadSecs   float64 `json:"store_partial_load_seconds"`       // OpenStore + LoadKernels of one kernel
-	PartialLoadRate   float64 `json:"store_partial_load_ops_per_sec"`   // that kernel's records / partial_load_seconds
-	PartialSpeedup    float64 `json:"store_partial_load_speedup"`       // store_load_seconds / partial_load_seconds
-	HostParallel      int     `json:"host_parallelism"`
-}
-
-func runBench(cfg experiments.Config, outPath string) error {
-	designs := speculate.DesignSpace
-
-	tRecord := time.Now()
-	set, err := experiments.RecordSuite(cfg)
-	if err != nil {
-		return err
-	}
-	recordSecs := time.Since(tRecord).Seconds()
-
-	// The shared up-front cost of both decode-once strategies: one SoA
-	// decode pass.
-	tDecode := time.Now()
-	dec, err := trace.DecodeSetTraced(set, cfg.Obs)
-	if err != nil {
-		return err
-	}
-	decodeSecs := time.Since(tDecode).Seconds()
-
-	// Design-batched: the (kernel × design-batch) grid, one array walk
-	// per cell scoring its whole batch.
-	tBatched := time.Now()
-	batchedRows, err := experiments.Fig5FromDecoded(cfg, dec, designs)
-	if err != nil {
-		return err
-	}
-	batchedSecs := time.Since(tBatched).Seconds()
-
-	// Unbatched decode-once: the pre-batching (kernel × design) grid,
-	// one full array walk per design.
-	tOnce := time.Now()
-	onceRows, err := experiments.Fig5FromDecodedPerDesign(cfg, dec, designs)
-	if err != nil {
-		return err
-	}
-	onceSecs := time.Since(tOnce).Seconds()
-
-	// Baseline: the PR-3 sweep shape — every design replays (and
-	// varint-decodes) the full recording set from scratch.
-	tPer := time.Now()
-	perRows, err := experiments.Fig5FromSetPerDesign(cfg, set, designs)
-	if err != nil {
-		return err
-	}
-	perSecs := time.Since(tPer).Seconds()
-
-	// The store path: serialize the decoded form once, then time loading
-	// it back — the steady-state cost every future sweep pays instead of
-	// the varint decode.
-	var storeBuf bytes.Buffer
-	tEncode := time.Now()
-	if _, err := trace.WriteDecodedTraced(&storeBuf, dec, trace.StoreOptions{}, cfg.Obs); err != nil {
-		return err
-	}
-	encodeSecs := time.Since(tEncode).Seconds()
-	tLoad := time.Now()
-	loaded, err := trace.ReadDecodedTraced(bytes.NewReader(storeBuf.Bytes()), 0, 0, cfg.Obs)
-	if err != nil {
-		return err
-	}
-	loadSecs := time.Since(tLoad).Seconds()
-	storeRows, err := experiments.Fig5FromDecoded(cfg, loaded, designs)
-	if err != nil {
-		return err
-	}
-
-	// The distributed path needs the store on disk: persist the encoded
-	// bytes once and time (a) a selective single-kernel load against the
-	// full load above, and (b) the sharded sweep over two real worker
-	// subprocesses against the in-process batched sweep.
-	storeFile, err := os.CreateTemp("", "st2dse-bench-*.st2dec")
-	if err != nil {
-		return err
-	}
-	storePath := storeFile.Name()
-	defer os.Remove(storePath)
-	if _, err := storeFile.Write(storeBuf.Bytes()); err != nil {
-		return err
-	}
-	if err := storeFile.Close(); err != nil {
-		return err
-	}
-
-	firstKernel := dec.Names()[0]
-	tPartial := time.Now()
-	handle, err := trace.OpenStoreTraced(storePath, 0, cfg.Obs)
-	if err != nil {
-		return err
-	}
-	partial, err := handle.LoadKernelsTraced([]string{firstKernel}, 0, cfg.Obs)
-	if err != nil {
-		return err
-	}
-	partialSecs := time.Since(tPartial).Seconds()
-	partialKernel, _ := partial.Kernel(firstKernel)
-	fullKernel, _ := dec.Kernel(firstKernel)
-
-	const benchShards = 2
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	tSharded := time.Now()
-	conns, err := experiments.SpawnWorkers(benchShards, func() *exec.Cmd {
-		return exec.Command(exe, "-shard-worker")
-	})
-	if err != nil {
-		return err
-	}
-	shardedRows, err := experiments.Fig5Sharded(cfg, storePath, designs, conns, experiments.ShardOptions{})
-	if err != nil {
-		return err
-	}
-	shardedSecs := time.Since(tSharded).Seconds()
-
-	// Bit-identity: the timed runs, a sequential run, an oversubscribed
-	// run, the store round-trip, the selective load, and the distributed
-	// sweep must all deep-equal the per-design baseline.
-	identical := reflect.DeepEqual(batchedRows, perRows) && reflect.DeepEqual(onceRows, perRows) &&
-		reflect.DeepEqual(dec, loaded) && reflect.DeepEqual(storeRows, perRows) &&
-		reflect.DeepEqual(partialKernel, fullKernel) && reflect.DeepEqual(shardedRows, perRows)
-	for _, w := range []int{1, 2 * runtime.GOMAXPROCS(0)} {
-		c := cfg
-		c.SweepWorkers = w
-		rows, err := experiments.Fig5FromDecoded(c, dec, designs)
-		if err != nil {
-			return err
-		}
-		identical = identical && reflect.DeepEqual(rows, perRows)
-	}
-
-	sweepWorkers := cfg.SweepWorkers
-	if sweepWorkers <= 0 {
-		sweepWorkers = runtime.GOMAXPROCS(0)
-	}
-	evalOps := set.NumOps() * uint64(len(designs))
-	res := benchResult{
-		Scale:             cfg.Scale,
-		NumSMs:            cfg.NumSMs,
-		Designs:           len(designs),
-		SweepWorkers:      sweepWorkers,
-		RecordSeconds:     recordSecs,
-		DecodeSeconds:     decodeSecs,
-		BatchedSeconds:    batchedSecs,
-		DecodeOnceSeconds: onceSecs,
-		PerDesignSeconds:  perSecs,
-		EvalOps:           evalOps,
-		Identical:         identical,
-		RecordedBytes:     set.Bytes(),
-		RecordedOps:       set.NumOps(),
-		StoreBytes:        uint64(storeBuf.Len()),
-		StoreEncodeSecs:   encodeSecs,
-		StoreLoadSecs:     loadSecs,
-		Shards:            benchShards,
-		ShardedSecs:       shardedSecs,
-		PartialLoadSecs:   partialSecs,
-		HostParallel:      runtime.GOMAXPROCS(0),
-	}
-	if decodeSecs > 0 {
-		res.DecodeOpsPerSec = float64(set.NumOps()) / decodeSecs
-	}
-	if loadSecs > 0 {
-		res.StoreLoadRate = float64(set.NumOps()) / loadSecs
-		res.StoreSpeedup = decodeSecs / loadSecs
-	}
-	if batchedSecs > 0 {
-		res.BatchedEvalRate = float64(evalOps) / batchedSecs
-		res.BatchedSpeedup = perSecs / batchedSecs
-	}
-	if perSecs > 0 {
-		res.PerDesignEvalRate = float64(evalOps) / perSecs
-	}
-	if decodeSecs+onceSecs > 0 {
-		res.Speedup = perSecs / (decodeSecs + onceSecs)
-	}
-	if shardedSecs > 0 {
-		res.ShardedEvalRate = float64(evalOps) / shardedSecs
-		res.ShardedVsBatched = batchedSecs / shardedSecs
-	}
-	if partialSecs > 0 {
-		res.PartialLoadRate = float64(partialKernel.NumRecords()) / partialSecs
-		res.PartialSpeedup = loadSecs / partialSecs
-	}
-	if err := obs.AppendTrend(outPath, res); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "st2dse: bench: batched %.3fs (%.0f eval-ops/s, %.1fx) vs decode-once %.2fs vs per-design replay %.2fs (decode %.3fs, %.0f ops/s), store load %.4fs (%.0f ops/s, %.1fx over decode, %d bytes), partial load %.5fs (%.1fx over full), sharded×%d %.3fs (%.0f eval-ops/s), workers=%d, identical=%v → %s\n",
-		batchedSecs, res.BatchedEvalRate, res.BatchedSpeedup, onceSecs, perSecs, decodeSecs, res.DecodeOpsPerSec,
-		loadSecs, res.StoreLoadRate, res.StoreSpeedup, storeBuf.Len(), partialSecs, res.PartialSpeedup,
-		benchShards, shardedSecs, res.ShardedEvalRate, sweepWorkers, identical, outPath)
-	if !identical {
-		return fmt.Errorf("st2dse: sweep rows are NOT bit-identical across strategies")
-	}
-	return nil
 }
 
 func printTable(t *report.Table, format string) {

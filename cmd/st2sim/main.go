@@ -5,14 +5,13 @@
 // Usage:
 //
 //	st2sim [-kernel name|all] [-mode st2|baseline] [-scale N] [-sms N] [-report mix|mispred|cycles|full]
-//	       [-json out.jsonl] [-trace-out run.trace.json] [-bench BENCH_smoke.json] [-progress] [-pprof addr]
+//	       [-json out.jsonl] [-trace-out run.trace.json] [-progress] [-pprof addr]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"text/tabwriter"
 	"time"
 
@@ -36,7 +35,6 @@ func main() {
 		app      = flag.String("app", "", "run a multi-kernel application (mergesort, fwt, bitonic, backprop)")
 		jsonPath = flag.String("json", "", "append one JSONL run-manifest event per launch to this file")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file (load in chrome://tracing or Perfetto)")
-		benchOut = flag.String("bench", "", "append a smoke-benchmark summary entry to this JSON trend array (read by st2trend)")
 		progress = flag.Bool("progress", false, "print [i/n] kernel progress lines to stderr")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
 	)
@@ -140,12 +138,6 @@ func main() {
 		fmt.Fprintln(tw, "kernel\tmode\tcycles\tthread instrs\tadd frac\tmispred\tL1 hit\tDRAM tx")
 	}
 
-	var smoke smokeResult
-	smoke.Scale = *scale
-	smoke.NumSMs = *sms
-	smoke.HostParallel = runtime.GOMAXPROCS(0)
-	tSuite := time.Now()
-	var mispredOps, mispredMis uint64
 	for i, w := range suite {
 		spec, err := w.Build(*scale)
 		if err != nil {
@@ -184,15 +176,6 @@ func main() {
 				fatal(fmt.Errorf("%s: manifest: %w", w.Name, err))
 			}
 		}
-		smoke.Kernels++
-		smoke.SimulateSeconds += ph.Simulate.Seconds()
-		smoke.TotalThreadInstrs += rs.TotalThreadInstrs()
-		smoke.TotalCycles += rs.Cycles
-		// Canonical kind order keeps the aggregate fold deterministic.
-		for _, kind := range core.UnitKinds {
-			mispredOps += rs.Units[kind].ThreadOps
-			mispredMis += rs.Units[kind].ThreadMispredicts
-		}
 		if *progress {
 			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", i+1, len(suite), w.Name)
 		}
@@ -203,33 +186,6 @@ func main() {
 			fatal(fmt.Errorf("manifest spans: %w", err))
 		}
 	}
-	if *benchOut != "" {
-		smoke.TotalSeconds = time.Since(tSuite).Seconds()
-		if mispredOps > 0 {
-			smoke.MispredRate = float64(mispredMis) / float64(mispredOps)
-		}
-		if err := obs.AppendTrend(*benchOut, smoke); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "st2sim: bench: %d kernels in %.2fs (simulate %.2fs, %d thread instrs, mispred %.2f%%) → %s\n",
-			smoke.Kernels, smoke.TotalSeconds, smoke.SimulateSeconds,
-			smoke.TotalThreadInstrs, 100*smoke.MispredRate, *benchOut)
-	}
-}
-
-// smokeResult is one BENCH_smoke.json entry: a whole-suite timing and
-// sanity summary. BENCH_smoke.json is an append-only JSON trend array of
-// these, newest last (st2trend gates regressions on it).
-type smokeResult struct {
-	Scale             int     `json:"scale"`
-	NumSMs            int     `json:"num_sms"`
-	Kernels           int     `json:"kernels"`
-	TotalSeconds      float64 `json:"total_seconds"`
-	SimulateSeconds   float64 `json:"simulate_seconds"`
-	TotalThreadInstrs uint64  `json:"total_thread_instrs"`
-	TotalCycles       uint64  `json:"total_cycles"`
-	MispredRate       float64 `json:"mispred_rate"`
-	HostParallel      int     `json:"host_parallelism"`
 }
 
 func printRow(tw *tabwriter.Writer, report, name string, rs *gpusim.RunStats) {

@@ -34,7 +34,7 @@ func (c Config) suiteMissRates(muts ...func(*gpusim.Config)) ([]float64, error) 
 		}
 		dc := c.deviceConfig(gpusim.ST2Adders)
 		muts[cell/n](&dc)
-		rs, _, err := c.runSpec(spec, dc, nil)
+		rs, _, err := c.runSpec(spec, dc)
 		if err != nil {
 			return err
 		}
@@ -117,8 +117,8 @@ type ApproxRow struct {
 // adders [10]–[13]), CASA, and ST²'s own predictor — motivating the
 // paper's guaranteed-correctness design point. The suite is recorded
 // once, decoded once, and the (kernel × design) grid runs on the
-// decode-once sweep engine; rates are bit-identical to
-// ApproximateAdderStudyLive at any cfg.SweepWorkers count.
+// decode-once sweep engine; rates are bit-identical at any
+// cfg.SweepWorkers count.
 func ApproximateAdderStudy(cfg Config) ([]ApproxRow, error) {
 	set, err := RecordSuite(cfg)
 	if err != nil {
@@ -129,63 +129,6 @@ func ApproximateAdderStudy(cfg Config) ([]ApproxRow, error) {
 		return nil, err
 	}
 	return approxFromDecoded(cfg, dec, []string{"staticZero", "CASA", speculate.FinalDesign})
-}
-
-// ApproximateAdderStudyLive is the legacy live-tracer path (sequential
-// SM worker per launch); kept for parity testing.
-func ApproximateAdderStudyLive(cfg Config) ([]ApproxRow, error) {
-	return approximateAdderStudy(cfg, func(i int, w kernels.Workload, meter *trace.ApproxMeter) error {
-		_, _, err := cfg.runWorkload(w, gpusim.BaselineAdders, meter)
-		return err
-	})
-}
-
-func approximateAdderStudy(cfg Config, feed func(i int, w kernels.Workload, meter *trace.ApproxMeter) error) ([]ApproxRow, error) {
-	designs := []string{"staticZero", "CASA", speculate.FinalDesign}
-	type kernelRates struct{ wrong, relErr []float64 }
-	perKernel := make([]kernelRates, 23)
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		meter, err := trace.NewApproxMeter(designs)
-		if err != nil {
-			return err
-		}
-		if err := feed(i, w, meter); err != nil {
-			return err
-		}
-		kr := kernelRates{wrong: make([]float64, len(designs)), relErr: make([]float64, len(designs))}
-		for j, d := range designs {
-			wr, err := meter.WrongRate(d)
-			if err != nil {
-				return err
-			}
-			re, err := meter.MeanRelError(d)
-			if err != nil {
-				return err
-			}
-			kr.wrong[j], kr.relErr[j] = wr, re
-		}
-		perKernel[i] = kr
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Aggregate in suite order so the floating-point sums match the old
-	// sequential loop bit for bit.
-	out := make([]ApproxRow, len(designs))
-	for j, d := range designs {
-		var wrSum, reSum float64
-		for _, kr := range perKernel {
-			wrSum += kr.wrong[j]
-			reSum += kr.relErr[j]
-		}
-		out[j] = ApproxRow{
-			Design:       d,
-			WrongResults: wrSum / float64(len(perKernel)),
-			MeanRelError: reSum / float64(len(perKernel)),
-		}
-	}
-	return out, nil
 }
 
 // CRFSizeRow is one point of the CRF-capacity sweep.

@@ -19,8 +19,6 @@ import (
 	"st2gpu/internal/metrics/runlog"
 	"st2gpu/internal/obs"
 	"st2gpu/internal/power"
-	"st2gpu/internal/speculate"
-	"st2gpu/internal/stats"
 	"st2gpu/internal/trace"
 )
 
@@ -90,13 +88,10 @@ func (c Config) newDevice(dc gpusim.Config) (*gpusim.Device, error) {
 
 // runSpec sets up, launches and verifies one workload spec on a fresh
 // device with configuration dc.
-func (c Config) runSpec(spec *kernels.Spec, dc gpusim.Config, tracer gpusim.AddTracer) (*gpusim.RunStats, *gpusim.Device, error) {
+func (c Config) runSpec(spec *kernels.Spec, dc gpusim.Config) (*gpusim.RunStats, *gpusim.Device, error) {
 	d, err := c.newDevice(dc)
 	if err != nil {
 		return nil, nil, err
-	}
-	if tracer != nil {
-		d.SetTracer(tracer)
 	}
 	if spec.Setup != nil {
 		if err := spec.Setup(d.Memory()); err != nil {
@@ -243,12 +238,12 @@ func forEach(n int, fn func(i int) error) error {
 }
 
 // runWorkload builds and runs one named workload.
-func (c Config) runWorkload(w kernels.Workload, mode gpusim.AdderMode, tracer gpusim.AddTracer) (*gpusim.RunStats, *gpusim.Device, error) {
+func (c Config) runWorkload(w kernels.Workload, mode gpusim.AdderMode) (*gpusim.RunStats, *gpusim.Device, error) {
 	spec, err := w.Build(c.Scale)
 	if err != nil {
 		return nil, nil, err
 	}
-	return c.runSpec(spec, c.deviceConfig(mode), tracer)
+	return c.runSpec(spec, c.deviceConfig(mode))
 }
 
 // RunSuite runs the full evaluation suite sequentially under one adder
@@ -328,7 +323,7 @@ type MixRow struct {
 func Fig1(cfg Config) ([]MixRow, error) {
 	rows := make([]MixRow, 23)
 	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		rs, _, err := cfg.runWorkload(w, gpusim.BaselineAdders, nil)
+		rs, _, err := cfg.runWorkload(w, gpusim.BaselineAdders)
 		if err != nil {
 			return err
 		}
@@ -428,8 +423,8 @@ type Fig3Row struct {
 // plus the op-weighted suite aggregate (appended as "Average"). The
 // suite is simulated once under the parallel recording path, decoded
 // once into flat arrays, and the (kernel × scheme) grid runs on the
-// decode-once sweep engine — every rate is bit-identical to the legacy
-// sequential live-tracer path (Fig3Live) at any cfg.SweepWorkers count.
+// decode-once sweep engine — every rate is bit-identical at any
+// cfg.SweepWorkers count.
 func Fig3(cfg Config) ([]Fig3Row, error) {
 	set, err := RecordSuite(cfg)
 	if err != nil {
@@ -440,17 +435,6 @@ func Fig3(cfg Config) ([]Fig3Row, error) {
 		return nil, err
 	}
 	return Fig3FromDecoded(cfg, dec)
-}
-
-// Fig3Live is the legacy live-tracer path: the meter observes the stream
-// during simulation, which forces each launch onto the sequential SM
-// worker. Kept for third-party-tracer parity testing; Fig3 returns
-// bit-identical rates without serializing.
-func Fig3Live(cfg Config) ([]Fig3Row, error) {
-	return fig3(cfg, func(i int, w kernels.Workload, cm *trace.CorrMeter) error {
-		_, _, err := cfg.runWorkload(w, gpusim.BaselineAdders, cm)
-		return err
-	})
 }
 
 // Fig3FromSet evaluates a previously captured recording set (same scale,
@@ -470,49 +454,6 @@ func Fig3FromSet(cfg Config, set *trace.Set) ([]Fig3Row, error) {
 	return Fig3FromDecoded(cfg, dec)
 }
 
-// fig3 runs the Figure 3 analysis with the operation stream delivered by
-// feed — from a live tracer, a fresh recording, or a saved set.
-func fig3(cfg Config, feed func(i int, w kernels.Workload, cm *trace.CorrMeter) error) ([]Fig3Row, error) {
-	rows := make([]Fig3Row, 23)
-	raws := make([][3]stats.Rate, 23)
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		cm, err := trace.NewCorrMeter()
-		if err != nil {
-			return err
-		}
-		if err := feed(i, w, cm); err != nil {
-			return err
-		}
-		rows[i].Kernel = w.Name
-		for j, d := range trace.Fig3Designs {
-			r, err := cm.RawRate(d)
-			if err != nil {
-				return err
-			}
-			rows[i].Rates[j] = r.Value()
-			rows[i].Samples[j] = r.Total
-			raws[i][j] = r
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var agg [3]stats.Rate
-	for _, rw := range raws {
-		for j := range agg {
-			agg[j].Merge(rw[j])
-		}
-	}
-	var avg Fig3Row
-	avg.Kernel = "Average"
-	for i := range agg {
-		avg.Rates[i] = agg[i].Value()
-		avg.Samples[i] = agg[i].Total
-	}
-	return append(rows, avg), nil
-}
-
 // --- Figure 5: carry-speculation design space ---
 
 // Fig5Row is one design's average thread misprediction rate.
@@ -527,10 +468,9 @@ type Fig5Row struct {
 // recording path, decoded once into flat arrays, and the
 // (kernel × design) grid runs on the decode-once sweep engine — adding
 // designs costs one array walk each, not a decode or a simulation.
-// Rates are bit-identical to the legacy sequential live-tracer path
-// (Fig5Live) at any cfg.SweepWorkers count. The returned rows follow the
-// paper's Figure 5 left-to-right order; rates are unweighted kernel
-// averages.
+// Rates are bit-identical at any cfg.SweepWorkers count. The returned
+// rows follow the paper's Figure 5 left-to-right order; rates are
+// unweighted kernel averages.
 func Fig5(cfg Config, designs []string) ([]Fig5Row, error) {
 	set, err := RecordSuite(cfg)
 	if err != nil {
@@ -541,17 +481,6 @@ func Fig5(cfg Config, designs []string) ([]Fig5Row, error) {
 		return nil, err
 	}
 	return Fig5FromDecoded(cfg, dec, designs)
-}
-
-// Fig5Live is the legacy live-tracer sweep: the meter observes the stream
-// during simulation, forcing each launch onto the sequential SM worker.
-// Kept for parity testing and the replay-vs-live benchmark; Fig5 returns
-// bit-identical rates without serializing.
-func Fig5Live(cfg Config, designs []string) ([]Fig5Row, error) {
-	return fig5(cfg, designs, func(i int, w kernels.Workload, meter *trace.DSEMeter) error {
-		_, _, err := cfg.runWorkload(w, gpusim.BaselineAdders, meter)
-		return err
-	})
 }
 
 // Fig5FromSet sweeps the design space over a previously captured
@@ -570,60 +499,6 @@ func Fig5FromSet(cfg Config, set *trace.Set, designs []string) ([]Fig5Row, error
 		return nil, err
 	}
 	return Fig5FromDecoded(cfg, dec, designs)
-}
-
-// feedFromSet builds a fig5 feed that replays each kernel's recording
-// from a captured set — the per-design replay baseline's delivery path.
-func feedFromSet(set *trace.Set) func(i int, w kernels.Workload, meter *trace.DSEMeter) error {
-	return func(i int, w kernels.Workload, meter *trace.DSEMeter) error {
-		rec, ok := set.Get(w.Name)
-		if !ok {
-			return fmt.Errorf("experiments: recording set is missing kernel %q", w.Name)
-		}
-		return trace.Replay(rec, meter)
-	}
-}
-
-// fig5 runs the design-space sweep with the operation stream delivered by
-// feed — from a live tracer, a fresh recording, or a saved set.
-func fig5(cfg Config, designs []string, feed func(i int, w kernels.Workload, meter *trace.DSEMeter) error) ([]Fig5Row, error) {
-	if designs == nil {
-		designs = speculate.DesignSpace
-	}
-	perKernel := make([]map[string]float64, 23)
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		meter, err := trace.NewDSEMeter(designs)
-		if err != nil {
-			return err
-		}
-		if err := feed(i, w, meter); err != nil {
-			return err
-		}
-		m := make(map[string]float64, len(designs))
-		for _, d := range designs {
-			r, err := meter.MissRate(d)
-			if err != nil {
-				return err
-			}
-			m[d] = r
-		}
-		perKernel[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	perDesign := make(map[string][]float64, len(designs))
-	for _, m := range perKernel {
-		for _, d := range designs {
-			perDesign[d] = append(perDesign[d], m[d])
-		}
-	}
-	out := make([]Fig5Row, len(designs))
-	for i, d := range designs {
-		out[i] = Fig5Row{Design: d, MissRate: stats.Mean(perDesign[d])}
-	}
-	return out, nil
 }
 
 // --- Figure 6 + Section VI: the final design on the real pipeline ---
@@ -645,7 +520,7 @@ type Fig6Row struct {
 func Fig6(cfg Config) ([]Fig6Row, error) {
 	rows := make([]Fig6Row, 23)
 	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		rs, _, err := cfg.runWorkload(w, gpusim.ST2Adders, nil)
+		rs, _, err := cfg.runWorkload(w, gpusim.ST2Adders)
 		if err != nil {
 			return err
 		}
@@ -733,11 +608,11 @@ func Fig7(cfg Config) ([]Fig7Row, Fig7Summary, error) {
 	}
 	rows := make([]Fig7Row, 23)
 	err = cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		base, dBase, err := cfg.runWorkload(w, gpusim.BaselineAdders, nil)
+		base, dBase, err := cfg.runWorkload(w, gpusim.BaselineAdders)
 		if err != nil {
 			return err
 		}
-		st2, dST2, err := cfg.runWorkload(w, gpusim.ST2Adders, nil)
+		st2, dST2, err := cfg.runWorkload(w, gpusim.ST2Adders)
 		if err != nil {
 			return err
 		}
@@ -798,11 +673,11 @@ type PerfRow struct {
 func PerfOverhead(cfg Config) ([]PerfRow, error) {
 	rows := make([]PerfRow, 23)
 	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		base, _, err := cfg.runWorkload(w, gpusim.BaselineAdders, nil)
+		base, _, err := cfg.runWorkload(w, gpusim.BaselineAdders)
 		if err != nil {
 			return err
 		}
-		st2, _, err := cfg.runWorkload(w, gpusim.ST2Adders, nil)
+		st2, _, err := cfg.runWorkload(w, gpusim.ST2Adders)
 		if err != nil {
 			return err
 		}
@@ -867,7 +742,7 @@ func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, po
 		if err != nil {
 			return err
 		}
-		rs, d, err := cfg.runSpec(spec, cfg.deviceConfig(gpusim.BaselineAdders), nil)
+		rs, d, err := cfg.runSpec(spec, cfg.deviceConfig(gpusim.BaselineAdders))
 		if err != nil {
 			return err
 		}
@@ -885,7 +760,7 @@ func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, po
 
 	val := make([]power.Sample, len(kernels.Suite()))
 	err = cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		rs, d, err := cfg.runWorkload(w, gpusim.BaselineAdders, nil)
+		rs, d, err := cfg.runWorkload(w, gpusim.BaselineAdders)
 		if err != nil {
 			return err
 		}

@@ -390,6 +390,11 @@ func TestRunSuiteManifestAndProgress(t *testing.T) {
 		t.Fatalf("manifest has %d lines, want 23", len(lines))
 	}
 	for i, line := range lines {
+		// json.Marshal refuses NaN, so a NaN in the manifest means a
+		// statistic was sanitized into a string instead of fixed.
+		if strings.Contains(line, "NaN") {
+			t.Errorf("line %d: NaN in the run manifest", i)
+		}
 		var ev runlog.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("line %d: invalid JSON: %v", i, err)

@@ -11,42 +11,13 @@ import (
 	"st2gpu/internal/trace"
 )
 
-// These tests pin the record-once/replay-many contract at the driver
-// level: every replay-fed analysis must produce rates byte-equal to the
-// legacy sequential live-tracer path, for the full suite at scale 1.
-
-func TestFig3ReplayMatchesLive(t *testing.T) {
+// TestFromSetMatchesFreshRecording pins the record-once/replay-many
+// contract across processes: a suite capture round-tripped through the
+// recording-set file answers Figure 5 and Figure 3 with rows equal to a
+// fresh run's, and refuses to answer for a configuration it was not
+// recorded under.
+func TestFromSetMatchesFreshRecording(t *testing.T) {
 	cfg := Default()
-	live, err := Fig3Live(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Fig3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Error("Fig3 replay rows differ from live-tracer rows")
-	}
-}
-
-func TestFig5ReplayMatchesLive(t *testing.T) {
-	cfg := Default()
-	live, err := Fig5Live(cfg, nil) // full 12-design space
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Fig5(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Error("Fig5 replay rows differ from live-tracer rows")
-	}
-
-	// The same recordings answer the sweep from a file: capture the
-	// suite once, roundtrip it through the set format, and require the
-	// file-fed sweep to reproduce the live rates bit for bit.
 	set, err := RecordSuite(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -62,16 +33,19 @@ func TestFig5ReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSet, err := Fig5FromSet(cfg, loaded, nil)
+
+	fresh5, err := Fig5(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(live, fromSet) {
-		t.Error("Fig5FromSet rows differ from live-tracer rows after a file roundtrip")
+	fromSet5, err := Fig5FromSet(cfg, loaded, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Fig3 from the same capture — one recording feeds every meter.
-	live3, err := Fig3Live(cfg)
+	if !reflect.DeepEqual(fresh5, fromSet5) {
+		t.Error("Fig5FromSet rows differ from Fig5 rows after a file roundtrip")
+	}
+	fresh3, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +53,12 @@ func TestFig5ReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(live3, fromSet3) {
-		t.Error("Fig3FromSet rows differ from live-tracer rows")
+	if !reflect.DeepEqual(fresh3, fromSet3) {
+		t.Error("Fig3FromSet rows differ from Fig3 rows after a file roundtrip")
 	}
 
-	// A set captured under one configuration must refuse to answer for
-	// another: replaying it would silently produce wrong-config rates.
+	// Replaying a set under another configuration would silently produce
+	// wrong-config rates.
 	bad := cfg
 	bad.Scale = cfg.Scale + 1
 	if _, err := Fig5FromSet(bad, loaded, nil); err == nil {
@@ -97,32 +71,27 @@ func TestFig5ReplayMatchesLive(t *testing.T) {
 	}
 }
 
-func TestApproximateAdderStudyReplayMatchesLive(t *testing.T) {
-	cfg := Default()
-	live, err := ApproximateAdderStudyLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := ApproximateAdderStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Error("approximate-adder replay rows differ from live-tracer rows")
-	}
-}
-
+// TestFig2ReplayMatchesLive checks Figure 2's recorded-and-replayed
+// value series against a value trace installed as a live tracer on the
+// sequential launch path.
 func TestFig2ReplayMatchesLive(t *testing.T) {
 	cfg := Default()
 	const gtid, maxPts = 37, 30
 
-	// Live reference: the value trace observes the sequential launch.
 	spec, err := kernels.Pathfinder(cfg.Scale)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, err := gpusim.New(cfg.deviceConfig(gpusim.BaselineAdders))
+	if err != nil {
+		t.Fatal(err)
+	}
 	vt := trace.NewValueTrace(gtid, maxPts)
-	if _, _, err := cfg.runSpec(spec, cfg.deviceConfig(gpusim.BaselineAdders), vt); err != nil {
+	d.SetTracer(vt)
+	if err := spec.Setup(d.Memory()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Launch(spec.Kernel); err != nil {
 		t.Fatal(err)
 	}
 	live := make([]Fig2Series, 0, 8)

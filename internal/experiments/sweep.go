@@ -260,7 +260,7 @@ func suiteKernels(dec *trace.Decoded) ([]kernels.Workload, []*trace.DecodedKerne
 // (kernel × design-batch) grid runs on cfg.SweepWorkers workers and each
 // cell is ONE array walk scoring its whole design batch — no varint
 // decoding, no simulation, operand loads amortized across designs. Rows
-// are bit-identical to Fig5/Fig5Live/Fig5FromSet at any worker count.
+// are bit-identical to Fig5/Fig5FromSet at any worker count.
 func Fig5FromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Row, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
@@ -300,7 +300,7 @@ func Fig5FromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Ro
 
 // Fig3FromDecoded runs the Figure 3 correlation analysis over a decoded
 // set with the (kernel × scheme-batch) grid on cfg.SweepWorkers workers.
-// Rows are bit-identical to Fig3/Fig3Live/Fig3FromSet at any worker count.
+// Rows are bit-identical to Fig3/Fig3FromSet at any worker count.
 func Fig3FromDecoded(cfg Config, dec *trace.Decoded) ([]Fig3Row, error) {
 	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
 		return nil, err
@@ -340,7 +340,7 @@ func Fig3FromDecoded(cfg Config, dec *trace.Decoded) ([]Fig3Row, error) {
 }
 
 // approxFromDecoded is the decoded-grid form of the approximate-adder
-// study; rows are bit-identical to the meter-replay path.
+// study.
 func approxFromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]ApproxRow, error) {
 	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
 		return nil, err
@@ -379,8 +379,8 @@ func approxFromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Appr
 			}
 		}
 	}
-	// Aggregate in suite order so the floating-point sums match the old
-	// sequential loop bit for bit.
+	// Aggregate in suite order so the floating-point sums do not depend
+	// on the grid schedule.
 	out := make([]ApproxRow, nd)
 	for j, d := range designs {
 		var wrSum, reSum float64
@@ -393,66 +393,6 @@ func approxFromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Appr
 			WrongResults: wrSum / float64(nk),
 			MeanRelError: reSum / float64(nk),
 		}
-	}
-	return out, nil
-}
-
-// Fig5FromDecodedPerDesign is the unbatched decode-once baseline: the
-// (kernel × design) grid with one full array walk per design, exactly
-// the pre-batching sweep shape. Kept for the benchmark harness so the
-// batched kernel's amortization is measured against it; rows are
-// bit-identical to Fig5FromDecoded.
-func Fig5FromDecodedPerDesign(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Row, error) {
-	if designs == nil {
-		designs = speculate.DesignSpace
-	}
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	ws, ks, err := suiteKernels(dec)
-	if err != nil {
-		return nil, err
-	}
-	nk, nd := len(ks), len(designs)
-	rates := make([]stats.Rate, nk*nd)
-	meter := cfg.newCellMeter("fig5_per_design", nk*nd)
-	err = runGrid(cfg.SweepWorkers, nk*nd, func(w, t int) error {
-		i, j := t/nd, t%nd
-		done := meter.cell(w, ws[i].Name, 1, uint64(ks[i].NumLanes()))
-		r, err := ks[i].EvalMiss(designs[j])
-		done()
-		if err != nil {
-			return err
-		}
-		rates[t] = r
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	return foldFig5Rows(designs, rates, nk), nil
-}
-
-// Fig5FromSetPerDesign is the PR-3-style per-design replay baseline,
-// kept for the decode-once benchmark: every design replays — and
-// therefore varint-decodes — the full recording set from scratch
-// (N designs cost N decodes). Rows are bit-identical to the decode-once
-// sweep; only the work distribution differs.
-func Fig5FromSetPerDesign(cfg Config, set *trace.Set, designs []string) ([]Fig5Row, error) {
-	if designs == nil {
-		designs = speculate.DesignSpace
-	}
-	if err := set.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	out := make([]Fig5Row, 0, len(designs))
-	for _, d := range designs {
-		rows, err := fig5(cfg, []string{d}, feedFromSet(set))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rows[0])
 	}
 	return out, nil
 }

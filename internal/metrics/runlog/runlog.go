@@ -2,8 +2,8 @@
 // per kernel launch, carrying the device configuration, a full RunStats
 // snapshot (including the observability histograms), wall-clock phase
 // timings, host info, and build version. Manifests are append-only JSON
-// Lines, so BENCH_*.json-style trajectories can be diffed across PRs
-// with line-oriented tools and parsed by any JSON reader.
+// Lines, so manifests can be diffed across runs with line-oriented
+// tools and parsed by any JSON reader.
 package runlog
 
 import (
@@ -27,10 +27,6 @@ import (
 // (SpanEvent) — v1 readers that decode run events by field name still
 // parse every v2 run line, and skip span lines by checking "type".
 const Schema = "st2gpu.runlog/v2"
-
-// SchemaV1 is the previous manifest schema, kept for readers that
-// accept both versions (cmd/st2trend does).
-const SchemaV1 = "st2gpu.runlog/v1"
 
 // TypeRun and TypeSpans discriminate manifest line shapes in v2.
 const (

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -170,58 +169,5 @@ func TestChromeTraceShape(t *testing.T) {
 	}
 	if ct.TraceEvents[1].Args["parent_id"] == nil {
 		t.Error("child event lost its parent link")
-	}
-}
-
-func TestTrendAppendRead(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_x.json")
-
-	// Missing file reads as empty.
-	if entries, err := ReadTrend(path); err != nil || entries != nil {
-		t.Fatalf("missing file: entries=%v err=%v", entries, err)
-	}
-
-	type entry struct {
-		Rate float64 `json:"rate"`
-	}
-	if err := AppendTrend(path, entry{Rate: 1.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendTrend(path, entry{Rate: 2.5}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := ReadTrend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("got %d entries, want 2", len(entries))
-	}
-	var last entry
-	if err := json.Unmarshal(entries[1], &last); err != nil {
-		t.Fatal(err)
-	}
-	if last.Rate != 2.5 {
-		t.Errorf("newest entry rate = %v, want 2.5", last.Rate)
-	}
-
-	// A legacy single-object file wraps into an array on append.
-	legacy := filepath.Join(t.TempDir(), "legacy.json")
-	if err := os.WriteFile(legacy, []byte(`{"rate": 9}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := AppendTrend(legacy, entry{Rate: 10}); err != nil {
-		t.Fatal(err)
-	}
-	entries, err = ReadTrend(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Fatalf("legacy wrap: got %d entries, want 2", len(entries))
-	}
-	buf, _ := os.ReadFile(legacy)
-	if !bytes.HasPrefix(bytes.TrimSpace(buf), []byte("[")) {
-		t.Error("legacy file was not rewritten as an array")
 	}
 }

@@ -17,9 +17,9 @@ import (
 //
 //   - Per-design predictor state is fully independent, so iterating
 //     record-major (all designs per record) produces bit-identical
-//     per-design results to the design-major walks of EvalMiss/EvalCorr/
-//     EvalApprox — each design still observes the records in stream
-//     order with its own pre-update state.
+//     per-design results to replaying the stream through a DSEMeter,
+//     CorrMeter or ApproxMeter — each design still observes the records
+//     in stream order with its own pre-update state.
 //   - The Peek overlay is hoisted: PeekBitsWarp computes each lane's
 //     statically-resolved boundaries once per record, and OverlayPeek
 //     applies exactly the peekPredictor composition per design, so
@@ -50,7 +50,7 @@ func batchPreds(designs []string) (inner []speculate.Predictor, peeked []bool, a
 
 // EvalMissBatch evaluates a batch of speculation designs over the
 // decoded stream in one pass with Figure 5 semantics. Result i is
-// bit-identical to EvalMiss(designs[i]).
+// bit-identical to a DSEMeter replay of designs[i].
 func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
 	inner, peeked, anyPeek, err := batchPreds(designs)
 	if err != nil {
@@ -84,8 +84,8 @@ func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
 }
 
 // EvalCorrBatch evaluates a batch of Figure 3 correlation schemes over
-// the decoded stream in one pass. Result i is bit-identical to
-// EvalCorr(designs[i]).
+// the decoded stream in one pass. Result i is bit-identical to a
+// CorrMeter replay of designs[i].
 func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
 	inner, peeked, anyPeek, err := batchPreds(designs)
 	if err != nil {
@@ -121,8 +121,9 @@ func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
 
 // EvalApproxBatch evaluates a batch of designs with the
 // approximate-adder (no-correction) semantics in one pass. Result i is
-// bit-identical to EvalApprox(designs[i]); relative errors accumulate in
-// ascending lane order within each design, as the sequential path does.
+// bit-identical to an ApproxMeter replay of designs[i]; relative errors
+// accumulate in ascending lane order within each design, as the meter
+// does.
 func (k *DecodedKernel) EvalApproxBatch(designs []string) ([]ApproxResult, error) {
 	inner, peeked, anyPeek, err := batchPreds(designs)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"st2gpu/internal/core"
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/obs"
-	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
 )
 
@@ -121,53 +120,11 @@ func (k *DecodedKernel) Replay(t gpusim.AddTracer) {
 	})
 }
 
-// EvalMiss evaluates one speculation design over the decoded stream with
-// Figure 5 semantics and returns its thread-misprediction counter —
-// bit-identical to replaying the recording through a DSEMeter, at the
-// cost of an array walk.
-func (k *DecodedKernel) EvalMiss(design string) (stats.Rate, error) {
-	p, err := speculate.NewDesign(design, g64)
-	if err != nil {
-		return stats.Rate{}, fmt.Errorf("trace: design %q: %w", design, err)
-	}
-	var miss stats.Rate
-	var s evalScratch
-	k.each(func(r *warpRec) { dseStep(p, &miss, r, &s) })
-	return miss, nil
-}
-
-// EvalCorr evaluates one Figure 3 correlation scheme over the decoded
-// stream — bit-identical to a CorrMeter replay.
-func (k *DecodedKernel) EvalCorr(design string) (stats.Rate, error) {
-	p, err := speculate.NewDesign(design, g64)
-	if err != nil {
-		return stats.Rate{}, fmt.Errorf("trace: design %q: %w", design, err)
-	}
-	var match stats.Rate
-	var s evalScratch
-	k.each(func(r *warpRec) { corrStep(p, &match, r, &s) })
-	return match, nil
-}
-
 // ApproxResult is one design's uncorrected-adder outcome on one kernel.
 type ApproxResult struct {
 	Wrong       stats.Rate
 	MeanRelErr  float64
 	WrongErrSum float64 // relative-error numerator (Σ relErr over wrong results)
-}
-
-// EvalApprox evaluates one design with the approximate-adder
-// (no-correction) semantics — bit-identical to an ApproxMeter replay.
-func (k *DecodedKernel) EvalApprox(design string) (ApproxResult, error) {
-	p, err := speculate.NewDesign(design, g64)
-	if err != nil {
-		return ApproxResult{}, fmt.Errorf("trace: approx design %q: %w", design, err)
-	}
-	var wrong stats.Rate
-	var re runningMean
-	var s evalScratch
-	k.each(func(r *warpRec) { approxStep(p, &wrong, &re, r, &s) })
-	return ApproxResult{Wrong: wrong, MeanRelErr: re.mean(), WrongErrSum: re.sum}, nil
 }
 
 // Decoded is the decode-once form of a whole recording Set: every kernel

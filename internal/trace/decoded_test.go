@@ -54,10 +54,12 @@ func (c *captureTracer) TraceWarpAdds(kind core.UnitKind, pc, base uint32, ops *
 	c.ops = append(c.ops, *ops)
 }
 
-// TestDecodedEvalMatchesMeterReplay pins the tentpole guarantee: every
-// decoded evaluation (miss, correlation, approx) is bit-identical to
-// replaying the recording through the corresponding live meter, for a
-// real kernel stream.
+// TestDecodedEvalMatchesMeterReplay pins the decoded evaluation's
+// guarantee: for every evaluation mode (miss, correlation, approx),
+// result i of the one-pass design batch is bit-identical to replaying
+// the recording through the corresponding meter, for a real kernel
+// stream. Each batch mixes Peek designs (whose per-record Peek
+// computation the batch hoists and shares) with non-Peek ones.
 func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	set := recordPathfinder(t)
 	dec, err := DecodeSet(set)
@@ -81,14 +83,13 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err := Replay(rec, meter); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range designs {
-		want, _ := meter.Rate(d)
-		got, err := k.EvalMiss(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("EvalMiss(%q) = %+v, meter replay = %+v", d, got, want)
+	miss, err := k.EvalMissBatch(designs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range designs {
+		if want, _ := meter.Rate(d); miss[i] != want {
+			t.Errorf("EvalMissBatch[%s] = %+v, meter replay = %+v", d, miss[i], want)
 		}
 	}
 
@@ -99,14 +100,13 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err := Replay(rec, cm); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range Fig3Designs {
-		want, _ := cm.RawRate(d)
-		got, err := k.EvalCorr(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("EvalCorr(%q) = %+v, meter replay = %+v", d, got, want)
+	corr, err := k.EvalCorrBatch(Fig3Designs[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range Fig3Designs {
+		if want, _ := cm.RawRate(d); corr[i] != want {
+			t.Errorf("EvalCorrBatch[%s] = %+v, meter replay = %+v", d, corr[i], want)
 		}
 	}
 
@@ -118,27 +118,16 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err := Replay(rec, am); err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range approxDesigns {
-		wantWrong, _ := am.WrongRate(d)
-		wantRE, _ := am.MeanRelError(d)
-		got, err := k.EvalApprox(d)
-		if err != nil {
-			t.Fatal(err)
+	approx, err := k.EvalApproxBatch(approxDesigns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range approxDesigns {
+		re := am.relErr[d]
+		want := ApproxResult{Wrong: *am.wrong[d], MeanRelErr: re.mean(), WrongErrSum: re.sum}
+		if approx[i] != want {
+			t.Errorf("EvalApproxBatch[%s] = %+v, meter replay = %+v", d, approx[i], want)
 		}
-		if got.Wrong.Value() != wantWrong || got.MeanRelErr != wantRE {
-			t.Errorf("EvalApprox(%q) = (%v, %v), meter replay = (%v, %v)",
-				d, got.Wrong.Value(), got.MeanRelErr, wantWrong, wantRE)
-		}
-	}
-
-	if _, err := k.EvalMiss("bogus"); err == nil {
-		t.Error("EvalMiss should reject unknown designs")
-	}
-	if _, err := k.EvalCorr("bogus"); err == nil {
-		t.Error("EvalCorr should reject unknown designs")
-	}
-	if _, err := k.EvalApprox("bogus"); err == nil {
-		t.Error("EvalApprox should reject unknown designs")
 	}
 }
 
