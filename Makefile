@@ -32,16 +32,18 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the binary readers (one -fuzz pattern per `go
-# test` invocation): the recording decoder and the columnar decoded-store
-# reader. Seed corpora (valid, truncated, and oversized-declaration
-# inputs) plus a few seconds of mutation must never panic, over-allocate,
-# or round-trip unstably. The paged-memory pass replays random op streams
+# test` invocation): the columnar decoded-store reader (the one on-disk
+# trace format) and the shard workers' partial reader, OpenStore plus
+# LoadKernels on a file. Seed corpora (valid, truncated, and
+# oversized-declaration inputs) plus a few seconds of mutation must never
+# panic, over-allocate, round-trip unstably, or load a kernel that differs
+# from the full read's. The paged-memory pass replays random op streams
 # against the flat []byte oracle. The sliced-adder pass checks every
 # Execute result field against the slice-by-slice reference model.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzReadRecording -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzOpenStore -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
 
 # The scale-4 simulate pass checked against perfbench's pinned output

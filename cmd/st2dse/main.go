@@ -7,12 +7,10 @@
 // over the parallel (kernel × design-batch) grid: each grid cell walks
 // its kernel's arrays once, scoring a whole contiguous batch of designs
 // per record (-sweep-workers bounds the pool; results are bit-identical
-// at any count). -reuse-trace extends that across processes: the first
-// run simulates the suite once and saves the recording set; later runs
-// decode straight from the file with zero simulation. -store goes one
-// step further: the first run saves the decoded form itself as a
-// columnar st2gpu.decoded store, and later runs load the flat arrays
-// with no varint decoding at all — the decode is paid once, ever.
+// at any count). -store extends that across processes: the first run
+// simulates and decodes the suite once and saves the decoded form as a
+// columnar st2gpu.decoded store; later runs load the flat arrays with no
+// simulation and no varint decoding at all — both are paid once, ever.
 //
 // -shards distributes the sweep: the coordinator spawns N worker
 // subprocesses (this same binary with -shard-worker), each of which
@@ -24,7 +22,6 @@
 // Usage:
 //
 //	st2dse [-scale N] [-sms N] [-sweep-workers N]  # Figure 5 sweep
-//	st2dse -reuse-trace suite.st2rec       # record once, decode thereafter
 //	st2dse -store suite.decoded            # decode once, load thereafter
 //	st2dse -store suite.decoded -shards 4  # distribute over 4 worker processes
 //	st2dse -widths                         # slice-width characterization
@@ -52,8 +49,7 @@ func main() {
 		sortCol  = flag.Bool("sort", false, "sort the Figure 5 sweep by miss rate instead of paper order")
 		progress = flag.Bool("progress", false, "print [i/n] kernel progress lines to stderr")
 		pprof    = flag.String("pprof", "", "serve net/http/pprof and expvar metrics on this address")
-		reuse    = flag.String("reuse-trace", "", "recording-set file: replay the sweep from it if it exists, else simulate once and save it first")
-		store    = flag.String("store", "", "columnar decoded-store file: load the sweep's flat arrays from it if it exists (no simulation, no varint decode), else build it — from -reuse-trace when given, or a fresh simulation — and save it first")
+		store    = flag.String("store", "", "columnar decoded-store file: load the sweep's flat arrays from it if it exists (no simulation, no varint decode), else simulate and decode the suite once and save it first")
 		recCap   = flag.Uint64("record-max-bytes", 0, "per-kernel recording byte cap (0 = default 1 GiB)")
 		workers  = flag.Int("sweep-workers", 0, "worker pool for the (kernel × design) sweep grid (0 = GOMAXPROCS, 1 = sequential; results identical at any count)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file")
@@ -130,11 +126,12 @@ func main() {
 		if *store == "" {
 			fatal(fmt.Errorf("-shards needs -store: shard workers load their kernel sections from the store file"))
 		}
-		rows, err = sweepSharded(cfg, *store, *reuse, *shards)
+		rows, err = sweepSharded(cfg, *store, *shards)
 	case *store != "":
-		rows, err = sweepUsingStore(cfg, *store, *reuse)
-	case *reuse != "":
-		rows, err = sweepReusingTrace(cfg, *reuse)
+		var dec *trace.Decoded
+		if dec, err = experiments.SuiteStore(cfg, *store, trace.StoreOptions{}, true); err == nil {
+			rows, err = experiments.Fig5FromDecoded(cfg, dec, nil)
+		}
 	default:
 		rows, err = experiments.Fig5(cfg, nil)
 	}
@@ -152,113 +149,12 @@ func main() {
 	printTable(tbl, *format)
 }
 
-// reuseSet loads the recording set from path when it exists; otherwise
-// it simulates the suite once and saves the capture there.
-func reuseSet(cfg experiments.Config, path string) (*trace.Set, error) {
-	set, err := trace.ReadSetFileLimit(path, cfg.RecordMaxBytes)
-	switch {
-	case err == nil:
-		fmt.Fprintf(os.Stderr, "st2dse: replaying %d kernels (%d bytes) from %s — no simulation\n",
-			len(set.Names()), set.Bytes(), path)
-	case os.IsNotExist(err):
-		if set, err = experiments.RecordSuite(cfg); err != nil {
-			return nil, err
-		}
-		if err := set.WriteFile(path); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "st2dse: recorded the suite once (%d bytes) to %s; future runs replay it\n",
-			set.Bytes(), path)
-	default:
-		return nil, err
-	}
-	return set, nil
-}
-
-// sweepReusingTrace replays the sweep from path when the recording set
-// already exists; otherwise it simulates the suite once, saves the set,
-// and replays from the fresh capture.
-func sweepReusingTrace(cfg experiments.Config, path string) ([]experiments.Fig5Row, error) {
-	set, err := reuseSet(cfg, path)
-	if err != nil {
-		return nil, err
-	}
-	return experiments.Fig5FromSet(cfg, set, nil)
-}
-
-// sweepUsingStore runs the sweep from the columnar decoded store at
-// storePath when it exists — no simulation and no varint decode, just a
-// sequential column load. Otherwise it obtains a recording set (from
-// reusePath when given, else a fresh simulation), decodes it once, saves
-// the decoded form, and sweeps from that.
-func sweepUsingStore(cfg experiments.Config, storePath, reusePath string) ([]experiments.Fig5Row, error) {
-	dec, err := trace.ReadStoreFileTraced(storePath, cfg.RecordMaxBytes, cfg.SweepWorkers, cfg.Obs)
-	switch {
-	case err == nil:
-		fmt.Fprintf(os.Stderr, "st2dse: loaded %d decoded kernels (%d records, %d lanes) from %s — no simulation, no varint decode\n",
-			len(dec.Names()), dec.NumOps(), dec.NumLanes(), storePath)
-	case os.IsNotExist(err):
-		var set *trace.Set
-		if reusePath != "" {
-			set, err = reuseSet(cfg, reusePath)
-		} else {
-			set, err = experiments.RecordSuite(cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if dec, err = trace.DecodeSetTraced(set, cfg.Obs); err != nil {
-			return nil, err
-		}
-		if err := dec.WriteStoreFileTraced(storePath, trace.StoreOptions{}, cfg.Obs); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "st2dse: decoded the suite once and stored it to %s; future runs load the flat arrays directly\n",
-			storePath)
-	default:
-		return nil, err
-	}
-	return experiments.Fig5FromDecoded(cfg, dec, nil)
-}
-
-// ensureStore makes sure the decoded store exists at storePath,
-// building it (from reusePath's recording set when given, else a fresh
-// simulation) when missing.
-func ensureStore(cfg experiments.Config, storePath, reusePath string) error {
-	_, err := os.Stat(storePath)
-	if err == nil {
-		return nil
-	}
-	if !os.IsNotExist(err) {
-		return err
-	}
-	var set *trace.Set
-	if reusePath != "" {
-		set, err = reuseSet(cfg, reusePath)
-	} else {
-		set, err = experiments.RecordSuite(cfg)
-	}
-	if err != nil {
-		return err
-	}
-	dec, err := trace.DecodeSetTraced(set, cfg.Obs)
-	if err != nil {
-		return err
-	}
-	if err := dec.WriteStoreFileTraced(storePath, trace.StoreOptions{}, cfg.Obs); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "st2dse: decoded the suite once and stored it to %s; future runs load kernel sections directly\n",
-		storePath)
-	return nil
-}
-
 // sweepSharded distributes the Figure 5 sweep over shard worker
 // subprocesses (this same binary re-run with -shard-worker), each
 // loading only its assigned kernels' sections from the store. Rows are
 // bit-identical to the in-process sweep.
-func sweepSharded(cfg experiments.Config, storePath, reusePath string, shards int) ([]experiments.Fig5Row, error) {
-	if err := ensureStore(cfg, storePath, reusePath); err != nil {
+func sweepSharded(cfg experiments.Config, storePath string, shards int) ([]experiments.Fig5Row, error) {
+	if _, err := experiments.SuiteStore(cfg, storePath, trace.StoreOptions{}, false); err != nil {
 		return nil, err
 	}
 	exe, err := os.Executable()

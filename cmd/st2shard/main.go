@@ -22,8 +22,10 @@
 //	st2shard -worker                                   # stdio worker (spawned)
 //
 // Every host needs the store file (or a copy) at the same path passed
-// by the coordinator's open message; build it once with
-// `st2dse -store suite.decoded` or let this tool build it on first run.
+// by the coordinator's open message. The coordinator builds it (one
+// simulation + one decode) when it is missing, exactly as
+// `st2dse -store` and `st2trace -store` do, and refuses a store built
+// at another -scale or -sms.
 package main
 
 import (
@@ -100,7 +102,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "st2shard: wrote %d spans to %s\n", cfg.Obs.Len(), *traceOut)
 		}()
 	}
-	if err := ensureStore(cfg, *store); err != nil {
+	if _, err := experiments.SuiteStore(cfg, *store, trace.StoreOptions{}, false); err != nil {
 		fatal(err)
 	}
 
@@ -148,28 +150,6 @@ func main() {
 		tbl.SortBy(1)
 	}
 	printTable(tbl, *format)
-}
-
-// ensureStore builds the decoded store (one simulation + one decode)
-// when it does not exist yet, so a first run works out of the box.
-func ensureStore(cfg experiments.Config, storePath string) error {
-	_, err := os.Stat(storePath)
-	if err == nil {
-		return nil
-	}
-	if !os.IsNotExist(err) {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "st2shard: %s missing — simulating the suite once to build it\n", storePath)
-	set, err := experiments.RecordSuite(cfg)
-	if err != nil {
-		return err
-	}
-	dec, err := trace.DecodeSetTraced(set, cfg.Obs)
-	if err != nil {
-		return err
-	}
-	return dec.WriteStoreFileTraced(storePath, trace.StoreOptions{}, cfg.Obs)
 }
 
 // acceptWorkers waits for n TCP worker connections (each a

@@ -2,23 +2,17 @@
 // analyses: the Figure 2 value-evolution dump for pathfinder and the
 // Figure 3 carry-in correlation table.
 //
-// The adder-op stream behind both reports can be captured once and
-// replayed: -record simulates the 23-kernel suite a single time (parallel
-// SMs, parallel kernels) and saves the compact recording set; -replay
-// answers any report from such a file without re-simulating.
-//
-// The decode work itself can also be paid once: -store-out decodes the
-// suite (recorded fresh, or loaded via -replay) and saves the columnar
-// st2gpu.decoded store, which st2dse -store then loads without any
-// varint decoding at all.
+// Both reports read the same captured adder-op stream. -store answers
+// them from the columnar st2gpu.decoded store at that path with zero
+// simulation; when the file does not exist yet, the suite is simulated
+// (parallel SMs, parallel kernels) and decoded once and the store is
+// written first. st2dse -store and st2shard -store read the same file.
 //
 // Usage:
 //
 //	st2trace -report fig2 [-gtid N] [-points N]
 //	st2trace -report fig3 [-scale N]
-//	st2trace -record suite.st2rec [-scale N] [-sms N]
-//	st2trace -report fig3 -replay suite.st2rec
-//	st2trace -replay suite.st2rec -store-out suite.decoded
+//	st2trace -report fig3 -store suite.decoded [-store-compact]
 package main
 
 import (
@@ -39,11 +33,9 @@ func main() {
 		points   = flag.Int("points", 30, "points per PC for fig2")
 		scale    = flag.Int("scale", 1, "workload scale factor")
 		sms      = flag.Int("sms", 2, "simulated SM count")
-		record   = flag.String("record", "", "simulate the suite once and save its recording set to this file (no report)")
-		replay   = flag.String("replay", "", "answer the report from a recording set saved by -record (no simulation)")
 		recCap   = flag.Uint64("record-max-bytes", 0, "per-kernel recording byte cap (0 = default 1 GiB)")
-		storeOut = flag.String("store-out", "", "decode the suite once and save the columnar st2gpu.decoded store to this file (no report)")
-		storeRaw = flag.Bool("store-compact", false, "omit the derived Sum/Carries columns from -store-out (smaller file, slower loads)")
+		store    = flag.String("store", "", "columnar decoded-store file: answer the report from it if it exists (no simulation), else simulate and decode the suite once and save it first")
+		storeRaw = flag.Bool("store-compact", false, "omit the derived Sum/Carries columns when -store builds the file (smaller file, slower loads)")
 		workers  = flag.Int("sweep-workers", 0, "worker pool for the fig3 (kernel × scheme) grid (0 = GOMAXPROCS, 1 = sequential; results identical at any count)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file")
 	)
@@ -64,44 +56,12 @@ func main() {
 		}()
 	}
 
-	var set *trace.Set
-	if *replay != "" {
+	var dec *trace.Decoded
+	if *store != "" {
 		var err error
-		if set, err = trace.ReadSetFileLimit(*replay, cfg.RecordMaxBytes); err != nil {
+		if dec, err = experiments.SuiteStore(cfg, *store, trace.StoreOptions{OmitDerived: *storeRaw}, true); err != nil {
 			fatal(err)
 		}
-	}
-
-	if *record != "" || *storeOut != "" {
-		if set == nil {
-			var err error
-			if set, err = experiments.RecordSuite(cfg); err != nil {
-				fatal(err)
-			}
-		}
-		if *record != "" {
-			if err := set.WriteFile(*record); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("st2trace: recorded %d kernels (%d warp-add records, %d bytes) to %s\n",
-				len(set.Names()), set.NumOps(), set.Bytes(), *record)
-		}
-		if *storeOut != "" {
-			dec, err := trace.DecodeSetTraced(set, cfg.Obs)
-			if err != nil {
-				fatal(err)
-			}
-			if err := dec.WriteStoreFileTraced(*storeOut, trace.StoreOptions{OmitDerived: *storeRaw}, cfg.Obs); err != nil {
-				fatal(err)
-			}
-			st, err := os.Stat(*storeOut)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("st2trace: stored %d decoded kernels (%d records, %d lanes, %d bytes) to %s\n",
-				len(dec.Names()), dec.NumOps(), dec.NumLanes(), st.Size(), *storeOut)
-		}
-		return
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -111,8 +71,8 @@ func main() {
 	case "fig2":
 		var series []experiments.Fig2Series
 		var err error
-		if set != nil {
-			series, err = experiments.Fig2FromSet(cfg, set, uint32(*gtid), *points)
+		if dec != nil {
+			series, err = experiments.Fig2FromDecoded(cfg, dec, uint32(*gtid), *points)
 		} else {
 			series, err = experiments.Fig2(cfg, uint32(*gtid), *points)
 		}
@@ -130,8 +90,8 @@ func main() {
 	case "fig3":
 		var rows []experiments.Fig3Row
 		var err error
-		if set != nil {
-			rows, err = experiments.Fig3FromSet(cfg, set)
+		if dec != nil {
+			rows, err = experiments.Fig3FromDecoded(cfg, dec)
 		} else {
 			rows, err = experiments.Fig3(cfg)
 		}

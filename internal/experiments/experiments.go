@@ -147,10 +147,10 @@ func (c Config) recordWorkload(w kernels.Workload, mode gpusim.AdderMode) (*gpus
 
 // RecordSuite simulates every suite kernel once under recording (kernels
 // concurrent, SMs parallel within each launch) and returns the captured
-// per-kernel streams, tagged with the capture configuration. The set can
-// be replayed by Fig3FromSet/Fig5FromSet any number of times, or saved
-// with trace.Set.WriteFile and reused across processes
-// (st2trace -record / st2dse -reuse-trace).
+// per-kernel streams, tagged with the capture configuration. Decode it
+// once with trace.DecodeSet and evaluate any number of designs over the
+// decoded form, or let SuiteStore persist that form so later processes
+// skip the simulation and the decode.
 func RecordSuite(cfg Config) (*trace.Set, error) {
 	ws := kernels.Suite()
 	recs := make([]*gpusim.Recording, len(ws))
@@ -380,32 +380,35 @@ func Fig2(cfg Config, gtid uint32, maxPts int) ([]Fig2Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	return fig2Replay(rec, gtid, maxPts)
-}
-
-// Fig2FromSet fills the Figure 2 value trace from a captured set's
-// pathfinder recording with zero simulation.
-func Fig2FromSet(cfg Config, set *trace.Set, gtid uint32, maxPts int) ([]Fig2Series, error) {
-	if err := set.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	rec, ok := set.Get("pathfinder")
-	if !ok {
-		return nil, fmt.Errorf("experiments: recording set is missing kernel %q", "pathfinder")
-	}
-	return fig2Replay(rec, gtid, maxPts)
-}
-
-func fig2Replay(rec *gpusim.Recording, gtid uint32, maxPts int) ([]Fig2Series, error) {
 	vt := trace.NewValueTrace(gtid, maxPts)
-	if err := trace.Replay(rec, vt); err != nil {
+	if err := rec.Replay(vt); err != nil {
 		return nil, err
 	}
+	return fig2Series(vt), nil
+}
+
+// Fig2FromDecoded fills the Figure 2 value trace from a decoded suite's
+// pathfinder kernel with zero simulation. Its series equal Fig2's.
+func Fig2FromDecoded(cfg Config, dec *trace.Decoded, gtid uint32, maxPts int) ([]Fig2Series, error) {
+	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
+		return nil, err
+	}
+	k, ok := dec.Kernel("pathfinder")
+	if !ok {
+		return nil, fmt.Errorf("experiments: decoded set is missing kernel %q", "pathfinder")
+	}
+	vt := trace.NewValueTrace(gtid, maxPts)
+	k.Replay(vt)
+	return fig2Series(vt), nil
+}
+
+// fig2Series collects a filled value trace's per-PC series.
+func fig2Series(vt *trace.ValueTrace) []Fig2Series {
 	out := make([]Fig2Series, 0, 8)
 	for _, pc := range vt.PCs() {
 		out = append(out, Fig2Series{PC: pc, Points: vt.Series(pc)})
 	}
-	return out, nil
+	return out
 }
 
 // --- Figure 3: carry-in correlation ---
@@ -437,23 +440,6 @@ func Fig3(cfg Config) ([]Fig3Row, error) {
 	return Fig3FromDecoded(cfg, dec)
 }
 
-// Fig3FromSet evaluates a previously captured recording set (same scale,
-// SM count, seed and kernel list — checked) without any simulation at
-// all: one decode pass, then the parallel (kernel × scheme) grid.
-func Fig3FromSet(cfg Config, set *trace.Set) ([]Fig3Row, error) {
-	if err := set.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	if err := set.MatchesKernels(kernels.Names()); err != nil {
-		return nil, err
-	}
-	dec, err := trace.DecodeSet(set)
-	if err != nil {
-		return nil, err
-	}
-	return Fig3FromDecoded(cfg, dec)
-}
-
 // --- Figure 5: carry-speculation design space ---
 
 // Fig5Row is one design's average thread misprediction rate.
@@ -474,24 +460,6 @@ type Fig5Row struct {
 func Fig5(cfg Config, designs []string) ([]Fig5Row, error) {
 	set, err := RecordSuite(cfg)
 	if err != nil {
-		return nil, err
-	}
-	dec, err := trace.DecodeSet(set)
-	if err != nil {
-		return nil, err
-	}
-	return Fig5FromDecoded(cfg, dec, designs)
-}
-
-// Fig5FromSet sweeps the design space over a previously captured
-// recording set (same scale, SM count, seed and kernel list — checked)
-// with zero simulation: one decode pass plus O(designs) array walks,
-// scheduled on the parallel sweep grid.
-func Fig5FromSet(cfg Config, set *trace.Set, designs []string) ([]Fig5Row, error) {
-	if err := set.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	if err := set.MatchesKernels(kernels.Names()); err != nil {
 		return nil, err
 	}
 	dec, err := trace.DecodeSet(set)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -11,63 +12,81 @@ import (
 	"st2gpu/internal/trace"
 )
 
-// TestFromSetMatchesFreshRecording pins the record-once/replay-many
-// contract across processes: a suite capture round-tripped through the
-// recording-set file answers Figure 5 and Figure 3 with rows equal to a
-// fresh run's, and refuses to answer for a configuration it was not
-// recorded under.
-func TestFromSetMatchesFreshRecording(t *testing.T) {
+// TestSuiteStoreMatchesFreshRecording pins the record-once/load-many
+// contract across processes: the first SuiteStore call records, decodes
+// and writes the store, the second loads it from disk, and both answer
+// Figures 2, 3 and 5 with rows equal to a fresh run's. A store captured
+// under another configuration is refused with the per-field Matches
+// error, whether it is loaded or only opened for shard workers.
+func TestSuiteStoreMatchesFreshRecording(t *testing.T) {
 	cfg := Default()
-	set, err := RecordSuite(cfg)
+	path := filepath.Join(t.TempDir(), "suite.decoded")
+	built, err := SuiteStore(cfg, path, trace.StoreOptions{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(set.Names()); got != len(kernels.Suite()) {
-		t.Fatalf("RecordSuite captured %d kernels, want %d", got, len(kernels.Suite()))
+	if got := len(built.Names()); got != len(kernels.Suite()) {
+		t.Fatalf("SuiteStore built %d kernels, want %d", got, len(kernels.Suite()))
 	}
-	path := filepath.Join(t.TempDir(), "suite.st2rec")
-	if err := set.WriteFile(path); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("SuiteStore did not write the store: %v", err)
 	}
-	loaded, err := trace.ReadSetFile(path)
+	loaded, err := SuiteStore(cfg, path, trace.StoreOptions{}, true)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(built, loaded) {
+		t.Fatal("the store loaded from disk differs from the decode that built it")
 	}
 
-	fresh5, err := Fig5(cfg, nil)
+	const gtid, maxPts = 37, 30
+	fresh2, err := Fig2(cfg, gtid, maxPts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSet5, err := Fig5FromSet(cfg, loaded, nil)
+	fromStore2, err := Fig2FromDecoded(cfg, loaded, gtid, maxPts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh5, fromSet5) {
-		t.Error("Fig5FromSet rows differ from Fig5 rows after a file roundtrip")
+	if len(fresh2) == 0 || !reflect.DeepEqual(fresh2, fromStore2) {
+		t.Error("Fig2FromDecoded series differ from Fig2 series after a store roundtrip")
 	}
 	fresh3, err := Fig3(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromSet3, err := Fig3FromSet(cfg, loaded)
+	fromStore3, err := Fig3FromDecoded(cfg, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh3, fromSet3) {
-		t.Error("Fig3FromSet rows differ from Fig3 rows after a file roundtrip")
+	if !reflect.DeepEqual(fresh3, fromStore3) {
+		t.Error("Fig3FromDecoded rows differ from Fig3 rows after a store roundtrip")
+	}
+	fresh5, err := Fig5(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromStore5, err := Fig5FromDecoded(cfg, loaded, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fresh5, fromStore5) {
+		t.Error("Fig5FromDecoded rows differ from Fig5 rows after a store roundtrip")
 	}
 
-	// Replaying a set under another configuration would silently produce
-	// wrong-config rates.
-	bad := cfg
-	bad.Scale = cfg.Scale + 1
-	if _, err := Fig5FromSet(bad, loaded, nil); err == nil {
-		t.Error("Fig5FromSet accepted a set recorded at a different scale")
-	}
-	bad = cfg
-	bad.NumSMs = cfg.NumSMs + 1
-	if _, err := Fig3FromSet(bad, loaded); err == nil {
-		t.Error("Fig3FromSet accepted a set recorded with a different SM count")
+	// Answering from a store captured under another configuration would
+	// silently produce wrong-config rates.
+	for _, load := range []bool{true, false} {
+		bad := cfg
+		bad.Scale = cfg.Scale + 1
+		if _, err := SuiteStore(bad, path, trace.StoreOptions{}, load); err == nil || !strings.Contains(err.Error(), "scale mismatch") {
+			t.Errorf("load=%v: SuiteStore error = %v, want a scale mismatch", load, err)
+		}
+		bad = cfg
+		bad.NumSMs = cfg.NumSMs + 1
+		if _, err := SuiteStore(bad, path, trace.StoreOptions{}, load); err == nil || !strings.Contains(err.Error(), "SM-count mismatch") {
+			t.Errorf("load=%v: SuiteStore error = %v, want an SM-count mismatch", load, err)
+		}
 	}
 }
 

@@ -249,7 +249,7 @@ func suiteKernels(dec *trace.Decoded) ([]kernels.Workload, []*trace.DecodedKerne
 	for i, w := range ws {
 		k, ok := dec.Kernel(w.Name)
 		if !ok {
-			return nil, nil, fmt.Errorf("experiments: recording set is missing kernel %q", w.Name)
+			return nil, nil, fmt.Errorf("experiments: decoded set is missing kernel %q", w.Name)
 		}
 		ks[i] = k
 	}
@@ -260,7 +260,7 @@ func suiteKernels(dec *trace.Decoded) ([]kernels.Workload, []*trace.DecodedKerne
 // (kernel × design-batch) grid runs on cfg.SweepWorkers workers and each
 // cell is ONE array walk scoring its whole design batch — no varint
 // decoding, no simulation, operand loads amortized across designs. Rows
-// are bit-identical to Fig5/Fig5FromSet at any worker count.
+// are bit-identical to Fig5 at any worker count.
 func Fig5FromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Row, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
@@ -300,7 +300,7 @@ func Fig5FromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Ro
 
 // Fig3FromDecoded runs the Figure 3 correlation analysis over a decoded
 // set with the (kernel × scheme-batch) grid on cfg.SweepWorkers workers.
-// Rows are bit-identical to Fig3/Fig3FromSet at any worker count.
+// Rows are bit-identical to Fig3 at any worker count.
 func Fig3FromDecoded(cfg Config, dec *trace.Decoded) ([]Fig3Row, error) {
 	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
 		return nil, err

@@ -68,7 +68,7 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, loadWorkers := range []int{1, 2, 8} {
-			loaded, err := trace.ReadDecodedLimit(bytes.NewReader(buf.Bytes()), 0, loadWorkers)
+			loaded, err := trace.ReadDecoded(bytes.NewReader(buf.Bytes()), trace.ReadOptions{Workers: loadWorkers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,8 +94,11 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	if _, err := Fig5FromDecoded(bad, dec, nil); err == nil {
 		t.Error("Fig5FromDecoded accepted a decoded set with a different seed")
 	}
-	partial := trace.NewSet(cfg.Scale, cfg.NumSMs, cfg.Seed)
-	if _, err := Fig5FromSet(cfg, partial, nil); err == nil {
-		t.Error("Fig5FromSet accepted a set missing every suite kernel")
+	partial, err := trace.DecodeSet(trace.NewSet(cfg.Scale, cfg.NumSMs, cfg.Seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fig5FromDecoded(cfg, partial, nil); err == nil {
+		t.Error("Fig5FromDecoded accepted a decoded set missing every suite kernel")
 	}
 }

@@ -126,18 +126,25 @@ func TestCacheMatchesFlatOracle(t *testing.T) {
 
 // TestNewCacheAllocatesOnlyBlockTable pins the lazy layout: building a
 // 4 MB, 16-way L2 shard allocates its block table (32 empty blocks), not
-// the 512 KB of tags and LRU stamps a flat layout zeroes.
+// the 512 KB of tags and LRU stamps a flat layout zeroes. TotalAlloc is
+// process-wide, so another goroutine's allocation can land inside one
+// measurement; such noise only ever adds bytes, so the smallest delta of
+// several attempts is the one NewCache is held to.
 func TestNewCacheAllocatesOnlyBlockTable(t *testing.T) {
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	c, err := NewCache(4096, 128, 16)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
+	least := ^uint64(0)
+	for attempt := 0; attempt < 5 && least >= 1<<10; attempt++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c, err := NewCache(4096, 128, 16)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(c)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 1<<10 {
-		t.Errorf("NewCache(4096, 128, 16) allocated %d bytes, want < 1 KiB", delta)
+	if least >= 1<<10 {
+		t.Errorf("NewCache(4096, 128, 16) allocated at least %d bytes, want < 1 KiB", least)
 	}
-	runtime.KeepAlive(c)
 }

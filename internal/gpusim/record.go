@@ -2,9 +2,7 @@ package gpusim
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math/bits"
 	"sync/atomic"
 
@@ -96,8 +94,7 @@ func (r *Recording) NumOps() uint64 { return r.ops }
 // NumLanes returns the total number of active thread-ops across all
 // records — the exact length of the flat per-lane arrays a decoder
 // materializes, so decode passes can size them up front instead of
-// growing by repeated append. Recordings deserialized from the legacy v1
-// wire format report 0 (unknown).
+// growing by repeated append.
 func (r *Recording) NumLanes() uint64 { return r.lanes }
 
 // Bytes returns the encoded stream size.
@@ -343,142 +340,6 @@ func (r *Recording) Replay(t AddTracer) error {
 	})
 }
 
-// --- serialization ---
-
-// recMagic versions the on-disk encoding; bump it on any wire change.
-// v2 added the lane count after the op count; v1 streams (recMagicV1)
-// still read back, reporting NumLanes()==0.
-var recMagic = []byte("st2rec\x02")
-var recMagicV1 = []byte("st2rec\x01")
-
-// WriteTo serializes the recording (magic, op count, lane count, segment
-// count, then length-prefixed segments). The encoding is deterministic:
-// equal recordings produce byte-equal output.
-func (r *Recording) WriteTo(w io.Writer) (int64, error) {
-	var hdr []byte
-	hdr = append(hdr, recMagic...)
-	hdr = binary.AppendUvarint(hdr, r.ops)
-	hdr = binary.AppendUvarint(hdr, r.lanes)
-	hdr = binary.AppendUvarint(hdr, uint64(len(r.segs)))
-	n, err := w.Write(hdr)
-	total := int64(n)
-	if err != nil {
-		return total, err
-	}
-	for _, seg := range r.segs {
-		var lp []byte
-		lp = binary.AppendUvarint(lp, uint64(len(seg)))
-		n, err = w.Write(lp)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-		n, err = w.Write(seg)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// ErrRecordingTooBig marks a recording stream whose declared payload
-// exceeds the reader's byte budget. The check fires before any
-// length-sized allocation, so a corrupt or hostile varint cannot trigger
-// a multi-GiB make.
-var ErrRecordingTooBig = errors.New("gpusim: recording exceeds byte budget")
-
-// readSegChunk bounds each incremental segment read: segment payloads
-// are consumed in chunks no larger than this, so the buffer only grows
-// as fast as real bytes arrive and a lying length prefix fails at the
-// true EOF having allocated at most one chunk beyond the data.
-const readSegChunk = 64 << 10
-
-// ReadRecording deserializes a recording written by WriteTo, holding
-// segment payloads to the DefaultRecordMaxBytes budget (the same
-// 0-means-default idiom every other no-limit reader uses).
-func ReadRecording(rd io.Reader) (*Recording, error) {
-	return ReadRecordingLimit(rd, 0)
-}
-
-// ReadRecordingLimit deserializes a recording written by WriteTo,
-// failing with ErrRecordingTooBig once the declared segment payloads
-// exceed maxBytes (0 means DefaultRecordMaxBytes — the same budget the
-// Recorder enforces at capture time, so any recording the simulator
-// could legally produce reads back under the default).
-func ReadRecordingLimit(rd io.Reader, maxBytes uint64) (*Recording, error) {
-	if maxBytes == 0 {
-		maxBytes = DefaultRecordMaxBytes
-	}
-	br := newByteReader(rd)
-	magic := make([]byte, len(recMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("gpusim: recording header: %w", err)
-	}
-	v1 := string(magic) == string(recMagicV1)
-	if !v1 && string(magic) != string(recMagic) {
-		return nil, fmt.Errorf("gpusim: not an st2 recording (bad magic %q)", magic)
-	}
-	ops, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("gpusim: recording op count: %w", err)
-	}
-	var lanes uint64
-	if !v1 {
-		if lanes, err = binary.ReadUvarint(br); err != nil {
-			return nil, fmt.Errorf("gpusim: recording lane count: %w", err)
-		}
-	}
-	nsegs, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("gpusim: recording segment count: %w", err)
-	}
-	rec := &Recording{ops: ops, lanes: lanes}
-	var total uint64
-	for i := uint64(0); i < nsegs; i++ {
-		segLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("gpusim: segment %d length: %w", i, err)
-		}
-		if segLen > maxBytes-total {
-			return nil, fmt.Errorf("gpusim: segment %d declares %d bytes with %d of %d remaining: %w",
-				i, segLen, maxBytes-total, maxBytes, ErrRecordingTooBig)
-		}
-		total += segLen
-		seg, err := readSegment(br, segLen)
-		if err != nil {
-			return nil, fmt.Errorf("gpusim: segment %d payload: %w", i, err)
-		}
-		rec.segs = append(rec.segs, seg)
-	}
-	// The declared counts size decoder preallocations, so a lying header
-	// must not survive the read: every record costs at least one header
-	// byte and every lane at least two operand bytes, so neither count
-	// can exceed the payload actually present.
-	if rec.ops > total || rec.lanes > total {
-		return nil, fmt.Errorf("gpusim: recording declares %d records / %d lanes in %d payload bytes", rec.ops, rec.lanes, total)
-	}
-	return rec, nil
-}
-
-// readSegment reads a length-prefixed payload incrementally (chunked) so
-// the allocation tracks bytes actually present in the stream.
-func readSegment(r io.Reader, segLen uint64) ([]byte, error) {
-	seg := make([]byte, 0, min(segLen, readSegChunk))
-	for uint64(len(seg)) < segLen {
-		chunk := segLen - uint64(len(seg))
-		if chunk > readSegChunk {
-			chunk = readSegChunk
-		}
-		lo := len(seg)
-		seg = append(seg, make([]byte, chunk)...)
-		if _, err := io.ReadFull(r, seg[lo:]); err != nil {
-			return nil, err
-		}
-	}
-	return seg, nil
-}
-
 // --- varint helpers ---
 
 func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
@@ -500,27 +361,4 @@ func readZigzag(b []byte, pos *int) (int64, error) {
 		return 0, err
 	}
 	return unzigzag(v), nil
-}
-
-// byteReader adapts any reader for binary.ReadUvarint without double
-// buffering the segment payload reads.
-type byteReader struct {
-	r   io.Reader
-	one [1]byte
-}
-
-func newByteReader(r io.Reader) *byteReader {
-	if br, ok := r.(*byteReader); ok {
-		return br
-	}
-	return &byteReader{r: r}
-}
-
-func (b *byteReader) Read(p []byte) (int, error) { return io.ReadFull(b.r, p) }
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.one[:]); err != nil {
-		return 0, err
-	}
-	return b.one[0], nil
 }

@@ -2,7 +2,6 @@ package gpusim
 
 import (
 	"bytes"
-	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -162,8 +161,7 @@ func TestRecordingCapFailsLoudly(t *testing.T) {
 }
 
 // TestRecordingLaneCount pins the lane counter decode passes size their
-// flat arrays from: it must equal the decoded stream's active-lane total,
-// survive serialization, and read as 0 (unknown) from a legacy v1 stream.
+// flat arrays from: it must equal the decoded stream's active-lane total.
 func TestRecordingLaneCount(t *testing.T) {
 	rec := recordRun(t, fpKernel(t), 0, 32, 128, fpSetup)
 	var want uint64
@@ -175,99 +173,6 @@ func TestRecordingLaneCount(t *testing.T) {
 	}
 	if want == 0 || rec.NumLanes() != want {
 		t.Fatalf("NumLanes() = %d, decoded stream holds %d active thread-ops", rec.NumLanes(), want)
-	}
-
-	raw := serializeRecording(t, rec)
-	back, err := ReadRecording(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumLanes() != want {
-		t.Errorf("roundtrip changed NumLanes: %d → %d", want, back.NumLanes())
-	}
-
-	// A v1 stream (no lane count in the header) reads back with lanes
-	// unknown but the payload intact.
-	v1 := append([]byte(nil), recMagicV1...)
-	var ops bytes.Buffer
-	if _, err := rec.WriteTo(&ops); err != nil {
-		t.Fatal(err)
-	}
-	body := ops.Bytes()[len(recMagic):]
-	// Strip the v2 lane-count varint that sits between the op count and
-	// the segment count.
-	r := bytes.NewReader(body)
-	opsCount, err := binary.ReadUvarint(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := binary.ReadUvarint(r); err != nil { // lanes
-		t.Fatal(err)
-	}
-	v1 = binary.AppendUvarint(v1, opsCount)
-	rest := body[len(body)-r.Len():]
-	v1 = append(v1, rest...)
-	legacy, err := ReadRecording(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 stream rejected: %v", err)
-	}
-	if legacy.NumLanes() != 0 {
-		t.Errorf("v1 stream NumLanes = %d, want 0 (unknown)", legacy.NumLanes())
-	}
-	if legacy.NumOps() != rec.NumOps() {
-		t.Errorf("v1 stream NumOps = %d, want %d", legacy.NumOps(), rec.NumOps())
-	}
-	a, b := &captureTracer{}, &captureTracer{}
-	if err := rec.Replay(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.Replay(b); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.evs, b.evs) {
-		t.Error("v1-read recording replays a different stream")
-	}
-}
-
-// TestRecordingFileRoundtrip serializes a recording, reads it back, and
-// checks both the bytes and the replayed stream survive unchanged.
-func TestRecordingFileRoundtrip(t *testing.T) {
-	rec := recordRun(t, fpKernel(t), 0, 32, 128, fpSetup)
-	raw := serializeRecording(t, rec)
-
-	back, err := ReadRecording(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumOps() != rec.NumOps() || back.Bytes() != rec.Bytes() {
-		t.Errorf("roundtrip changed size: ops %d→%d, bytes %d→%d",
-			rec.NumOps(), back.NumOps(), rec.Bytes(), back.Bytes())
-	}
-	if !bytes.Equal(raw, serializeRecording(t, back)) {
-		t.Error("re-serialized recording is not byte-equal")
-	}
-
-	a, b := &captureTracer{}, &captureTracer{}
-	if err := rec.Replay(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := back.Replay(b); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a.evs, b.evs) {
-		t.Error("roundtripped recording replays a different stream")
-	}
-}
-
-// TestReadRecordingRejectsGarbage checks corrupt inputs fail cleanly.
-func TestReadRecordingRejectsGarbage(t *testing.T) {
-	if _, err := ReadRecording(bytes.NewReader([]byte("not a recording"))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	rec := recordRun(t, barrierKernel(t), 0, 8, 64, nil)
-	raw := serializeRecording(t, rec)
-	if _, err := ReadRecording(bytes.NewReader(raw[:len(raw)/2])); err == nil {
-		t.Error("truncated recording accepted")
 	}
 }
 

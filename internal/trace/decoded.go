@@ -42,8 +42,7 @@ func (k *DecodedKernel) NumLanes() int { return len(k.EA) }
 // materializes the flat arrays. Both the record-count and the lane-count
 // columns are sized up front from the recording's own counters, so the
 // pass appends into preallocated storage instead of re-growing the lane
-// arrays from zero capacity (legacy v1 recordings report zero lanes and
-// fall back to append-growth).
+// arrays.
 func decodeKernel(rec *gpusim.Recording) (*DecodedKernel, error) {
 	nrec := int(rec.NumOps())
 	nlanes := int(rec.NumLanes())
@@ -238,22 +237,26 @@ func (d *Decoded) NumLanes() uint64 {
 	return n
 }
 
-// Matches reports whether the decoded set was captured under the given
-// workload configuration, field by field (see Set.Matches).
-func (d *Decoded) Matches(scale, numSMs int, seed int64) error {
-	return matchesConfig("decoded recording set", d.Scale, d.NumSMs, d.Seed, scale, numSMs, seed)
-}
-
-// MatchesKernels reports whether the decoded set holds every named
-// kernel, naming the first missing one and what the set does hold —
-// the Decoded counterpart of Set.MatchesKernels, so a sweep loading a
-// store fails the same way a sweep reusing a trace does.
-func (d *Decoded) MatchesKernels(names []string) error {
-	for _, name := range names {
-		if _, ok := d.kernels[name]; !ok {
-			return fmt.Errorf("trace: decoded set kernel-list mismatch: missing kernel %q (set holds %d kernels: %v)",
-				name, len(d.names), d.names)
-		}
+// matchesConfig checks one capture configuration against a requested
+// one, reporting the first mismatching field with both the captured and
+// the requested value named.
+func matchesConfig(what string, haveScale, haveSMs int, haveSeed int64, scale, numSMs int, seed int64) error {
+	if haveScale != scale {
+		return fmt.Errorf("trace: %s scale mismatch: captured scale=%d, replay requested scale=%d", what, haveScale, scale)
+	}
+	if haveSMs != numSMs {
+		return fmt.Errorf("trace: %s SM-count mismatch: captured sms=%d, replay requested sms=%d", what, haveSMs, numSMs)
+	}
+	if haveSeed != seed {
+		return fmt.Errorf("trace: %s seed mismatch: captured seed=%d, replay requested seed=%d", what, haveSeed, seed)
 	}
 	return nil
+}
+
+// Matches reports whether the decoded set was captured under the given
+// workload configuration. Each field is checked separately so the error
+// names exactly what diverged, with both the captured and the requested
+// value.
+func (d *Decoded) Matches(scale, numSMs int, seed int64) error {
+	return matchesConfig("decoded recording set", d.Scale, d.NumSMs, d.Seed, scale, numSMs, seed)
 }

@@ -80,7 +80,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Replay(rec, meter); err != nil {
+	if err := rec.Replay(meter); err != nil {
 		t.Fatal(err)
 	}
 	miss, err := k.EvalMissBatch(designs)
@@ -97,7 +97,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Replay(rec, cm); err != nil {
+	if err := rec.Replay(cm); err != nil {
 		t.Fatal(err)
 	}
 	corr, err := k.EvalCorrBatch(Fig3Designs[:])
@@ -115,7 +115,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Replay(rec, am); err != nil {
+	if err := rec.Replay(am); err != nil {
 		t.Fatal(err)
 	}
 	approx, err := k.EvalApproxBatch(approxDesigns)
@@ -158,14 +158,16 @@ func TestDecodedReplayMatchesRecordingReplay(t *testing.T) {
 	}
 }
 
-// TestMatchesArms covers every mismatch arm of Set.Matches (and the
-// Decoded mirror): each error must name both the captured and the
-// requested value, and the kernel-list check must name the missing
-// kernel.
+// TestMatchesArms covers every mismatch arm of Decoded.Matches: each
+// error must name both the captured and the requested value.
 func TestMatchesArms(t *testing.T) {
 	s := NewSet(2, 4, 7)
 	s.Add("pathfinder", &gpusim.Recording{})
-	if err := s.Matches(2, 4, 7); err != nil {
+	dec, err := DecodeSet(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dec.Matches(2, 4, 7); err != nil {
 		t.Fatalf("matching config rejected: %v", err)
 	}
 	cases := []struct {
@@ -180,7 +182,7 @@ func TestMatchesArms(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			err := s.Matches(c.scale, c.sms, c.seed)
+			err := dec.Matches(c.scale, c.sms, c.seed)
 			if err == nil {
 				t.Fatal("mismatch accepted")
 			}
@@ -188,27 +190,5 @@ func TestMatchesArms(t *testing.T) {
 				t.Errorf("error %q should contain %q and %q", err, c.wantField, c.wantVals)
 			}
 		})
-	}
-	// Kernel-list arm: present kernels pass, missing kernels are named.
-	if err := s.MatchesKernels([]string{"pathfinder"}); err != nil {
-		t.Errorf("present kernel rejected: %v", err)
-	}
-	err := s.MatchesKernels([]string{"pathfinder", "bfs"})
-	if err == nil {
-		t.Fatal("missing kernel accepted")
-	}
-	if !strings.Contains(err.Error(), `"bfs"`) || !strings.Contains(err.Error(), "kernel-list mismatch") {
-		t.Errorf("kernel-list error %q should name the missing kernel", err)
-	}
-	// The decoded form carries the same stamp and the same arm errors.
-	dec, err := DecodeSet(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Matches(2, 4, 7); err != nil {
-		t.Fatalf("decoded matching config rejected: %v", err)
-	}
-	if err := dec.Matches(1, 4, 7); err == nil || !strings.Contains(err.Error(), "captured scale=2") {
-		t.Errorf("decoded scale arm error = %v", err)
 	}
 }

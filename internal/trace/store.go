@@ -1,18 +1,19 @@
 // The on-disk columnar decoded-trace store: st2gpu.decoded/v1.
 //
-// A Decoded set is the decode-once structure-of-arrays form of a
-// recording set — every sweep strategy walks its flat columns. The store
-// persists exactly those columns so a sweep process pays the varint
-// decode (and the carry/sum reconstruction behind it) once, ever: loading
-// is a sequential read of bit-packed columns, not a re-decode.
+// The store is the one on-disk trace format. A Decoded set is the
+// decode-once structure-of-arrays form of a suite capture — every sweep
+// strategy walks its flat columns. The store persists exactly those
+// columns so a sweep process pays the simulation and the varint decode
+// (and the carry/sum reconstruction behind it) once, ever: loading is a
+// sequential read of bit-packed columns, not a re-decode.
 //
 // Layout (all fixed-width integers little-endian):
 //
 //	magic    "st2gpu.decoded/v1\n"            (18 bytes)
 //	bom      uint32 = 0x01020304              (byte-order tripwire)
 //	scale    uint32  │
-//	numSMs   uint32  │ capture config — checked by Decoded.Matches with
-//	seed     uint64  │ the same per-field errors Set.Matches reports
+//	numSMs   uint32  │ capture config — checked field by field by
+//	seed     uint64  │ Decoded.Matches and StoreHandle.Matches
 //	flags    uint32  (bit0: Sum columns stored, bit1: Carries stored)
 //	kernels  uint32
 //	tableLen uint64  (section-table bytes, budget-checked before read)
@@ -42,8 +43,8 @@
 //
 // Version policy: any wire change bumps the magic (…/v2) and this
 // package keeps reading every version it ever wrote or fails with an
-// error naming both versions — a store is a cache of a recording, so a
-// reader that cannot load one regenerates it rather than guessing.
+// error naming both versions — a store is a cache of a simulation, so a
+// reader that cannot load one rebuilds it rather than guessing.
 package trace
 
 import (
@@ -52,11 +53,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 
 	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
@@ -85,12 +90,16 @@ const (
 const colBlock = 4096
 
 // ErrStoreTooBig marks a store whose declared section-table or column
-// payload lengths exceed the reader's byte budget. Like
-// gpusim.ErrRecordingTooBig it fires before any length-sized allocation,
-// so a corrupt or hostile header cannot trigger a multi-GiB make.
+// payload lengths exceed the reader's byte budget. It fires before any
+// length-sized allocation, so a corrupt or hostile header cannot trigger
+// a multi-GiB make.
 var ErrStoreTooBig = errors.New("trace: decoded store exceeds byte budget")
 
-// StoreOptions parameterizes WriteDecoded.
+// maxKernelNameLen caps a section-table kernel name; kernel names are
+// short identifiers, so anything larger marks a corrupt table.
+const maxKernelNameLen = 4096
+
+// StoreOptions parameterizes WriteDecoded and Decoded.WriteStoreFile.
 type StoreOptions struct {
 	// OmitDerived drops the Sum and Carries columns from the file; loads
 	// recompute them from EA/EB/Cin (smaller file, slower load). Either
@@ -99,6 +108,26 @@ type StoreOptions struct {
 	// Workers bounds the section-encode worker pool (0 = GOMAXPROCS).
 	// The written bytes are identical at any count.
 	Workers int
+	// Tracer, when non-nil, receives a store.encode span annotated with
+	// the kernel, record, lane, and byte totals. Observability only: the
+	// written bytes are identical without it.
+	Tracer *obs.Tracer
+}
+
+// ReadOptions parameterizes ReadDecoded.
+type ReadOptions struct {
+	// MaxBytes bounds the declared section table, the section payloads,
+	// and the decoded column footprint (0 means
+	// gpusim.DefaultRecordMaxBytes — the same budget the recording
+	// pipeline enforces); a store that declares more fails with
+	// ErrStoreTooBig before the allocation.
+	MaxBytes uint64
+	// Workers bounds the section-decode pool (0 = GOMAXPROCS). The
+	// loaded set is bit-identical at any count.
+	Workers int
+	// Tracer, when non-nil, receives a store.load span annotated with the
+	// kernel, record, lane, and byte totals (observability only).
+	Tracer *obs.Tracer
 }
 
 // storeWorkers resolves a worker-count knob.
@@ -438,17 +467,10 @@ func deriveLaneColumns(k *DecodedKernel, sum, carries bool) {
 // --- writer ---
 
 // WriteDecoded serializes the decoded set in st2gpu.decoded/v1 form.
-// Deterministic: equal sets (and equal options) write equal bytes at any
-// opts.Workers count.
+// Deterministic: equal sets (and equal OmitDerived settings) write equal
+// bytes at any opts.Workers count.
 func WriteDecoded(w io.Writer, d *Decoded, opts StoreOptions) (int64, error) {
-	return WriteDecodedTraced(w, d, opts, nil)
-}
-
-// WriteDecodedTraced is WriteDecoded with a store.encode span annotated
-// with the kernel, record, lane, and byte totals. Spans are
-// observability-only; a nil tracer writes identical bytes.
-func WriteDecodedTraced(w io.Writer, d *Decoded, opts StoreOptions, tr *obs.Tracer) (int64, error) {
-	span := tr.Begin("store.encode", obs.Int("kernels", int64(len(d.names))))
+	span := opts.Tracer.Begin("store.encode", obs.Int("kernels", int64(len(d.names))))
 
 	// Encode every section on the bounded pool; sections land in
 	// insertion-order slots, so the write below is schedule-independent.
@@ -508,19 +530,88 @@ func WriteDecodedTraced(w io.Writer, d *Decoded, opts StoreOptions, tr *obs.Trac
 	return total, nil
 }
 
-// WriteStoreFile saves the decoded set to path atomically (sibling temp
-// file; on any write, close, or rename failure the temp file is removed,
-// so a crashed or failed writer never leaves a partial store behind).
+// WriteStoreFile saves the decoded set to path atomically (a uniquely
+// named sibling temp file renamed into place; on any write, close, or
+// rename failure the temp file is removed, so a crashed or failed writer
+// never leaves a partial store behind, and concurrent writers of one
+// path never share a temp file).
 func (d *Decoded) WriteStoreFile(path string, opts StoreOptions) error {
-	return d.WriteStoreFileTraced(path, opts, nil)
-}
-
-// WriteStoreFileTraced is WriteStoreFile with a store.encode span.
-func (d *Decoded) WriteStoreFileTraced(path string, opts StoreOptions, tr *obs.Tracer) error {
 	return writeFileAtomic(path, func(w io.Writer) error {
-		_, err := WriteDecodedTraced(w, d, opts, tr)
+		_, err := WriteDecoded(w, d, opts)
 		return err
 	})
+}
+
+// writeFileAtomic writes a file via a sibling temp file renamed into
+// place, so readers never observe a partial write. On any failure —
+// write, sync, close, or the rename itself — the temp file is removed
+// and the first error is returned; a failed writer leaves nothing
+// behind. The data is fsynced before the rename and the parent
+// directory after it: rename-without-sync can survive a crash as a
+// zero-length or absent file even though the write "succeeded". Each
+// call writes its own temp file, so concurrent writers of one path
+// never truncate each other's data: the last rename wins whole.
+func writeFileAtomic(path string, write func(w io.Writer) error) error {
+	f, err := createTemp(path)
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	if err := write(f); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// tempSeq numbers this process's temp files; with the process ID it
+// gives every writer of a path its own temp name.
+var tempSeq atomic.Uint64
+
+// createTemp creates a new, uniquely named sibling of path. Unlike
+// os.CreateTemp, which always uses mode 0600, it creates the file with
+// mode 0666 masked by the umask, exactly as os.Create does, so a store
+// stays readable by the other users and hosts shard workers run as.
+// O_EXCL turns a name collision (a leftover from a crashed writer, or a
+// writer on another host sharing the directory) into a retry under the
+// next name instead of a shared file.
+func createTemp(path string) (*os.File, error) {
+	for i := 0; ; i++ {
+		name := fmt.Sprintf("%s.%d-%d.tmp", path, os.Getpid(), tempSeq.Add(1))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if err == nil || !errors.Is(err, fs.ErrExist) || i == 1000 {
+			return f, err
+		}
+	}
+}
+
+// syncDir fsyncs a directory so a just-renamed entry is durable. Some
+// platforms refuse to sync directories; those errors are ignored — the
+// rename itself is still atomic there.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil && !errors.Is(err, syscall.EINVAL) && !errors.Is(err, syscall.EBADF) {
+		return err
+	}
+	return nil
 }
 
 // --- reader ---
@@ -533,30 +624,15 @@ type storeEntry struct {
 	sectLen uint64
 }
 
-// ReadDecoded loads a store written by WriteDecoded under the default
-// byte budget with GOMAXPROCS section-load workers.
-func ReadDecoded(r io.Reader) (*Decoded, error) {
-	return ReadDecodedLimit(r, 0, 0)
-}
-
-// ReadDecodedLimit loads a store, failing with ErrStoreTooBig when the
-// declared section-table, section payload, or decoded column footprint
-// exceeds maxBytes (0 means gpusim.DefaultRecordMaxBytes — the same
-// budget the recording pipeline enforces). workers bounds the
-// section-decode pool (0 = GOMAXPROCS); the loaded set is bit-identical
-// at any count.
-func ReadDecodedLimit(r io.Reader, maxBytes uint64, workers int) (*Decoded, error) {
-	return ReadDecodedTraced(r, maxBytes, workers, nil)
-}
-
-// ReadDecodedTraced is ReadDecodedLimit with a store.load span annotated
-// with the kernel, record, lane, and byte totals (observability only).
-func ReadDecodedTraced(r io.Reader, maxBytes uint64, workers int, tr *obs.Tracer) (*Decoded, error) {
+// ReadDecoded loads a store written by WriteDecoded, holding it to
+// opts.MaxBytes (see ReadOptions).
+func ReadDecoded(r io.Reader, opts ReadOptions) (*Decoded, error) {
+	maxBytes := opts.MaxBytes
 	if maxBytes == 0 {
 		maxBytes = gpusim.DefaultRecordMaxBytes
 	}
-	span := tr.Begin("store.load")
-	d, bytesRead, err := readDecoded(bufio.NewReaderSize(r, 1<<20), maxBytes, workers)
+	span := opts.Tracer.Begin("store.load")
+	d, bytesRead, err := readDecoded(bufio.NewReaderSize(r, 1<<20), maxBytes, opts.Workers)
 	if err != nil {
 		span.End()
 		return nil, err
@@ -657,7 +733,7 @@ func readStoreInfo(r io.Reader, maxBytes uint64, wholeFile bool) (*storeInfo, er
 		}
 		nameLen := int(binary.LittleEndian.Uint16(table[pos:]))
 		pos += 2
-		if nameLen > maxSetNameLen || len(table)-pos < nameLen+16 {
+		if nameLen > maxKernelNameLen || len(table)-pos < nameLen+16 {
 			return nil, fmt.Errorf("trace: store section table entry %d truncated or name too long (%d bytes)", i, nameLen)
 		}
 		name := string(table[pos : pos+nameLen])
@@ -758,8 +834,8 @@ func readDecoded(r io.Reader, maxBytes uint64, workers int) (*Decoded, int64, er
 	}
 
 	// Sequential payload read (chunked so a lying length fails at true
-	// EOF, like the recording reader), then parallel section decode with
-	// results folded in table order.
+	// EOF), then parallel section decode with results folded in table
+	// order.
 	bufs := make([][]byte, len(info.entries))
 	for i, ent := range info.entries {
 		buf, err := readSection(r, ent.sectLen)
@@ -804,28 +880,17 @@ func min64(a, b uint64) uint64 {
 }
 
 // ReadStoreFile loads a store saved by WriteStoreFile under the default
-// byte budget.
+// byte budget with GOMAXPROCS section-decode workers.
 func ReadStoreFile(path string) (*Decoded, error) {
-	return ReadStoreFileLimit(path, 0, 0)
-}
-
-// ReadStoreFileLimit loads a store saved by WriteStoreFile with a byte
-// budget and section-load worker bound (see ReadDecodedLimit).
-func ReadStoreFileLimit(path string, maxBytes uint64, workers int) (*Decoded, error) {
-	return ReadStoreFileTraced(path, maxBytes, workers, nil)
-}
-
-// ReadStoreFileTraced is ReadStoreFileLimit with a store.load span.
-func ReadStoreFileTraced(path string, maxBytes uint64, workers int, tr *obs.Tracer) (*Decoded, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadDecodedTraced(f, maxBytes, workers, tr)
+	return ReadDecoded(f, ReadOptions{})
 }
 
-// --- zigzag helpers (mirrors the recording encoder's transform) ---
+// --- zigzag helpers (the recording encoder's delta transform) ---
 
 func zigzag64(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
 

@@ -39,8 +39,8 @@ func storeHeaderBytes(records, lanes uint32, sectLen, tableLen uint64, withTable
 }
 
 // TestNoLimitReadersDefaultBudget pins the budget-hardening contract:
-// the no-limit store entry points (ReadDecoded, ReadStoreFile,
-// OpenStore, LoadKernels) all default to gpusim.DefaultRecordMaxBytes
+// the store entry points given no budget (ReadDecoded with a zero
+// ReadOptions.MaxBytes, ReadStoreFile, OpenStore, LoadKernels) all default to gpusim.DefaultRecordMaxBytes
 // rather than an unlimited budget, so a corrupt input declaring
 // gigabytes fails with ErrStoreTooBig before any length-sized
 // allocation.
@@ -58,7 +58,7 @@ func TestNoLimitReadersDefaultBudget(t *testing.T) {
 	// point must refuse before allocating it.
 	hugeTable := storeHeaderBytes(0, 0, 0, gpusim.DefaultRecordMaxBytes+1, false)
 	hugeTablePath := writeTemp("huge_table.st2dec", hugeTable)
-	if _, err := ReadDecoded(bytes.NewReader(hugeTable)); !errors.Is(err, ErrStoreTooBig) {
+	if _, err := ReadDecoded(bytes.NewReader(hugeTable), ReadOptions{}); !errors.Is(err, ErrStoreTooBig) {
 		t.Errorf("ReadDecoded(huge table) = %v, want ErrStoreTooBig under the default budget", err)
 	}
 	if _, err := ReadStoreFile(hugeTablePath); !errors.Is(err, ErrStoreTooBig) {
@@ -75,7 +75,7 @@ func TestNoLimitReadersDefaultBudget(t *testing.T) {
 	bomb := storeHeaderBytes(1<<30, 1<<31, 1<<10, 0, true)
 	bomb = append(bomb, make([]byte, 1<<10)...)
 	bombPath := writeTemp("bomb.st2dec", bomb)
-	if _, err := ReadDecoded(bytes.NewReader(bomb)); !errors.Is(err, ErrStoreTooBig) {
+	if _, err := ReadDecoded(bytes.NewReader(bomb), ReadOptions{}); !errors.Is(err, ErrStoreTooBig) {
 		t.Errorf("ReadDecoded(decode bomb) = %v, want ErrStoreTooBig under the default budget", err)
 	}
 	if _, err := ReadStoreFile(bombPath); !errors.Is(err, ErrStoreTooBig) {

@@ -7,7 +7,6 @@ import (
 	"os"
 
 	"st2gpu/internal/gpusim"
-	"st2gpu/internal/obs"
 )
 
 // StoreHandle is an open decoded store with only its header and section
@@ -31,17 +30,9 @@ type StoreHandle struct {
 // a store bigger than one worker's budget is readable a slice at a
 // time.
 func OpenStore(path string, maxBytes uint64) (*StoreHandle, error) {
-	return OpenStoreTraced(path, maxBytes, nil)
-}
-
-// OpenStoreTraced is OpenStore with a store.open span annotated with
-// the kernel count and table bytes (observability only).
-func OpenStoreTraced(path string, maxBytes uint64, tr *obs.Tracer) (*StoreHandle, error) {
 	if maxBytes == 0 {
 		maxBytes = gpusim.DefaultRecordMaxBytes
 	}
-	span := tr.Begin("store.open")
-	defer span.End()
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: open store: %w", err)
@@ -70,9 +61,6 @@ func OpenStoreTraced(path string, maxBytes uint64, tr *obs.Tracer) (*StoreHandle
 		h.offsets[i] = off
 		off += int64(ent.sectLen)
 	}
-	span.Add(
-		obs.Int("kernels", int64(len(info.entries))),
-		obs.Int("header_bytes", info.headerLen))
 	return h, nil
 }
 
@@ -95,23 +83,12 @@ func (h *StoreHandle) Matches(scale, numSMs int, seed int64) error {
 // returning a Decoded holding exactly those kernels — each DeepEqual
 // to the same kernel from a full ReadDecoded, in store insertion order
 // regardless of the order names are given in. Duplicate names load
-// once; an unknown name fails the same way Decoded.MatchesKernels
-// does. The requested sections' payload bytes plus decoded column
+// once; an unknown name fails naming it and the kernels the store
+// holds. The requested sections' payload bytes plus decoded column
 // footprint must fit the handle's byte budget. workers bounds the
 // section-decode pool (0 = GOMAXPROCS); the result is bit-identical at
 // any count.
 func (h *StoreHandle) LoadKernels(names []string, workers int) (*Decoded, error) {
-	return h.LoadKernelsTraced(names, workers, nil)
-}
-
-// LoadKernelsTraced is LoadKernels with a store.load_partial span
-// annotated with the requested/total kernel counts and byte totals.
-func (h *StoreHandle) LoadKernelsTraced(names []string, workers int, tr *obs.Tracer) (*Decoded, error) {
-	span := tr.Begin("store.load_partial",
-		obs.Int("kernels_requested", int64(len(names))),
-		obs.Int("kernels_total", int64(len(h.info.entries))))
-	defer span.End()
-
 	want := make(map[string]bool, len(names))
 	for _, name := range names {
 		want[name] = true
@@ -155,13 +132,5 @@ func (h *StoreHandle) LoadKernelsTraced(names []string, workers int, tr *obs.Tra
 		}
 		bufs[i] = buf
 	}
-	d, err := h.info.decodeSections(selected, bufs, workers)
-	if err != nil {
-		return nil, err
-	}
-	span.Add(
-		obs.Int("bytes", int64(payload)),
-		obs.Int("records", int64(d.NumOps())),
-		obs.Int("lanes", int64(d.NumLanes())))
-	return d, nil
+	return h.info.decodeSections(selected, bufs, workers)
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -130,7 +131,7 @@ func TestPartialLoadMatchesFullRead(t *testing.T) {
 						t.Fatalf("omit=%v workers=%d req=%v: kernel %q missing from partial load", omit, workers, req, n)
 					}
 					fk, _ := full.Kernel(n)
-					if !reflect.DeepEqual(pk, fk) {
+			if !reflect.DeepEqual(pk, fk) {
 						t.Fatalf("omit=%v workers=%d req=%v: kernel %q differs between partial and full load", omit, workers, req, n)
 					}
 				}
@@ -140,7 +141,7 @@ func TestPartialLoadMatchesFullRead(t *testing.T) {
 }
 
 // TestPartialLoadErrors covers the handle's failure paths: unknown
-// kernels fail like Decoded.MatchesKernels, over-budget subsets fail
+// kernels fail naming the missing kernel, over-budget subsets fail
 // with ErrStoreTooBig before any payload read, and a truncated file is
 // rejected at OpenStore.
 func TestPartialLoadErrors(t *testing.T) {
@@ -181,4 +182,54 @@ func TestPartialLoadErrors(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "declares") {
 		t.Fatalf("truncated store: error %q does not report the size mismatch", err)
 	}
+}
+
+// FuzzOpenStore drives the shard workers' disk reader with arbitrary
+// bytes written to a file: OpenStore under a small budget, then
+// LoadKernels for each name its section table declares. Neither may
+// panic or over-allocate, and whenever the full reader accepts the same
+// bytes, every partially loaded kernel must equal the full read's.
+func FuzzOpenStore(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte(storeMagicStr))
+	f.Add(storeHeaderBytes(1<<30, 1<<31, 1<<10, 0, true))
+	// Seed from valid stores (and a truncation) so the fuzzer starts
+	// inside the format instead of rediscovering the magic.
+	seed, err := DecodeSet(recordPathfinder(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, opts := range []StoreOptions{{}, {OmitDerived: true}} {
+		var buf bytes.Buffer
+		if _, err := WriteDecoded(&buf, seed, opts); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-7])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Small, yet large enough for the valid seeds' pathfinder
+		// section (~2 MB decoded), so the equality oracle runs on them.
+		const budget = 4 << 20
+		path := filepath.Join(t.TempDir(), "fuzz.st2dec")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		h, err := OpenStore(path, budget)
+		if err != nil {
+			return
+		}
+		full, fullErr := ReadDecoded(bytes.NewReader(data), ReadOptions{MaxBytes: budget, Workers: 1})
+		for _, name := range h.Names() {
+			part, err := h.LoadKernels([]string{name}, 1)
+			if err != nil || fullErr != nil {
+				continue
+			}
+			pk, _ := part.Kernel(name)
+			fk, _ := full.Kernel(name)
+			if !reflect.DeepEqual(pk, fk) {
+				t.Fatalf("kernel %q differs between LoadKernels and ReadDecoded", name)
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -46,7 +47,7 @@ func TestStoreRoundTripBitIdentical(t *testing.T) {
 	for _, omit := range []bool{false, true} {
 		raw := encodeStore(t, want, StoreOptions{OmitDerived: omit})
 		for _, workers := range []int{1, 2, 8} {
-			got, err := ReadDecodedLimit(bytes.NewReader(raw), 0, workers)
+			got, err := ReadDecoded(bytes.NewReader(raw), ReadOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("omit=%v workers=%d: %v", omit, workers, err)
 			}
@@ -74,16 +75,32 @@ func TestStoreBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestStoreFileRoundTrip exercises the atomic file path end to end and
+// TestStoreFileRoundTrip exercises the atomic file path end to end,
+// checks the store gets the mode os.Create would have given it, and
 // checks the config header round-trips through Matches.
 func TestStoreFileRoundTrip(t *testing.T) {
 	d := storePathfinder(t)
-	path := filepath.Join(t.TempDir(), "suite.decoded")
+	dir := t.TempDir()
+	path := filepath.Join(dir, "suite.decoded")
 	if err := d.WriteStoreFile(path, StoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind after a successful write")
+	assertOnlyFiles(t, dir, "suite.decoded")
+	ref, err := os.Create(filepath.Join(dir, "reference"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+	refInfo, err := os.Stat(ref.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Mode() != refInfo.Mode() {
+		t.Errorf("store mode = %v, want %v (what os.Create gives under this umask)", info.Mode(), refInfo.Mode())
 	}
 	got, err := ReadStoreFile(path)
 	if err != nil {
@@ -99,18 +116,65 @@ func TestStoreFileRoundTrip(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "scale") {
 		t.Errorf("scale mismatch error = %v, want a per-field scale error", err)
 	}
-	if err := got.MatchesKernels([]string{"pathfinder"}); err != nil {
-		t.Errorf("MatchesKernels rejects a present kernel: %v", err)
+}
+
+// assertOnlyFiles fails unless dir holds exactly the named entries — in
+// particular, no temp file a writer left behind.
+func assertOnlyFiles(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	err = got.MatchesKernels([]string{"bfs"})
-	if err == nil || !strings.Contains(err.Error(), `"bfs"`) {
-		t.Errorf("MatchesKernels error = %v, want the missing kernel named", err)
+	var got []string
+	for _, e := range ents {
+		got = append(got, e.Name())
+	}
+	if !reflect.DeepEqual(got, names) {
+		t.Errorf("directory holds %v, want exactly %v", got, names)
 	}
 }
 
+// TestWriteStoreFileConcurrentWriters pins that two writers of one path
+// never share a temp file: both writes succeed and the file left behind
+// is byte for byte one of the two encodings, never a mix of them.
+func TestWriteStoreFileConcurrentWriters(t *testing.T) {
+	d := storePathfinder(t)
+	optsA, optsB := StoreOptions{}, StoreOptions{OmitDerived: true}
+	encA, encB := encodeStore(t, d, optsA), encodeStore(t, d, optsB)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "suite.decoded")
+	for iter := 0; iter < 40; iter++ {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, opts := range []StoreOptions{optsA, optsB} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = d.WriteStoreFile(path, opts)
+			}()
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("iteration %d: writer %d failed: %v", iter, i, err)
+			}
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, encA) && !bytes.Equal(got, encB) {
+			t.Fatalf("iteration %d: the store equals neither writer's encoding (%d bytes; want %d or %d)",
+				iter, len(got), len(encA), len(encB))
+		}
+	}
+	assertOnlyFiles(t, dir, "suite.decoded")
+}
+
 // TestWriteStoreFileCleansUpOnFailure pins the atomic-writer contract:
-// when the rename (or the write itself) fails, the temp file must not
-// survive.
+// when the rename (or the write itself) fails, no temp file may survive
+// in the target's directory.
 func TestWriteStoreFileCleansUpOnFailure(t *testing.T) {
 	d := storePathfinder(t)
 	// Rename onto a non-empty directory fails after a successful write.
@@ -122,9 +186,7 @@ func TestWriteStoreFileCleansUpOnFailure(t *testing.T) {
 	if err := d.WriteStoreFile(target, StoreOptions{}); err == nil {
 		t.Fatal("rename onto a non-empty directory succeeded")
 	}
-	if _, err := os.Stat(target + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind after a failed rename")
-	}
+	assertOnlyFiles(t, dir, "occupied")
 
 	// A failing writer mid-stream must also clean up (exercised through
 	// the shared helper with an injected error), and the helper must
@@ -135,12 +197,8 @@ func TestWriteStoreFileCleansUpOnFailure(t *testing.T) {
 	if !errors.Is(err, wantErr) {
 		t.Errorf("writeFileAtomic error = %v, want the writer's own error", err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Error("temp file left behind after a failed write func")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("destination created despite a failed write func")
-	}
+	// Neither a temp file nor the destination may exist.
+	assertOnlyFiles(t, dir, "occupied")
 }
 
 // TestStoreRejectsCorruptInputs is the table-driven robustness suite for
@@ -190,7 +248,7 @@ func TestStoreRejectsCorruptInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadDecodedLimit(bytes.NewReader(tc.data), tc.max, 0)
+			_, err := ReadDecoded(bytes.NewReader(tc.data), ReadOptions{MaxBytes: tc.max})
 			if err == nil {
 				t.Fatal("corrupt store accepted")
 			}
@@ -228,7 +286,7 @@ func TestStoreFootprintBudget(t *testing.T) {
 	b = append(b, table...)
 	b = append(b, make([]byte, 1<<10)...)
 
-	_, err := ReadDecodedLimit(bytes.NewReader(b), 1<<20, 0)
+	_, err := ReadDecoded(bytes.NewReader(b), ReadOptions{MaxBytes: 1 << 20})
 	if !errors.Is(err, ErrStoreTooBig) {
 		t.Fatalf("error = %v, want ErrStoreTooBig for a width-0 decode bomb", err)
 	}
@@ -245,7 +303,7 @@ func TestStoreRejectsInconsistentSections(t *testing.T) {
 		names:   []string{"pathfinder", "pathfinder"},
 		kernels: map[string]*DecodedKernel{"pathfinder": k}}
 	raw := encodeStore(t, dup, StoreOptions{})
-	if _, err := ReadDecoded(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := ReadDecoded(bytes.NewReader(raw), ReadOptions{}); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate kernel error = %v", err)
 	}
 }
@@ -274,8 +332,10 @@ func FuzzReadDecoded(f *testing.F) {
 	}
 	f.Add(compact.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const budget = 1 << 20
-		d, err := ReadDecodedLimit(bytes.NewReader(data), budget, 1)
+		// Small, yet large enough for the valid seeds' pathfinder
+		// section (~2 MB decoded), so the fixed-point oracle runs on them.
+		const budget = 4 << 20
+		d, err := ReadDecoded(bytes.NewReader(data), ReadOptions{MaxBytes: budget, Workers: 1})
 		if err != nil {
 			return
 		}
@@ -286,7 +346,7 @@ func FuzzReadDecoded(f *testing.F) {
 		// The rewrite always stores the derived columns, so it can be
 		// larger than a compact input that just squeezed under the
 		// budget — read it back under a proportionally larger one.
-		again, err := ReadDecodedLimit(bytes.NewReader(out.Bytes()), 8*budget, 1)
+		again, err := ReadDecoded(bytes.NewReader(out.Bytes()), ReadOptions{MaxBytes: 8 * budget, Workers: 1})
 		if err != nil {
 			t.Fatalf("accepted store failed to read back: %v", err)
 		}
