@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet, then gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # st2lint: the determinism analyzers (DESIGN.md §11) plus the
 # concurrency-safety and wire-taint analyzers (DESIGN.md §16). Exits
@@ -39,12 +41,15 @@ race:
 # panic, over-allocate, round-trip unstably, or load a kernel that differs
 # from the full read's. The paged-memory pass replays random op streams
 # against the flat []byte oracle. The sliced-adder pass checks every
-# Execute result field against the slice-by-slice reference model.
+# Execute result field against the slice-by-slice reference model, and
+# the carry pass checks the packed boundary carries (byte-gather and
+# shift-walk paths) against big.Int addition.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzOpenStore -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
+	$(GO) test -run='^$$' -fuzz=FuzzCarriesAgainstBigInt -fuzztime=5s ./internal/bitmath
 
 # The scale-4 simulate pass checked against perfbench's pinned output
 # digests: the one bit-identity check at a scale where blocks retire and
@@ -62,12 +67,12 @@ pinned:
 		echo "$$out"; echo "pinned: the repro pass does not match its pinned digests"; exit 1; \
 	fi
 
-# The gate CI runs: static analysis (vet + st2lint), the full test suite
-# under the race detector (which includes the readable golden of every
-# figure's rows and the run-manifest sanity check), a short decoder and
-# adder fuzz pass, and the pinned scale-4 simulate and scale-1 repro
-# passes. It runs no timing-ratio gate: performance is measured with
-# perfbench (`bash perfbench/run.sh`), never asserted here.
+# The gate CI runs: static analysis (vet, gofmt, st2lint), the full test
+# suite under the race detector (which includes the readable golden of
+# every figure's rows and the run-manifest sanity check), a short decoder,
+# adder and carry fuzz pass, and the pinned scale-4 simulate and scale-1
+# repro passes. It runs no timing-ratio gate: performance is measured
+# with perfbench (`bash perfbench/run.sh`), never asserted here.
 check: vet lint race fuzz-smoke pinned
 
 bench:

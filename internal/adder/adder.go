@@ -182,14 +182,26 @@ func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint6
 	carries := ea ^ eb ^ sum // bit k: the carry into bit k
 	prop := ea ^ eb
 	var trueCin, allProp uint64
-	for i, lo := uint(0), uint(0); i < n; i, lo = i+1, lo+s.cfg.SliceBits {
-		trueCin |= (carries >> lo & 1) << i
-		m := s.sliceMask
-		if i == n-1 {
-			m = s.lastMask
-		}
-		if prop>>lo&m == m {
-			allProp |= 1 << i
+	if s.cfg.SliceBits == 8 {
+		// Slice i starts at bit 8i: its carry-in is the bottom bit of byte
+		// i, and it propagates throughout when its byte of the in-width
+		// non-propagate mask is zero. A byte's MSB of (x&0x7F..)+0x7F.. | x
+		// is set exactly when the byte is nonzero (the addition cannot
+		// carry across bytes), so one gather yields every slice's bit.
+		const low7 = 0x7F7F7F7F7F7F7F7F
+		x := ^prop & bitmath.Mask(s.cfg.Width)
+		trueCin = bitmath.GatherMSB8(carries << 7)
+		allProp = bitmath.GatherMSB8(^((x&low7 + low7) | x))
+	} else {
+		for i, lo := uint(0), uint(0); i < n; i, lo = i+1, lo+s.cfg.SliceBits {
+			trueCin |= (carries >> lo & 1) << i
+			m := s.sliceMask
+			if i == n-1 {
+				m = s.lastMask
+			}
+			if prop>>lo&m == m {
+				allProp |= 1 << i
+			}
 		}
 	}
 

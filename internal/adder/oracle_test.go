@@ -116,6 +116,39 @@ func TestExecuteMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestExecuteAllPropagateSlices drives the 8-bit-slice signal gathers
+// through the operands random ones almost never produce: for each unit
+// width (the DPU's last slice is 4 bits), each slice in turn propagates
+// in every bit — alone and together with every slice above it — under
+// both carry-ins and every boundary-prediction pattern.
+func TestExecuteAllPropagateSlices(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, width := range unitWidths {
+		cfg := Config{Width: width, SliceBits: 8}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := bitmath.Mask(width)
+		for slice := uint(0); slice < cfg.NumSlices(); slice++ {
+			one := bitmath.Mask(bitmath.SliceWidthAt(slice, width, 8)) << (8 * slice)
+			for _, propMask := range []uint64{one, m &^ bitmath.Mask(8*slice)} {
+				ea := rng.Uint64() & m
+				eb := (rng.Uint64()&^propMask | ^ea&propMask) & m
+				for cin0 := uint(0); cin0 <= 1; cin0++ {
+					for predicted := uint64(0); predicted < 1<<cfg.NumBoundaries(); predicted++ {
+						got := s.ExecuteEffective(ea, eb, cin0, predicted)
+						if want := executeEffectiveOracle(cfg, ea, eb, cin0, predicted); got != want {
+							t.Fatalf("width %d slice %d ea=%#x eb=%#x cin0=%d predicted=%#x:\n got  %+v\n want %+v",
+								width, slice, ea, eb, cin0, predicted, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func FuzzSlicedAdderExecute(f *testing.F) {
 	f.Add(uint8(0), uint8(8), uint64(0xFF), uint64(1), false, uint64(0))
 	f.Add(uint8(3), uint8(8), uint64(1<<51), uint64(1<<51), true, uint64(0x3F))

@@ -164,8 +164,8 @@ func viaHelper(r *bufio.Reader) []byte {
 	return make([]byte, n) // want `allocation sized by wire-decoded value n`
 }
 
-// sanitizers stay quiet: min with a bounded operand, masking, modulo,
-// narrow conversions, and loop-bound comparisons all bound the value.
+// sanitizers stay quiet: min with a bounded operand, masking, modulo
+// and narrow conversions all bound the value.
 func sanitizers(r *bufio.Reader) []byte {
 	a, _ := binary.ReadUvarint(r)
 	b, _ := binary.ReadUvarint(r)
@@ -178,15 +178,57 @@ func sanitizers(r *bufio.Reader) []byte {
 	return buf
 }
 
-// loopBound: `for i < n` is an ordering comparison, so n counts as
-// checked afterward.
+// loopBound: `for i < n` bounds i, not n — a loop running to a hostile
+// count says nothing about the allocation after it.
 func loopBound(r *bufio.Reader) []int {
 	n, _ := binary.ReadUvarint(r)
 	total := 0
 	for i := uint64(0); i < n; i++ {
 		total++
 	}
-	return make([]int, n)
+	return make([]int, n) // want `allocation sized by wire-decoded value n`
+}
+
+// reversedBound: the budget on the left of < bounds n from above, like
+// n > maxBytes.
+func reversedBound(r *bufio.Reader) []byte {
+	n, _ := binary.ReadUvarint(r)
+	if maxBytes < n {
+		return nil
+	}
+	return make([]byte, n)
+}
+
+type openMsg struct {
+	Workers int
+}
+
+// workerSlotsPreClamp is the pre-clamp shard-worker shape: a
+// peer-supplied worker count sizes a channel after only a lower bound,
+// so a hostile peer's huge count still reaches the make.
+func workerSlotsPreClamp(data []byte, procs int) (chan struct{}, error) {
+	var m openMsg
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
+	workers := m.Workers
+	if workers < 1 {
+		workers = procs
+	}
+	return make(chan struct{}, workers), nil // want `allocation sized by wire-decoded value workers`
+}
+
+// workerSlotsClamped bounds the count from above too: clean.
+func workerSlotsClamped(data []byte, procs int) (chan struct{}, error) {
+	var m openMsg
+	if err := json.Unmarshal(data, &m); err != nil {
+		return nil, err
+	}
+	workers := m.Workers
+	if workers < 1 || workers > procs {
+		workers = procs
+	}
+	return make(chan struct{}, workers), nil
 }
 
 // suppressed carries a conc-ok reason, so the finding is filtered.

@@ -15,13 +15,13 @@ import (
 //
 // The rule it encodes: every wire-decoded length must pass a budget
 // comparison before it sizes a make (or reaches a callee that sizes one
-// with it). Sanitizers are ordering comparisons (if n > budget, loop
-// bounds), min() with a bounded argument, masking (& / %), and narrow
-// (≤16-bit) conversions; an allocation is flagged only when the tainted
-// value reaches it with none of those on any earlier line of the
-// function — a deliberate lexical approximation of "checked on every
-// path" that matches both pre-fix bug shapes and stays quiet on the
-// budget-checked readers.
+// with it). Sanitizers are ordering comparisons that bound the value
+// from above (if n > budget; not if n < 1 or for i < n), min() with a
+// bounded argument, masking (& / %), and narrow (≤16-bit) conversions;
+// an allocation is flagged only when the tainted value reaches it with
+// none of those on any earlier line of the function — a deliberate
+// lexical approximation of "checked on every path" that matches both
+// pre-fix bug shapes and stays quiet on the budget-checked readers.
 //
 // Taint crosses function boundaries through facts: a function whose
 // parameter flows unchecked into an allocation size exports an
@@ -106,6 +106,10 @@ type wtFn struct {
 	// checkedSel holds "obj.Field" selector paths that passed a bound
 	// comparison.
 	checkedSel map[string]bool
+	// condBlocks holds the bodies that run on some paths only (if/else
+	// branches, switch and select cases, loop bodies); loopConds the
+	// for-loop conditions. Entries may be nil.
+	condBlocks, loopConds []ast.Node
 
 	// factMode outputs.
 	paramIdx    map[types.Object]int
@@ -170,6 +174,15 @@ func (fn *wtFn) walk(body *ast.BlockStmt) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false // closures get their own facts only via decls; skip
+		case *ast.IfStmt:
+			fn.condBlocks = append(fn.condBlocks, n.Body, n.Else)
+		case *ast.CaseClause, *ast.CommClause:
+			fn.condBlocks = append(fn.condBlocks, n)
+		case *ast.RangeStmt:
+			fn.condBlocks = append(fn.condBlocks, n.Body)
+		case *ast.ForStmt:
+			fn.condBlocks = append(fn.condBlocks, n.Body)
+			fn.loopConds = append(fn.loopConds, n.Cond)
 		case *ast.BinaryExpr:
 			fn.noteComparison(n)
 		case *ast.AssignStmt:
@@ -189,33 +202,44 @@ func (fn *wtFn) walk(body *ast.BlockStmt) {
 	})
 }
 
-// noteComparison marks both operands of an ordering comparison checked:
-// the budget-check idiom (`if segLen > maxBytes-total`, `for i < count`)
-// always compares the decoded value against a bound.
+// noteComparison marks the operand an ordering comparison bounds from
+// above checked. In a branch condition that is the left of > / >= and the
+// right of < / <=: the budget-check idiom (`if segLen > maxBytes-total {
+// return err }`) keeps the decoded value there, and a lower bound (`if
+// workers < 1`) puts it on the other side, checking nothing. A loop
+// condition holds while the loop runs, so it bounds the opposite side:
+// `for i < n` bounds i, not n.
 func (fn *wtFn) noteComparison(b *ast.BinaryExpr) {
+	greater, lesser := b.X, b.Y
 	switch b.Op {
-	case token.LSS, token.GTR, token.LEQ, token.GEQ:
+	case token.GTR, token.GEQ:
+	case token.LSS, token.LEQ:
+		greater, lesser = b.Y, b.X
 	default:
 		return
 	}
-	for _, side := range []ast.Expr{b.X, b.Y} {
-		side = ast.Unparen(side)
-		// A widening conversion in the comparison (`uint64(n) > budget`)
-		// still checks the underlying value.
-		if call, ok := side.(*ast.CallExpr); ok && len(call.Args) == 1 {
-			if tv, ok := fn.wt.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-				side = ast.Unparen(call.Args[0])
-			}
+	side := greater
+	for _, c := range fn.loopConds {
+		if within(c, b.Pos()) {
+			side = lesser
 		}
-		if id, ok := side.(*ast.Ident); ok {
-			if obj := fn.wt.pass.TypesInfo.ObjectOf(id); obj != nil {
-				fn.checked[obj] = true
-			}
-			continue
+	}
+	side = ast.Unparen(side)
+	// A widening conversion in the comparison (`uint64(n) > budget`)
+	// still checks the underlying value.
+	if call, ok := side.(*ast.CallExpr); ok && len(call.Args) == 1 {
+		if tv, ok := fn.wt.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
+			side = ast.Unparen(call.Args[0])
 		}
-		if key, ok := fn.selKey(side); ok {
-			fn.checkedSel[key] = true
+	}
+	if id, ok := side.(*ast.Ident); ok {
+		if obj := fn.wt.pass.TypesInfo.ObjectOf(id); obj != nil {
+			fn.checked[obj] = true
 		}
+		return
+	}
+	if key, ok := fn.selKey(side); ok {
+		fn.checkedSel[key] = true
 	}
 }
 
@@ -239,7 +263,10 @@ func (fn *wtFn) selKey(e ast.Expr) (string, bool) {
 
 // assign re-classifies assignment targets: a tainted right side taints
 // the target (clearing any earlier check — it is a new untrusted
-// value); an untainted right side clears it.
+// value); an untainted right side clears it, unless the assignment sits
+// in a branch the target was declared outside of, where the tainted
+// value still flows past it on the other path (`if workers < 1 {
+// workers = procs }`).
 func (fn *wtFn) assign(a *ast.AssignStmt) {
 	info := fn.wt.pass.TypesInfo
 	if len(a.Lhs) == len(a.Rhs) {
@@ -255,7 +282,7 @@ func (fn *wtFn) assign(a *ast.AssignStmt) {
 			if fn.taintedExpr(a.Rhs[i]) {
 				fn.tainted[obj] = true
 				delete(fn.checked, obj)
-			} else if a.Tok == token.DEFINE || a.Tok == token.ASSIGN {
+			} else if (a.Tok == token.DEFINE || a.Tok == token.ASSIGN) && !fn.branchOnly(a.Pos(), obj) {
 				delete(fn.tainted, obj)
 			}
 		}
@@ -279,6 +306,23 @@ func (fn *wtFn) assign(a *ast.AssignStmt) {
 			}
 		}
 	}
+}
+
+// branchOnly reports whether pos lies in a conditional body that obj was
+// declared outside of: code there runs on some paths to obj's later uses
+// but not all.
+func (fn *wtFn) branchOnly(pos token.Pos, obj types.Object) bool {
+	for _, b := range fn.condBlocks {
+		if within(b, pos) && !within(b, obj.Pos()) {
+			return true
+		}
+	}
+	return false
+}
+
+// within reports whether p lies inside the (possibly nil) node n.
+func within(n ast.Node, p token.Pos) bool {
+	return n != nil && n.Pos() <= p && p < n.End()
 }
 
 // call handles decode-target registration and the two sinks: make sizes

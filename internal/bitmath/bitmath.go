@@ -32,56 +32,26 @@ func Slice(x uint64, lo, width uint) uint64 {
 	return (x >> lo) & Mask(width)
 }
 
-// CarryInto returns the carry that ripples *into* bit position k when
-// computing a + b + cin over the full 64-bit range. CarryInto(a, b, cin, 0)
-// is cin itself; CarryInto(a, b, cin, 64) is the carry-out of the whole
-// 64-bit addition.
-func CarryInto(a, b uint64, cin uint, k uint) uint {
-	if k == 0 {
-		return cin & 1
-	}
-	if k > 64 {
-		k = 64
-	}
-	m := Mask(k)
-	la := a & m
-	lb := b & m
-	sum, c1 := bits.Add64(la, lb, uint64(cin&1))
-	_ = sum
-	if k == 64 {
-		return uint(c1)
-	}
-	// For k < 64 the carry out of bit k-1 is bit k of the exact sum
-	// la + lb + cin, which cannot overflow 64 bits when k < 64.
-	exact := la + lb + uint64(cin&1)
-	return uint((exact >> k) & 1)
-}
-
-// BoundaryCarries returns the carries entering each slice boundary of an
-// addition split into ceil(width/sliceBits) slices. For width=64 and
-// sliceBits=8 it returns 7 bits: the carry into bits 8, 16, ..., 56 — the
-// signals an ST² predictor must guess. Boundary i of the result corresponds
-// to the carry into slice i+1, matching the paper's Cpred[0..6] naming.
-func BoundaryCarries(a, b uint64, cin uint, width, sliceBits uint) []uint {
-	n := NumSlices(width, sliceBits)
-	if n <= 1 {
-		return nil
-	}
-	out := make([]uint, n-1)
-	for i := uint(1); i < n; i++ {
-		out[i-1] = CarryInto(a, b, cin, i*sliceBits)
-	}
-	return out
-}
-
-// BoundaryCarriesPacked is BoundaryCarries with the result packed into a
-// uint64, bit i holding the carry into slice i+1. It allocates nothing and
-// is the form used on the simulator fast path.
+// BoundaryCarriesPacked returns the carries entering each slice boundary
+// of a + b + cin split into ceil(width/sliceBits) slices, packed into a
+// uint64: bit i holds the carry into slice i+1, matching the paper's
+// Cpred[0..6] naming. For width=64 and sliceBits=8 that is the 7 carries
+// into bits 8, 16, ..., 56 — the signals an ST² predictor must guess.
+// width must be at most 64.
+//
+// Every boundary carry is one bit of the full addition's carry vector
+// a^b^(a+b+cin), whose bit k is the carry into bit k. For 8-bit slices the
+// carries into bits 8i are the byte MSBs of that vector shifted down one,
+// which GatherMSB8 collects at once; other slice widths walk it.
 func BoundaryCarriesPacked(a, b uint64, cin uint, width, sliceBits uint) uint64 {
-	n := NumSlices(width, sliceBits)
+	c := a ^ b ^ (a + b + uint64(cin&1))
+	if sliceBits == 8 {
+		// Mask(n)>>1 keeps the n-1 boundaries (none when n is 0).
+		return GatherMSB8(c>>1) & (Mask(NumSlices(width, 8)) >> 1)
+	}
 	var packed uint64
-	for i := uint(1); i < n; i++ {
-		packed |= uint64(CarryInto(a, b, cin, i*sliceBits)) << (i - 1)
+	for i, n := uint(1), NumSlices(width, sliceBits); i < n; i++ {
+		packed |= (c >> (i * sliceBits) & 1) << (i - 1)
 	}
 	return packed
 }
@@ -141,25 +111,6 @@ func CarryChainLength(a, b uint64, cin uint, width uint) uint {
 	return longest
 }
 
-// SliceOperands decomposes a and b into their per-slice operand pairs for a
-// width-bit addition with sliceBits-wide slices. Slice i covers bits
-// [i*sliceBits, min((i+1)*sliceBits, width)).
-func SliceOperands(a, b uint64, width, sliceBits uint) (as, bs []uint64) {
-	n := NumSlices(width, sliceBits)
-	as = make([]uint64, n)
-	bs = make([]uint64, n)
-	for i := uint(0); i < n; i++ {
-		lo := i * sliceBits
-		w := sliceBits
-		if lo+w > width {
-			w = width - lo
-		}
-		as[i] = Slice(a, lo, w)
-		bs[i] = Slice(b, lo, w)
-	}
-	return as, bs
-}
-
 // SliceWidthAt returns the width in bits of slice i for a width-bit value
 // split into sliceBits-wide slices.
 func SliceWidthAt(i, width, sliceBits uint) uint {
@@ -186,15 +137,6 @@ func AddWithCarry(a, b uint64, cin uint, width uint) (sum uint64, cout uint) {
 	m := Mask(width)
 	exact := (a & m) + (b & m) + uint64(cin&1)
 	return exact & m, uint((exact >> width) & 1)
-}
-
-// MSB returns bit (width-1) of x, the "peek" bit the ST² static predictor
-// inspects on the previous slice's operands.
-func MSB(x uint64, width uint) uint {
-	if width == 0 {
-		return 0
-	}
-	return uint((x >> (width - 1)) & 1)
 }
 
 // OnesComplement returns ^x truncated to width bits, the operand

@@ -47,6 +47,42 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+// CarryInto returns the carry that ripples *into* bit position k when
+// computing a + b + cin over the full 64-bit range, by one masked addition
+// of the low k bits. CarryInto(a, b, cin, 0) is cin itself;
+// CarryInto(a, b, cin, 64) is the carry-out of the whole 64-bit addition.
+// It is the per-boundary oracle BoundaryCarriesPacked's carry-vector form
+// must match.
+func CarryInto(a, b uint64, cin uint, k uint) uint {
+	if k == 0 {
+		return cin & 1
+	}
+	if k >= 64 {
+		_, c := bits.Add64(a, b, uint64(cin&1))
+		return uint(c)
+	}
+	// The carry out of bit k-1 is bit k of the exact sum of the low k
+	// bits, which cannot overflow 64 bits when k < 64.
+	m := Mask(k)
+	exact := a&m + b&m + uint64(cin&1)
+	return uint((exact >> k) & 1)
+}
+
+// BoundaryCarries returns the carries entering each slice boundary of an
+// addition split into ceil(width/sliceBits) slices, one CarryInto per
+// boundary: element i is the carry into slice i+1.
+func BoundaryCarries(a, b uint64, cin uint, width, sliceBits uint) []uint {
+	n := NumSlices(width, sliceBits)
+	if n <= 1 {
+		return nil
+	}
+	out := make([]uint, n-1)
+	for i := uint(1); i < n; i++ {
+		out[i-1] = CarryInto(a, b, cin, i*sliceBits)
+	}
+	return out
+}
+
 func TestCarryIntoKnownValues(t *testing.T) {
 	// 0xFF + 0x01 generates a carry out of bit 7 into bit 8.
 	if got := CarryInto(0xFF, 0x01, 0, 8); got != 1 {
@@ -113,14 +149,25 @@ func TestBoundaryCarriesReassembleSum(t *testing.T) {
 	}
 }
 
+// TestBoundaryCarriesPackedAgrees checks the carry-vector form against
+// one CarryInto per boundary at every unit width, slice widths 1..16
+// (8 takes the byte-gather path, the rest the shift walk) and both
+// carry-ins.
 func TestBoundaryCarriesPackedAgrees(t *testing.T) {
 	f := func(a, b uint64) bool {
-		for _, sb := range []uint{8, 16} {
-			carries := BoundaryCarries(a, b, 0, 64, sb)
-			packed := BoundaryCarriesPacked(a, b, 0, 64, sb)
-			for i, c := range carries {
-				if uint((packed>>uint(i))&1) != c {
-					return false
+		for _, width := range []uint{24, 32, 52, 64} {
+			for sb := uint(1); sb <= 16; sb++ {
+				for cin := uint(0); cin <= 1; cin++ {
+					carries := BoundaryCarries(a, b, cin, width, sb)
+					packed := BoundaryCarriesPacked(a, b, cin, width, sb)
+					var want uint64
+					for i, c := range carries {
+						want |= uint64(c) << uint(i)
+					}
+					if packed != want {
+						t.Logf("width %d slice %d cin %d: packed %#x, want %#x", width, sb, cin, packed, want)
+						return false
+					}
 				}
 			}
 		}
@@ -187,26 +234,6 @@ func TestCarryChainSmallPositiveShort(t *testing.T) {
 	}
 }
 
-func TestSliceOperands(t *testing.T) {
-	a := uint64(0x1122334455667788)
-	b := uint64(0x99AABBCCDDEEFF00)
-	as, bs := SliceOperands(a, b, 64, 8)
-	if len(as) != 8 || len(bs) != 8 {
-		t.Fatalf("expected 8 slices, got %d/%d", len(as), len(bs))
-	}
-	if as[0] != 0x88 || as[7] != 0x11 || bs[0] != 0x00 || bs[7] != 0x99 {
-		t.Errorf("slice extraction wrong: %x %x", as, bs)
-	}
-	// Partial top slice: 52-bit split into 8-bit slices → last is 4 bits.
-	as52, _ := SliceOperands(^uint64(0), 0, 52, 8)
-	if len(as52) != 7 {
-		t.Fatalf("52/8 should give 7 slices, got %d", len(as52))
-	}
-	if as52[6] != 0xF {
-		t.Errorf("partial top slice = %#x, want 0xF", as52[6])
-	}
-}
-
 func TestSliceWidthAt(t *testing.T) {
 	if w := SliceWidthAt(6, 52, 8); w != 4 {
 		t.Errorf("top slice of 52-bit mantissa should be 4 bits, got %d", w)
@@ -235,18 +262,6 @@ func TestAddWithCarry(t *testing.T) {
 	_, cout = AddWithCarry(0, 0, 1, 0)
 	if cout != 1 {
 		t.Errorf("zero-width add should pass carry through")
-	}
-}
-
-func TestMSB(t *testing.T) {
-	if MSB(0x80, 8) != 1 || MSB(0x7F, 8) != 0 {
-		t.Error("MSB of 8-bit values wrong")
-	}
-	if MSB(1, 1) != 1 {
-		t.Error("MSB width-1 wrong")
-	}
-	if MSB(123, 0) != 0 {
-		t.Error("MSB width-0 should be 0")
 	}
 }
 

@@ -31,22 +31,28 @@ func FuzzCarriesAgainstBigInt(f *testing.F) {
 		if (exact.BitLen() > 64) != (cout == 1) {
 			t.Fatalf("carry-out %d vs big.Int bitlen %d", cout, exact.BitLen())
 		}
-		// Each boundary carry is bit k of the truncated exact sum of the
-		// low k bits.
-		for _, sliceBits := range []uint{4, 8, 16} {
-			packed := BoundaryCarriesPacked(a, b, cin, 64, sliceBits)
-			n := NumSlices(64, sliceBits)
-			for i := uint(1); i < n; i++ {
-				k := i * sliceBits
-				lowMask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), k), big.NewInt(1))
-				lowSum := new(big.Int).Add(
-					new(big.Int).And(new(big.Int).SetUint64(a), lowMask),
-					new(big.Int).And(new(big.Int).SetUint64(b), lowMask))
-				lowSum.Add(lowSum, big.NewInt(int64(cin)))
-				want := lowSum.Bit(int(k))
-				if uint((packed>>(i-1))&1) != want {
-					t.Fatalf("boundary %d (sliceBits %d): got %d want %d",
-						i, sliceBits, (packed>>(i-1))&1, want)
+		// Each boundary carry is bit k of the exact sum of the low k bits,
+		// at every unit width and slice widths 1..8 (8 takes the
+		// byte-gather path, the rest the shift walk).
+		for _, width := range []uint{24, 32, 52, 64} {
+			for sliceBits := uint(1); sliceBits <= 8; sliceBits++ {
+				packed := BoundaryCarriesPacked(a, b, cin, width, sliceBits)
+				n := NumSlices(width, sliceBits)
+				if packed>>(n-1) != 0 {
+					t.Fatalf("width %d sliceBits %d: %#x sets bits past boundary %d", width, sliceBits, packed, n-2)
+				}
+				for i := uint(1); i < n; i++ {
+					k := i * sliceBits
+					lowMask := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), k), big.NewInt(1))
+					lowSum := new(big.Int).Add(
+						new(big.Int).And(new(big.Int).SetUint64(a), lowMask),
+						new(big.Int).And(new(big.Int).SetUint64(b), lowMask))
+					lowSum.Add(lowSum, big.NewInt(int64(cin)))
+					want := lowSum.Bit(int(k))
+					if uint((packed>>(i-1))&1) != want {
+						t.Fatalf("boundary %d (width %d, sliceBits %d): got %d want %d",
+							i, width, sliceBits, (packed>>(i-1))&1, want)
+					}
 				}
 			}
 		}

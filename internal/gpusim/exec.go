@@ -7,6 +7,7 @@ import (
 	"math/bits"
 
 	"st2gpu/internal/adder"
+	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
 	"st2gpu/internal/isa"
 )
@@ -310,12 +311,14 @@ func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]
 	ops := &sm.addOps
 	*ops = [32]WarpAddOp{}
 	any := false
+	ad := unit.Adder()
+	width := ad.Config().Width
 	for l := 0; l < w.nLanes; l++ {
 		if !lanes[l].Active {
 			continue
 		}
-		ea, eb, cin0 := unit.Adder().EffectiveOperands(lanes[l].A, lanes[l].B, lanes[l].Op)
-		sum, _ := unit.Adder().Reference(lanes[l].A, lanes[l].B, lanes[l].Op)
+		ea, eb, cin0 := ad.EffectiveOperands(lanes[l].A, lanes[l].B, lanes[l].Op)
+		sum, _ := bitmath.AddWithCarry(ea, eb, cin0, width)
 		ops[l] = WarpAddOp{Active: true, EA: ea, EB: eb, Cin0: cin0, Sum: sum}
 		any = true
 	}

@@ -152,4 +152,3 @@ func (d *Device) publishLaunch(run *RunStats) {
 		}
 	}
 }
-

@@ -122,8 +122,8 @@ func (h *Histogram) Name() string { return h.name }
 // Registry owns a fixed-order set of metrics. Registration takes a lock;
 // everything on the read/update path is lock-free.
 type Registry struct {
-	mu     sync.Mutex
-	byName map[string]int
+	mu      sync.Mutex
+	byName  map[string]int
 	metrics []metricSlot
 }
 

@@ -139,11 +139,11 @@ func (c HistoryConfig) Name() string {
 // spaces (FullPC) keep the map alone.
 type History struct {
 	cfg      HistoryConfig
-	dense    []uint64 // flat table; nil when the key space is unbounded
-	written  []uint64 // dense-slot occupancy bitmap (backs Entries)
-	entries  int      // live dense/grow entries
-	growMode bool     // ByGtid with bounded PC: gtid-major grow-on-demand table
-	pcBits   uint     // grow-table PC index width (0 for NoPC)
+	dense    []uint64          // flat table; nil when the key space is unbounded
+	written  []uint64          // dense-slot occupancy bitmap (backs Entries)
+	entries  int               // live dense/grow entries
+	growMode bool              // ByGtid with bounded PC: gtid-major grow-on-demand table
+	pcBits   uint              // grow-table PC index width (0 for NoPC)
 	table    map[uint64]uint64 // packed previous boundary carries (sparse fallback)
 }
 

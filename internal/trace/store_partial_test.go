@@ -97,9 +97,9 @@ func TestPartialLoadMatchesFullRead(t *testing.T) {
 		subsets := [][]string{
 			{names[0]},
 			{names[2]},
-			{names[2], names[0]},               // reversed request order
-			{names[1], names[1], names[2]},     // duplicate request
-			{names[2], names[1], names[0]},     // full suite, reversed
+			{names[2], names[0]},           // reversed request order
+			{names[1], names[1], names[2]}, // duplicate request
+			{names[2], names[1], names[0]}, // full suite, reversed
 		}
 		for _, workers := range []int{1, 2, 8} {
 			for _, req := range subsets {
@@ -131,7 +131,7 @@ func TestPartialLoadMatchesFullRead(t *testing.T) {
 						t.Fatalf("omit=%v workers=%d req=%v: kernel %q missing from partial load", omit, workers, req, n)
 					}
 					fk, _ := full.Kernel(n)
-			if !reflect.DeepEqual(pk, fk) {
+					if !reflect.DeepEqual(pk, fk) {
 						t.Fatalf("omit=%v workers=%d req=%v: kernel %q differs between partial and full load", omit, workers, req, n)
 					}
 				}
