@@ -41,14 +41,17 @@ race:
 # panic, over-allocate, round-trip unstably, or load a kernel that differs
 # from the full read's. The paged-memory pass replays random op streams
 # against the flat []byte oracle. The sliced-adder pass checks every
-# Execute result field against the slice-by-slice reference model, and
-# the carry pass checks the packed boundary carries (byte-gather and
-# shift-walk paths) against big.Int addition.
+# Execute result field against the slice-by-slice reference model, the
+# ST² unit pass checks the columnar ExecuteWarp (sums, stall, statistics,
+# CRF rows) against the per-lane oracle, and the carry pass checks the
+# packed boundary carries (byte-gather and shift-walk paths) against
+# big.Int addition.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzOpenStore -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
+	$(GO) test -run='^$$' -fuzz=FuzzUnitExecuteWarp -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCarriesAgainstBigInt -fuzztime=5s ./internal/bitmath
 
 # The scale-4 simulate pass checked against perfbench's pinned output

@@ -338,15 +338,15 @@ func BenchmarkCRFWarpOp(b *testing.B) {
 	}
 	crf := speculate.NewDefaultCRF(1)
 	spec := &core.CRFSpeculator{CRF: crf, Geom: unit.Geometry()}
-	var lanes [core.WarpSize]core.LaneOp
-	for l := range lanes {
-		lanes[l] = core.LaneOp{Active: true, A: uint64(l) * 37, B: 11, Op: adder.Add}
+	ea, eb := make([]uint64, core.WarpSize), make([]uint64, core.WarpSize)
+	for l := range ea {
+		ea[l], eb[l] = uint64(l)*37, 11
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		crf.BeginCycle(uint64(i))
-		res := unit.ExecuteWarp(spec, uint32(i)&15, 0, &lanes)
-		lanes[0].A = res.Sums[0]
+		sums, _ := unit.ExecuteWarp(spec, uint32(i)&15, 0, ^uint32(0), 0, ea, eb)
+		ea[0] = sums[0]
 	}
 }
 

@@ -55,18 +55,27 @@ func main() {
 		acc[lane] = uint64(lane) * 1000
 	}
 	fmt.Println("\niter  mispredicted-lanes  cycles  recomputed-slices")
+	// A warp add arrives as packed columns: the j-th set bit of the active
+	// mask owns the j-th effective-operand pair (all 32 lanes here, all
+	// additions, so no lane injects a carry and the operands are as-is).
+	const active = ^uint32(0)
+	b := make([]uint64, core.WarpSize)
+	for l := range b {
+		b[l] = 7
+	}
 	for iter := 0; iter < 10; iter++ {
 		crf.BeginCycle(uint64(iter + 1))
-		var lanes [core.WarpSize]core.LaneOp
-		for l := 0; l < core.WarpSize; l++ {
-			lanes[l] = core.LaneOp{Active: true, A: acc[l], B: 7, Op: adder.Add}
+		before := unit.Stats()
+		sums, stall := unit.ExecuteWarp(spec, pc, 0, active, 0, acc[:], b)
+		copy(acc[:], sums) // always bit-exact: ST² guarantees correctness
+		after := unit.Stats()
+		cycles := 1
+		if stall {
+			cycles = 2
 		}
-		res := unit.ExecuteWarp(spec, pc, 0, &lanes)
-		for l := range acc {
-			acc[l] = res.Sums[l] // always bit-exact: ST² guarantees correctness
-		}
-		fmt.Printf("%4d  %18d  %6d  %17d\n",
-			iter, res.ThreadMispredicts, res.Cycles, res.RecomputedSlices)
+		fmt.Printf("%4d  %18d  %6d  %17d\n", iter,
+			after.ThreadMispredicts-before.ThreadMispredicts, cycles,
+			after.RecomputedSlices-before.RecomputedSlices)
 	}
 
 	// 4. Anatomy of one misprediction, on the raw adder engine.

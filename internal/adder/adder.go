@@ -155,8 +155,39 @@ func (s *SlicedAdder) Execute(a, b uint64, op Op, predicted uint64) Result {
 }
 
 // ExecuteEffective is Execute on operands EffectiveOperands has already
-// transformed, for callers that computed them anyway (the ST² unit hands
-// the same effective operands to its speculator first).
+// transformed: Resolve's three outputs expanded into the full Result.
+func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
+	sum, actual, e := s.Resolve(ea, eb, cin0, predicted)
+	_, cout := bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
+	res := Result{
+		Sum:           sum,
+		CarryOut:      cout,
+		Cycles:        1,
+		ErrorSlices:   e,
+		ActualCarries: actual,
+		Predicted:     predicted & s.boundaries,
+	}
+	// --- Cycle 2 (only if needed): suspect slices recompute with the
+	// inverse carry-in, and each slice selects the computation matching its
+	// true carry-in. S[i] = OR of E[1..i]: once any lower slice erred,
+	// everything above is suspect — every boundary from the lowest error
+	// upward. ---
+	if e != 0 {
+		res.Mispredicted = true
+		res.Cycles = 2
+		res.SuspectSlices = s.boundaries &^ (e&-e - 1)
+		res.Recomputed = bitmath.PopCount64(res.SuspectSlices)
+	}
+	return res
+}
+
+// Resolve runs one operation on effective operands and returns only what
+// the warp unit consumes: the exact Width-bit sum, the true boundary
+// carries (bit i = carry into slice i+1, what the history stores for next
+// time) and the packed E signals (bit i-1 set: slice i's cycle-1 carry-in
+// differed from the carry slice i-1 produced). The suspect slices are
+// every boundary from the lowest E upward, so E alone fixes the recompute
+// count: NumBoundaries - TrailingZeros(E) when E is nonzero.
 //
 // It derives every per-slice signal from one full-width addition instead
 // of simulating the slices one by one. With bit i of each mask standing
@@ -174,11 +205,9 @@ func (s *SlicedAdder) Execute(a, b uint64, op Op, predicted uint64) Result {
 // = usedCin[i] ^ cout1[i-1] = wrong[i] ^ flip[i-1]. The final select takes
 // each slice's computation with its true carry-in, which together is the
 // exact full-width sum.
-func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
+func (s *SlicedAdder) Resolve(ea, eb uint64, cin0 uint, predicted uint64) (sum, actual, e uint64) {
 	n, boundaries := s.n, s.boundaries
-	res := Result{Predicted: predicted & boundaries}
-
-	sum, cout := bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
+	sum, _ = bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
 	carries := ea ^ eb ^ sum // bit k: the carry into bit k
 	prop := ea ^ eb
 	var trueCin, allProp uint64
@@ -205,35 +234,13 @@ func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint6
 		}
 	}
 
-	// --- Cycle 1: every slice computes with its speculated carry-in (slice
-	// 0 with the injected carry); misprediction detection (E signals) at
-	// its end. ---
-	usedCin := uint64(cin0) | res.Predicted<<1
+	// Cycle 1: every slice computes with its speculated carry-in (slice 0
+	// with the injected carry); misprediction detection (E signals) at its
+	// end.
+	usedCin := uint64(cin0) | (predicted&boundaries)<<1
 	wrong := usedCin ^ trueCin
-	e := (wrong>>1 ^ wrong&allProp) & boundaries
-	// S[i] = OR of E[1..i]: once any lower slice erred, everything above
-	// is suspect — every boundary from the lowest error upward.
-	var sMask uint64
-	if e != 0 {
-		sMask = boundaries &^ (e&-e - 1)
-	}
-	res.ErrorSlices = e
-	res.SuspectSlices = sMask
-	res.Recomputed = bitmath.PopCount64(sMask)
-	res.Mispredicted = e != 0
-
-	// --- Cycle 2 (only if needed): suspect slices recompute with the
-	// inverse carry-in, and each slice selects the computation matching its
-	// true carry-in. ---
-	res.Cycles = 1
-	if res.Mispredicted {
-		res.Cycles = 2
-	}
-	res.Sum = sum
-	res.CarryOut = cout
-	// The true boundary carries, for the history update.
-	res.ActualCarries = trueCin >> 1 & boundaries
-	return res
+	e = (wrong>>1 ^ wrong&allProp) & boundaries
+	return sum, trueCin >> 1 & boundaries, e
 }
 
 // ExecuteApproximate models an *approximate* speculative adder (the
@@ -261,13 +268,6 @@ func (s *SlicedAdder) ExecuteApproximate(a, b uint64, op Op, predicted uint64) (
 	out &= bitmath.Mask(cfg.Width)
 	want, _ := bitmath.AddWithCarry(ea, eb, cin0, cfg.Width)
 	return out, out == want
-}
-
-// Reference computes the exact result the full-width reference adder
-// produces, for cross-checking.
-func (s *SlicedAdder) Reference(a, b uint64, op Op) (sum uint64, cout uint) {
-	ea, eb, cin0 := s.EffectiveOperands(a, b, op)
-	return bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
 }
 
 // Describe renders a cycle-by-cycle narrative of the operation — which

@@ -18,6 +18,13 @@ func mustNew(t *testing.T, cfg Config) *SlicedAdder {
 	return s
 }
 
+// Reference computes the exact result the full-width reference adder
+// produces, for cross-checking.
+func (s *SlicedAdder) Reference(a, b uint64, op Op) (sum uint64, cout uint) {
+	ea, eb, cin0 := s.EffectiveOperands(a, b, op)
+	return bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Width: 0, SliceBits: 8},

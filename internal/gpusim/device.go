@@ -123,6 +123,11 @@ type Device struct {
 	// Like timings, spans are observability-only: nothing they carry
 	// feeds back into RunStats.
 	obs *obs.Tracer
+
+	// cycleCheck, when set, runs on every SM at the top of every
+	// simulated cycle and fails the launch on error; tests install it to
+	// check invariants of the SM loop.
+	cycleCheck func(*smState) error
 }
 
 // SetObs installs (or clears, with nil) the span tracer. Every Launch

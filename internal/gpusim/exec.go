@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 
-	"st2gpu/internal/adder"
 	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
 	"st2gpu/internal/isa"
@@ -42,7 +41,6 @@ type warp struct {
 	// Scheduling state.
 	regReady  []uint64 // scoreboard: cycle each data register becomes readable
 	nextIssue uint64   // in-order issue point
-	readyAt   uint64   // max(nextIssue, regReady of code[rpc].waitRegs); see refreshReady
 	atBarrier bool
 	done      bool
 }
@@ -247,44 +245,48 @@ func (sm *smState) executeStep(w *warp, d *decodedInstr) (stepResult, error) {
 // execIntAddSub routes an integer add/sub through the ST² ALU (or the
 // baseline adder in baseline mode).
 func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uint32, res *stepResult) error {
-	op := adder.Add
-	if in.Op == isa.OpISub {
-		op = adder.Sub
-	}
-	unit := sm.alu32
+	sub := in.Op == isa.OpISub
+	unit, width := sm.alu32, uint(32)
 	if in.Type.Is64() {
-		unit = sm.alu64
+		unit, width = sm.alu64, 64
 	}
 	a := sm.srcVec(w, in.Srcs[0], &sm.opA)
 	b := sm.srcVec(w, in.Srcs[1], &sm.opB)
 	dst := w.regRow(in.Dst)
 	st2 := sm.dev.cfg.AdderMode == ST2Adders
 	if st2 || sm.observed() {
-		lanes := &sm.lanes
-		*lanes = [32]core.LaneOp{}
-		for m := execMask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			lanes[l] = core.LaneOp{Active: true, A: a[l], B: b[l], Op: op}
+		// The warp add's columns: each executing lane's effective operands
+		// (a subtraction ones'-complements b and injects carry 1), packed
+		// in ascending lane order.
+		m := bitmath.Mask(width)
+		var flip uint64
+		var cin uint32
+		if sub {
+			flip, cin = m, execMask
 		}
-		if sm.observed() {
-			if err := sm.observeLanes(unit, pc, w, lanes); err != nil {
-				return err
-			}
+		n := 0
+		for mm := execMask; mm != 0; mm &= mm - 1 {
+			l := bits.TrailingZeros32(mm)
+			sm.ea[n], sm.eb[n] = a[l]&m, (b[l]^flip)&m
+			n++
+		}
+		ea, eb := sm.ea[:n], sm.eb[:n]
+		if err := sm.observe(unit, pc, w.gtidBase, execMask, cin, ea, eb); err != nil {
+			return err
 		}
 		if st2 {
-			wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, lanes)
-			for m := execMask; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m)
-				dst[l] = truncate(in.Type, wr.Sums[l])
+			sums, stall := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, execMask, cin, ea, eb)
+			j := 0
+			for mm := execMask; mm != 0; mm &= mm - 1 {
+				dst[bits.TrailingZeros32(mm)] = truncate(in.Type, sums[j])
+				j++
 			}
-			if wr.Cycles == 2 {
-				res.st2Stall = true
-			}
+			res.st2Stall = stall
 			return nil
 		}
 	}
 	// Baseline: exact native arithmetic; count the op for pricing.
-	if op == adder.Sub {
+	if sub {
 		for m := execMask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
 			dst[l] = truncate(in.Type, a[l]-b[l])
@@ -303,40 +305,38 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 // this SM's adder operations.
 func (sm *smState) observed() bool { return sm.dev.tracer != nil || sm.rec != nil }
 
-// observeLanes reports the warp's effective adder operations — in one
-// warp-synchronous batch — to the installed live tracer and/or this SM's
-// recording shard. The only error it can return is the recording
-// byte-cap tripping.
-func (sm *smState) observeLanes(unit *core.Unit, pc uint32, w *warp, lanes *[32]core.LaneOp) error {
-	ops := &sm.addOps
-	*ops = [32]WarpAddOp{}
-	any := false
-	ad := unit.Adder()
-	width := ad.Config().Width
-	for l := 0; l < w.nLanes; l++ {
-		if !lanes[l].Active {
-			continue
-		}
-		ea, eb, cin0 := ad.EffectiveOperands(lanes[l].A, lanes[l].B, lanes[l].Op)
-		sum, _ := bitmath.AddWithCarry(ea, eb, cin0, width)
-		ops[l] = WarpAddOp{Active: true, EA: ea, EB: eb, Cin0: cin0, Sum: sum}
-		any = true
-	}
-	if !any {
+// observe reports one warp add's columns to the installed live tracer
+// and/or this SM's recording shard. Only a live tracer gets per-lane
+// WarpAddOps with their sums. The only error it can return is the
+// recording byte-cap tripping.
+func (sm *smState) observe(unit *core.Unit, pc, gtidBase, active, cin uint32, ea, eb []uint64) error {
+	if active == 0 {
 		return nil
 	}
-	if sm.dev.tracer != nil {
-		sm.dev.tracer.TraceWarpAdds(unit.Kind, pc, w.gtidBase, ops)
+	if t := sm.dev.tracer; t != nil {
+		ops := &sm.addOps
+		*ops = [32]WarpAddOp{}
+		width := unit.Adder().Config().Width
+		j := 0
+		for m := active; m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			c := uint(cin >> l & 1)
+			sum, _ := bitmath.AddWithCarry(ea[j], eb[j], c, width)
+			ops[l] = WarpAddOp{Active: true, EA: ea[j], EB: eb[j], Cin0: c, Sum: sum}
+			j++
+		}
+		t.TraceWarpAdds(unit.Kind, pc, gtidBase, ops)
 	}
 	if sm.rec != nil {
-		return sm.rec.append(unit.Kind, pc, w.gtidBase, ops)
+		return sm.rec.append(unit.Kind, pc, gtidBase, active, cin, ea, eb)
 	}
 	return nil
 }
 
 // execFloatAddSub: the architectural result is native IEEE; in ST² mode
 // the aligned mantissa operation additionally flows through the FPU/DPU
-// sliced adder for timing/energy/misprediction accounting.
+// sliced adder for timing/energy/misprediction accounting. Lanes whose
+// operands bypass the significand adder (specials, zero + zero) leave it.
 func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask uint32, res *stepResult) error {
 	is64 := in.Type == isa.F64
 	unit := sm.fpu
@@ -345,14 +345,13 @@ func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask u
 	}
 	st2 := sm.dev.cfg.AdderMode == ST2Adders
 	mantissa := st2 || sm.observed()
-	lanes := &sm.lanes
-	if mantissa {
-		*lanes = [32]core.LaneOp{}
-	}
 	a := sm.srcVec(w, in.Srcs[0], &sm.opA)
 	b := sm.srcVec(w, in.Srcs[1], &sm.opB)
 	dst := w.regRow(in.Dst)
 	sub := in.Op == isa.OpFSub
+	// The mantissa adds' columns, packed in ascending lane order.
+	var active, cin uint32
+	n := 0
 	if is64 {
 		for m := execMask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
@@ -362,8 +361,11 @@ func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask u
 			}
 			dst[l] = f64bits(x + y)
 			if mantissa {
-				if mop, ok := core.MantissaOpF64(x, y); ok {
-					lanes[l] = mop
+				if ea, eb, c, ok := core.MantissaOpF64(x, y); ok {
+					active |= 1 << l
+					cin |= uint32(c) << l
+					sm.ea[n], sm.eb[n] = ea, eb
+					n++
 				}
 			}
 		}
@@ -376,22 +378,21 @@ func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask u
 			}
 			dst[l] = uint64(f32bits(x + y))
 			if mantissa {
-				if mop, ok := core.MantissaOpF32(x, y); ok {
-					lanes[l] = mop
+				if ea, eb, c, ok := core.MantissaOpF32(x, y); ok {
+					active |= 1 << l
+					cin |= uint32(c) << l
+					sm.ea[n], sm.eb[n] = ea, eb
+					n++
 				}
 			}
 		}
 	}
-	if sm.observed() {
-		if err := sm.observeLanes(unit, pc, w, lanes); err != nil {
-			return err
-		}
+	ea, eb := sm.ea[:n], sm.eb[:n]
+	if err := sm.observe(unit, pc, w.gtidBase, active, cin, ea, eb); err != nil {
+		return err
 	}
 	if st2 {
-		wr := unit.ExecuteWarp(sm.spec, pc, w.gtidBase, lanes)
-		if wr.Cycles == 2 {
-			res.st2Stall = true
-		}
+		_, res.st2Stall = unit.ExecuteWarp(sm.spec, pc, w.gtidBase, active, cin, ea, eb)
 	} else {
 		sm.baselineAdderOps[unit.Kind] += uint64(res.activeLanes)
 	}

@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"encoding/binary"
+	"fmt"
 	"io"
 )
 
@@ -40,4 +41,77 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// CheckIssueGate makes every later launch on d check, on every SM at the
+// top of every cycle, that the issue gate agrees with the warps it
+// summarizes; a disagreement fails the launch.
+func (d *Device) CheckIssueGate() { d.cycleCheck = (*smState).checkIssueGate }
+
+// checkIssueGate recomputes, from each warp and pipe itself, what
+// gate/poolOf/poolFree must hold and the issue predicate the scan used to
+// evaluate on the warp, and reports the first disagreement.
+func (sm *smState) checkIssueGate() error {
+	if len(sm.gate) != len(sm.warps) || len(sm.poolOf) != len(sm.warps) {
+		return fmt.Errorf("SM %d: gate arrays cover %d/%d warps, %d launched",
+			sm.id, len(sm.gate), len(sm.poolOf), len(sm.warps))
+	}
+	for k, pipes := range sm.pools {
+		var free uint64
+		for i, busy := range pipes {
+			if i == 0 || busy < free {
+				free = busy
+			}
+		}
+		if sm.poolFree[k] != free {
+			return fmt.Errorf("SM %d cycle %d: poolFree[%d] = %d, earliest-free pipe is busy until %d",
+				sm.id, sm.cycle, k, sm.poolFree[k], free)
+		}
+	}
+	for i, w := range sm.warps {
+		ready, pool := uint64(noIssue), poolNone
+		if !w.done {
+			if w.rpc >= 0 {
+				pool = sm.code[w.rpc].pool
+			}
+			if sm.poolOf[i] != pool {
+				return fmt.Errorf("SM %d cycle %d warp %d: poolOf = %d, instruction at rpc %d issues to pool %d",
+					sm.id, sm.cycle, i, sm.poolOf[i], w.rpc, pool)
+			}
+		}
+		if !w.done && !w.atBarrier {
+			ready = w.nextIssue
+			if w.rpc >= 0 {
+				d := &sm.code[w.rpc]
+				for _, r := range d.waitRegs[:d.nWait] {
+					ready = max64(ready, w.regReady[r])
+				}
+			}
+		}
+		if sm.gate[i] != ready {
+			return fmt.Errorf("SM %d cycle %d warp %d (done %v, at barrier %v): gate = %d, want %d",
+				sm.id, sm.cycle, i, w.done, w.atBarrier, sm.gate[i], ready)
+		}
+		can := !w.done && !w.atBarrier && ready <= sm.cycle
+		if can && pool != poolNone {
+			for _, busy := range sm.pools[pool] {
+				can = busy <= sm.cycle
+				if can {
+					break
+				}
+			}
+		}
+		if sm.canIssue(i) != can {
+			return fmt.Errorf("SM %d cycle %d warp %d: canIssue = %v, the warp itself says %v",
+				sm.id, sm.cycle, i, !can, can)
+		}
+	}
+	return nil
+}
+
+func max64(a, b uint64) uint64 {
+	if a > b {
+		return a
+	}
+	return b
 }

@@ -131,18 +131,10 @@ const (
 	recCinBits  = 0b0001_1000 // mask extracting the pattern bits
 )
 
-// append encodes one warp-synchronous record.
-func (s *recShard) append(kind core.UnitKind, pc, gtidBase uint32, ops *[32]WarpAddOp) error {
-	var active, cin uint32
-	for l := 0; l < 32; l++ {
-		if !ops[l].Active {
-			continue
-		}
-		active |= 1 << l
-		if ops[l].Cin0 != 0 {
-			cin |= 1 << l
-		}
-	}
+// append encodes one warp-synchronous record from its packed columns:
+// the j-th set bit of active owns ea[j] and eb[j], and bit l of cin is
+// lane l's injected carry.
+func (s *recShard) append(kind core.UnitKind, pc, gtidBase, active, cin uint32, ea, eb []uint64) error {
 	if active == 0 {
 		return nil
 	}
@@ -170,15 +162,12 @@ func (s *recShard) append(kind core.UnitKind, pc, gtidBase uint32, ops *[32]Warp
 	if (hdr&recCinBits)>>recCinShift == recCinMixed {
 		s.buf = binary.AppendUvarint(s.buf, uint64(cin))
 	}
-	for l := 0; l < 32; l++ {
-		if !ops[l].Active {
-			continue
-		}
-		s.buf = binary.AppendUvarint(s.buf, ops[l].EA)
-		s.buf = binary.AppendUvarint(s.buf, ops[l].EB)
+	for j := range ea {
+		s.buf = binary.AppendUvarint(s.buf, ea[j])
+		s.buf = binary.AppendUvarint(s.buf, eb[j])
 	}
 	s.ops++
-	s.lanes += uint64(bits.OnesCount32(active))
+	s.lanes += uint64(len(ea))
 
 	// Charge growth against the shared budget in coarse chunks so the
 	// shared atomic stays off the per-operation path.

@@ -141,6 +141,18 @@ type smState struct {
 	pools      [poolCount][]uint64 // busy-until per pipe
 	freePipe   [poolCount]int      // per pool, its earliest-free pipe (kept by occupyPipe)
 
+	// The issue gate: dense per-warp and per-pool arrays from which the
+	// scan and the fast-forward decide, without touching a warp, whether
+	// it can issue (canIssue). gate[id] is the warp's readyAt, or noIssue
+	// while it is done or at a barrier; poolOf[id] is the pipe pool of the
+	// instruction at its rpc (poolNone once every thread has exited); and
+	// poolFree[k] is the busy-until time of pool k's earliest-free pipe
+	// (always 0 for poolNone). refreshReady, retire, the barrier
+	// arrive/release and occupyPipe are their only writers.
+	gate     []uint64
+	poolOf   []poolKind
+	poolFree [poolCount]uint64
+
 	// active holds, in ascending order, the indices into warps of every
 	// warp not done as of the last compaction, followed by any warps
 	// launched since. A retirement only sets retired; run compacts the
@@ -171,12 +183,13 @@ type smState struct {
 	rec *recShard
 
 	// Per-instruction scratch, reused by every warp instruction so the
-	// issue path allocates nothing: immediate/special operand vectors, the
-	// ST² unit's lane operations and the observed warp adds. lanes and
-	// addOps are handed to Speculator and AddTracer implementations by
-	// pointer, valid only for the duration of the call.
+	// issue path allocates nothing: immediate/special operand vectors, a
+	// warp add's packed effective-operand columns, and the per-lane adds a
+	// live AddTracer receives. The columns and addOps are handed to the
+	// ST² unit, the recorder and tracers, valid only for the duration of
+	// the call.
 	opA, opB, opC [32]uint64
-	lanes         [32]core.LaneOp
+	ea, eb        [32]uint64
 	addOps        [32]WarpAddOp
 }
 
@@ -198,6 +211,7 @@ func (sm *smState) occupyPipe(k poolKind, pipe int, until uint64) {
 		}
 	}
 	sm.freePipe[k] = best
+	sm.poolFree[k] = pipes[best]
 }
 
 // launchBlock instantiates the warps of global block b on this SM.
@@ -231,9 +245,11 @@ func (sm *smState) launchBlock(b int) {
 		}
 		w.live = uint32(1<<lanes - 1)
 		w.reconverge()
+		sm.warps = append(sm.warps, w)
+		sm.gate = append(sm.gate, 0)
+		sm.poolOf = append(sm.poolOf, poolNone)
 		sm.refreshReady(w)
 		sm.active = append(sm.active, w.id)
-		sm.warps = append(sm.warps, w)
 	}
 	sm.resident += nWarps
 	sm.liveBlocks[b] = nWarps
@@ -245,6 +261,7 @@ func (sm *smState) launchBlock(b int) {
 // next compaction.
 func (sm *smState) retire(w *warp) {
 	w.done = true
+	sm.gate[w.id] = noIssue
 	w.regs, w.preds, w.regReady, w.shared = nil, nil, nil, nil
 	sm.resident--
 	sm.retired = true
@@ -299,12 +316,16 @@ func (sm *smState) releaseBarriers() {
 	}
 }
 
-// refreshReady recomputes w.readyAt: the cycle at which the warp's next
-// instruction can read all its operands and the warp's in-order issue
-// point allows it. Every write to w.nextIssue, w.regReady or w.rpc is
-// followed by a call here.
+// noIssue is the gate of a warp that is done or waiting at a barrier.
+const noIssue = ^uint64(0)
+
+// refreshReady recomputes the gate of a running warp (neither done nor at
+// a barrier): its readyAt, the cycle at which its next instruction can
+// read all its operands and its in-order issue point allows it, and that
+// instruction's pipe pool. Every write to w.nextIssue, w.regReady or w.rpc
+// is followed by a call here.
 func (sm *smState) refreshReady(w *warp) {
-	t := w.nextIssue
+	t, pool := w.nextIssue, poolNone
 	if w.rpc >= 0 {
 		d := &sm.code[w.rpc]
 		for _, r := range d.waitRegs[:d.nWait] {
@@ -312,30 +333,22 @@ func (sm *smState) refreshReady(w *warp) {
 				t = ready
 			}
 		}
+		pool = d.pool
 	}
-	w.readyAt = t
+	sm.gate[w.id], sm.poolOf[w.id] = t, pool
 }
 
-// earliestIssue computes when warp w could issue, considering scoreboard
-// and FU pool availability.
-func (sm *smState) earliestIssue(w *warp) uint64 {
-	t := w.readyAt
-	if w.rpc >= 0 {
-		if pool := sm.code[w.rpc].pool; pool != poolNone {
-			if b := sm.pools[pool][sm.freePipe[pool]]; b > t {
-				t = b
-			}
-		}
-	}
-	return t
+// canIssue reports, from the gate arrays alone, whether warp i can issue
+// at the current cycle: it is neither done nor at a barrier, its operands
+// and issue point are ready, and its instruction's pool has a free pipe.
+func (sm *smState) canIssue(i int) bool {
+	return sm.gate[i] <= sm.cycle && sm.poolFree[sm.poolOf[i]] <= sm.cycle
 }
 
-// tryIssue attempts to issue warp w at the current cycle; reports whether
-// it issued.
+// tryIssue issues warp w, which canIssue admits, at the current cycle. It
+// reports false only for a warp whose every thread has exited, which it
+// retires instead.
 func (sm *smState) tryIssue(w *warp) (bool, error) {
-	if w.done || w.atBarrier || w.readyAt > sm.cycle {
-		return false, nil
-	}
 	if w.rpc < 0 {
 		sm.retire(w)
 		return false, nil
@@ -345,9 +358,6 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	pipe := -1
 	if pool != poolNone {
 		pipe = sm.freePipe[pool]
-		if sm.pools[pool][pipe] > sm.cycle {
-			return false, nil
-		}
 	}
 
 	res, err := sm.executeStep(w, d)
@@ -384,6 +394,7 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	sm.stats.ThreadInstrs[cls] += uint64(res.activeLanes)
 	if res.barrier {
 		w.atBarrier = true
+		sm.gate[w.id] = noIssue
 		sm.barrierArrived[w.blockIdx]++
 		sm.stats.BarrierWaits++
 	}
@@ -415,6 +426,11 @@ func (sm *smState) run() error {
 			sm.compactActive()
 		}
 		sm.releaseBarriers()
+		if check := sm.dev.cycleCheck; check != nil {
+			if err := check(sm); err != nil {
+				return err
+			}
+		}
 
 		// The scan visits the warps active at the top of the cycle; warps
 		// a retirement launches mid-scan wait for the next cycle.
@@ -424,9 +440,12 @@ func (sm *smState) run() error {
 		greedy := sm.dev.cfg.Scheduler == GTO
 		// GTO: give the most recent issuer first claim on a slot.
 		if greedy && sm.lastWarp >= 0 && sm.lastWarp < n {
-			ok, err := sm.tryIssue(sm.warps[sm.lastWarp])
-			if err != nil {
-				return err
+			ok := false
+			if sm.canIssue(sm.lastWarp) {
+				var err error
+				if ok, err = sm.tryIssue(sm.warps[sm.lastWarp]); err != nil {
+					return err
+				}
 			}
 			if ok {
 				issued++
@@ -447,7 +466,7 @@ func (sm *smState) run() error {
 				pos -= len(act)
 			}
 			idx := act[pos]
-			if greedy && idx == sm.lastWarp {
+			if greedy && idx == sm.lastWarp || !sm.canIssue(idx) {
 				continue
 			}
 			ok, err := sm.tryIssue(sm.warps[idx])
@@ -471,12 +490,15 @@ func (sm *smState) run() error {
 		next := ^uint64(0)
 		anyWaiting := false
 		for _, i := range sm.active {
-			w := sm.warps[i]
-			if w.done || w.atBarrier {
+			t := sm.gate[i]
+			if t == noIssue {
 				continue
 			}
 			anyWaiting = true
-			if t := sm.earliestIssue(w); t < next {
+			if f := sm.poolFree[sm.poolOf[i]]; f > t {
+				t = f
+			}
+			if t < next {
 				next = t
 			}
 		}
