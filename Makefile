@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-clean race fuzz-smoke pinned check bench
+.PHONY: build test vet lint lint-clean race fuzz-smoke pinned examples check bench
 
 build:
 	$(GO) build ./...
@@ -70,13 +70,26 @@ pinned:
 		echo "$$out"; echo "pinned: the repro pass does not match its pinned digests"; exit 1; \
 	fi
 
+# Build every example under examples/ into .cache/examples/ and run each
+# once; an example that exits nonzero fails the target and prints its
+# output. Each runs in well under a second once built.
+examples:
+	@mkdir -p .cache/examples
+	@for dir in examples/*/; do \
+		name=$$(basename $$dir); \
+		$(GO) build -o .cache/examples/$$name ./$$dir || exit 1; \
+		out=$$(.cache/examples/$$name 2>&1) || { echo "$$out"; echo "examples: $$name exited nonzero"; exit 1; }; \
+		echo "examples: $$name ok"; \
+	done
+
 # The gate CI runs: static analysis (vet, gofmt, st2lint), the full test
 # suite under the race detector (which includes the readable golden of
 # every figure's rows and the run-manifest sanity check), a short decoder,
-# adder and carry fuzz pass, and the pinned scale-4 simulate and scale-1
-# repro passes. It runs no timing-ratio gate: performance is measured
-# with perfbench (`bash perfbench/run.sh`), never asserted here.
-check: vet lint race fuzz-smoke pinned
+# adder and carry fuzz pass, the pinned scale-4 simulate and scale-1
+# repro passes, and one run of every example. It runs no timing-ratio
+# gate: performance is measured with perfbench (`bash perfbench/run.sh`),
+# never asserted here.
+check: vet lint race fuzz-smoke pinned examples
 
 bench:
 	$(GO) test -bench=. -benchmem

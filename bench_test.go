@@ -20,7 +20,6 @@ import (
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/kernels"
 	"st2gpu/internal/speculate"
-	"st2gpu/internal/trace"
 )
 
 func benchCfg() experiments.Config { return experiments.Default() }
@@ -391,23 +390,6 @@ func BenchmarkLaunchParallelSMs(b *testing.B) {
 	}
 }
 
-// BenchmarkDSEMeter measures the single-pass design-space meter on full
-// 32-lane warp batches.
-func BenchmarkDSEMeter(b *testing.B) {
-	m, err := trace.NewDSEMeter(nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var ops [32]gpusim.WarpAddOp
-	for l := range ops {
-		ops[l] = gpusim.WarpAddOp{Active: true, EA: uint64(l) * 2654435761, EB: uint64(l) | 1}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.TraceWarpAdds(core.ALU, uint32(i)&63, uint32(i&7)*32, &ops)
-	}
-}
-
 // BenchmarkApproximateAdders quantifies the related-work contrast: what
 // fraction of results an error-accepting approximate speculative adder
 // ([10]–[13] in the paper) would corrupt on the real kernel streams.
@@ -466,48 +448,21 @@ func BenchmarkAblationHistoryDepth(b *testing.B) {
 // which is why per-slice speculation works at all).
 func BenchmarkCarryChains(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		meters := make([]*trace.ChainMeter, len(kernels.Suite()))
-		for k, w := range kernels.Suite() {
-			spec, err := w.Build(1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := gpusim.DefaultConfig()
-			cfg.NumSMs = 2
-			cfg.AdderMode = gpusim.BaselineAdders
-			d, err := gpusim.New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if spec.Setup != nil {
-				if err := spec.Setup(d.Memory()); err != nil {
-					b.Fatal(err)
-				}
-			}
-			m := trace.NewChainMeter()
-			d.SetTracer(m)
-			if _, err := d.Launch(spec.Kernel); err != nil {
-				b.Fatal(err)
-			}
-			meters[k] = m
+		rows, err := experiments.CarryChains(benchCfg())
+		if err != nil {
+			b.Fatal(err)
 		}
 		if i == 0 {
-			var short, mean float64
-			n := 0
 			fmt.Println("\nSection III — carry-chain lengths per kernel (short ≤ one slice):")
-			for k, w := range kernels.Suite() {
-				m := meters[k]
-				if m.Ops == 0 {
+			for _, r := range rows[:len(rows)-1] {
+				if r.Ops == 0 {
 					continue
 				}
-				fmt.Printf("  %-12s %5.1f%% short, mean %.2f bits\n",
-					w.Name, 100*m.ShortChainFraction(), m.MeanChainLength())
-				short += m.ShortChainFraction()
-				mean += m.MeanChainLength()
-				n++
+				fmt.Printf("  %-12s %5.1f%% short, mean %.2f bits\n", r.Kernel, 100*r.ShortFraction, r.MeanBits)
 			}
-			fmt.Printf("  average: %.1f%% short, mean %.2f bits\n", 100*short/float64(n), mean/float64(n))
-			b.ReportMetric(100*short/float64(n), "%short-chains")
+			avg := rows[len(rows)-1]
+			fmt.Printf("  average: %.1f%% short, mean %.2f bits\n", 100*avg.ShortFraction, avg.MeanBits)
+			b.ReportMetric(100*avg.ShortFraction, "%short-chains")
 		}
 	}
 }

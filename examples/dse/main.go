@@ -1,9 +1,9 @@
 // DSE: write your own kernel, sweep the carry-speculation design space.
 //
 // Builds a small custom PTX-lite kernel with the Builder API, runs it once
-// on the simulated GPU with the design-space meter attached, and prints
-// how every Figure 5 speculation mechanism would have fared on its add
-// stream — the workflow for exploring new predictor designs.
+// on the simulated GPU with its add stream recorded, and prints how every
+// Figure 5 speculation mechanism would have fared on that stream — the
+// workflow for exploring new predictor designs.
 //
 // Run with:
 //
@@ -83,32 +83,37 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Sweep the full Figure 5 design space plus the XOR-hash ablation in a
-	// single pass: every design observes the identical operation stream.
-	designs := append(append([]string{}, speculate.DesignSpace...), "Ltid+Prev+XorPC4+Peek", "oracle")
-	meter, err := trace.NewDSEMeter(designs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	d.SetTracer(meter)
-
+	rec := gpusim.NewRecorder(0)
+	d.SetRecorder(rec)
 	rs, err := d.Launch(&gpusim.Kernel{Program: prog, GridDim: width * height / 128, BlockDim: 128})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("executed %d thread instructions\n\n", rs.TotalThreadInstrs())
 
+	// Decode the recording once, then sweep the full Figure 5 design space
+	// plus the XOR-hash ablation in a single pass over it: every design
+	// observes the identical operation stream.
+	set := trace.NewSet(1, cfg.NumSMs, cfg.Seed)
+	set.Add(prog.Name, rec.Recording())
+	dec, err := trace.DecodeSet(set)
+	if err != nil {
+		log.Fatal(err)
+	}
+	k, _ := dec.Kernel(prog.Name)
+	designs := append(append([]string{}, speculate.DesignSpace...), "Ltid+Prev+XorPC4+Peek", "oracle")
+	miss, err := k.EvalMissBatch(designs)
+	if err != nil {
+		log.Fatal(err)
+	}
+
 	fmt.Printf("%-26s %s\n", "design", "thread misprediction rate")
-	for _, name := range designs {
-		r, err := meter.MissRate(name)
-		if err != nil {
-			log.Fatal(err)
-		}
+	for i, name := range designs {
 		marker := ""
 		if name == speculate.FinalDesign {
 			marker = "  <= ST² ships this"
 		}
-		fmt.Printf("%-26s %6.2f%%%s\n", name, 100*r, marker)
+		fmt.Printf("%-26s %6.2f%%%s\n", name, 100*miss[i].Value(), marker)
 	}
 	fmt.Println("\n(XOR-hash indexing should show no benefit over ModPC4 — Section IV-B.)")
 }

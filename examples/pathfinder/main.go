@@ -21,7 +21,9 @@ import (
 	"st2gpu/internal/trace"
 )
 
-func run(mode gpusim.AdderMode, tracer gpusim.AddTracer) (*gpusim.RunStats, *gpusim.Device) {
+// run simulates pathfinder in the given adder mode, recording its add
+// stream when rec is non-nil, and checks its output.
+func run(mode gpusim.AdderMode, rec *gpusim.Recorder) (*gpusim.RunStats, *gpusim.Device) {
 	spec, err := kernels.Pathfinder(1)
 	if err != nil {
 		log.Fatal(err)
@@ -33,8 +35,8 @@ func run(mode gpusim.AdderMode, tracer gpusim.AddTracer) (*gpusim.RunStats, *gpu
 	if err != nil {
 		log.Fatal(err)
 	}
-	if tracer != nil {
-		d.SetTracer(tracer)
+	if rec != nil {
+		d.SetRecorder(rec)
 	}
 	if err := spec.Setup(d.Memory()); err != nil {
 		log.Fatal(err)
@@ -50,14 +52,21 @@ func run(mode gpusim.AdderMode, tracer gpusim.AddTracer) (*gpusim.RunStats, *gpu
 }
 
 func main() {
-	// --- Figure 2: one thread's addition results per PC. ---
-	vt := trace.NewValueTrace(37, 8)
-	cm, err := trace.NewCorrMeter()
+	// The baseline run records its add stream, decoded once for Figures
+	// 2 and 3.
+	rec := gpusim.NewRecorder(0)
+	base, dBase := run(gpusim.BaselineAdders, rec)
+	cfg := dBase.Config()
+	set := trace.NewSet(1, cfg.NumSMs, cfg.Seed)
+	set.Add("pathfinder", rec.Recording())
+	dec, err := trace.DecodeSet(set)
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, dBase := run(gpusim.BaselineAdders, trace.Multi{vt, cm})
+	k, _ := dec.Kernel("pathfinder")
 
+	// --- Figure 2: one thread's addition results per PC. ---
+	vt := trace.NewValueTrace(k, 37, 8)
 	fmt.Println("Figure 2 — thread 37's addition results, first iterations per PC:")
 	for _, pc := range vt.PCs() {
 		fmt.Printf("  PC%-3d:", pc)
@@ -68,10 +77,13 @@ func main() {
 	}
 	fmt.Println("  (same-PC streams evolve gradually; cross-PC values differ wildly)")
 
-	rates := cm.Rates()
+	rates, err := k.EvalCorrBatch(trace.Fig3Designs)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("\nFigure 3 — carry-in match rates on pathfinder:")
 	for i, d := range trace.Fig3Designs {
-		fmt.Printf("  %-18s %.1f%%\n", d, 100*rates[i])
+		fmt.Printf("  %-18s %.1f%%\n", d, 100*rates[i].Value())
 	}
 
 	// --- ST² run: mispredictions, performance, energy. ---

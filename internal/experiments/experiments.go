@@ -6,10 +6,12 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
 
+	"st2gpu/internal/bitmath"
 	"st2gpu/internal/circuit"
 	"st2gpu/internal/core"
 	"st2gpu/internal/gpusim"
@@ -360,6 +362,119 @@ func Fig1(cfg Config) ([]MixRow, error) {
 	return append(rows, avg), nil
 }
 
+// --- Section III: carry-chain lengths ---
+
+// CarryChainRow is one kernel's Section III carry statistics over its
+// baseline add stream. A lane add's chain is its longest run of carry
+// propagation (bitmath.CarryChainLength over its unit's width); it is
+// short when it stays under one 8-bit slice. CarryRates[i] is the
+// fraction of lane adds with an (i+1)-th slice boundary whose carry into
+// slice i+1 is set, over CarrySamples[i] such adds.
+type CarryChainRow struct {
+	Kernel        string
+	Ops           uint64 // lane adds
+	ShortFraction float64
+	MeanBits      float64
+	CarryRates    [7]float64
+	CarrySamples  [7]uint64
+}
+
+// CarryChains measures Section III's observation that most additions
+// have short carry chains — why per-slice speculation works at all. The
+// baseline suite is recorded and decoded as for Figure 3, and each
+// kernel's decoded lanes are walked once. The appended "Average" row is
+// the unweighted mean over the kernels that have adds; its CarryRates[i]
+// averages the kernels with an i-th boundary sample, and its counts are
+// suite totals.
+func CarryChains(cfg Config) ([]CarryChainRow, error) {
+	set, err := RecordSuite(cfg)
+	if err != nil {
+		return nil, err
+	}
+	dec, err := trace.DecodeSet(set)
+	if err != nil {
+		return nil, err
+	}
+	names := dec.Names()
+	rows := make([]CarryChainRow, len(names))
+	if err := forEach(len(names), func(i int) error {
+		k, _ := dec.Kernel(names[i]) // names come from dec itself
+		var err error
+		rows[i], err = carryChains(names[i], k)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	avg := CarryChainRow{Kernel: "Average"}
+	var kernels int
+	var rateKernels [7]int
+	for _, r := range rows {
+		avg.Ops += r.Ops
+		if r.Ops == 0 {
+			continue
+		}
+		kernels++
+		avg.ShortFraction += r.ShortFraction
+		avg.MeanBits += r.MeanBits
+		for b, n := range r.CarrySamples {
+			avg.CarrySamples[b] += n
+			if n > 0 {
+				rateKernels[b]++
+				avg.CarryRates[b] += r.CarryRates[b]
+			}
+		}
+	}
+	if kernels > 0 {
+		avg.ShortFraction /= float64(kernels)
+		avg.MeanBits /= float64(kernels)
+	}
+	for b, n := range rateKernels {
+		if n > 0 {
+			avg.CarryRates[b] /= float64(n)
+		}
+	}
+	return append(rows, avg), nil
+}
+
+// carryChains walks one decoded kernel's lanes for its CarryChainRow.
+func carryChains(name string, k *trace.DecodedKernel) (CarryChainRow, error) {
+	row := CarryChainRow{Kernel: name, Ops: uint64(k.NumLanes())}
+	var short, chainBits uint64
+	var carried [7]uint64
+	for i, kind := range k.Kind {
+		ac, err := kind.AdderConfig(8)
+		if err != nil {
+			return row, fmt.Errorf("experiments: %s: %w", name, err)
+		}
+		boundaries := ac.NumBoundaries()
+		j := k.Off[i]
+		for m := k.Active[i]; m != 0; m &= m - 1 {
+			cin := uint(k.Cin[i] >> bits.TrailingZeros32(m) & 1)
+			n := bitmath.CarryChainLength(k.EA[j], k.EB[j], cin, ac.Width)
+			chainBits += uint64(n)
+			if n < 8 {
+				short++
+			}
+			for b := uint(0); b < boundaries; b++ {
+				row.CarrySamples[b]++
+				carried[b] += k.Carries[j] >> b & 1
+			}
+			j++
+		}
+	}
+	if row.Ops == 0 {
+		return row, nil
+	}
+	row.ShortFraction = float64(short) / float64(row.Ops)
+	row.MeanBits = float64(chainBits) / float64(row.Ops)
+	for b, n := range row.CarrySamples {
+		if n > 0 {
+			row.CarryRates[b] = float64(carried[b]) / float64(n)
+		}
+	}
+	return row, nil
+}
+
 // --- Figure 2: value evolution in pathfinder ---
 
 // Fig2Series is one PC's value stream.
@@ -370,7 +485,8 @@ type Fig2Series struct {
 
 // Fig2 traces one pathfinder thread's additions per PC — the data behind
 // the paper's Figure 2 (bottom). The kernel is simulated once with the
-// parallel recording path; the value trace is filled from a replay.
+// parallel recording path, and its recording is decoded and walked as in
+// Fig2FromDecoded.
 func Fig2(cfg Config, gtid uint32, maxPts int) ([]Fig2Series, error) {
 	spec, err := kernels.Pathfinder(cfg.Scale)
 	if err != nil {
@@ -380,12 +496,17 @@ func Fig2(cfg Config, gtid uint32, maxPts int) ([]Fig2Series, error) {
 	if err != nil {
 		return nil, err
 	}
-	vt := trace.NewValueTrace(gtid, maxPts)
-	if err := rec.Replay(vt); err != nil {
+	set := trace.NewSet(cfg.Scale, cfg.NumSMs, cfg.Seed)
+	set.Add(fig2Kernel, rec)
+	dec, err := trace.DecodeSet(set)
+	if err != nil {
 		return nil, err
 	}
-	return fig2Series(vt), nil
+	return Fig2FromDecoded(cfg, dec, gtid, maxPts)
 }
+
+// fig2Kernel is the kernel Figure 2 traces.
+const fig2Kernel = "pathfinder"
 
 // Fig2FromDecoded fills the Figure 2 value trace from a decoded suite's
 // pathfinder kernel with zero simulation. Its series equal Fig2's.
@@ -393,22 +514,16 @@ func Fig2FromDecoded(cfg Config, dec *trace.Decoded, gtid uint32, maxPts int) ([
 	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
 		return nil, err
 	}
-	k, ok := dec.Kernel("pathfinder")
+	k, ok := dec.Kernel(fig2Kernel)
 	if !ok {
-		return nil, fmt.Errorf("experiments: decoded set is missing kernel %q", "pathfinder")
+		return nil, fmt.Errorf("experiments: decoded set is missing kernel %q", fig2Kernel)
 	}
-	vt := trace.NewValueTrace(gtid, maxPts)
-	k.Replay(vt)
-	return fig2Series(vt), nil
-}
-
-// fig2Series collects a filled value trace's per-PC series.
-func fig2Series(vt *trace.ValueTrace) []Fig2Series {
+	vt := trace.NewValueTrace(k, gtid, maxPts)
 	out := make([]Fig2Series, 0, 8)
 	for _, pc := range vt.PCs() {
 		out = append(out, Fig2Series{PC: pc, Points: vt.Series(pc)})
 	}
-	return out
+	return out, nil
 }
 
 // --- Figure 3: carry-in correlation ---

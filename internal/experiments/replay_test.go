@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"st2gpu/internal/gpusim"
 	"st2gpu/internal/kernels"
 	"st2gpu/internal/trace"
 )
@@ -87,43 +86,6 @@ func TestSuiteStoreMatchesFreshRecording(t *testing.T) {
 		if _, err := SuiteStore(bad, path, trace.StoreOptions{}, load); err == nil || !strings.Contains(err.Error(), "SM-count mismatch") {
 			t.Errorf("load=%v: SuiteStore error = %v, want an SM-count mismatch", load, err)
 		}
-	}
-}
-
-// TestFig2ReplayMatchesLive checks Figure 2's recorded-and-replayed
-// value series against a value trace installed as a live tracer on the
-// sequential launch path.
-func TestFig2ReplayMatchesLive(t *testing.T) {
-	cfg := Default()
-	const gtid, maxPts = 37, 30
-
-	spec, err := kernels.Pathfinder(cfg.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := gpusim.New(cfg.deviceConfig(gpusim.BaselineAdders))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vt := trace.NewValueTrace(gtid, maxPts)
-	d.SetTracer(vt)
-	if err := spec.Setup(d.Memory()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Launch(spec.Kernel); err != nil {
-		t.Fatal(err)
-	}
-	live := make([]Fig2Series, 0, 8)
-	for _, pc := range vt.PCs() {
-		live = append(live, Fig2Series{PC: pc, Points: vt.Series(pc)})
-	}
-
-	replayed, err := Fig2(cfg, gtid, maxPts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(live, replayed) {
-		t.Error("Fig2 replay series differ from live-tracer series")
 	}
 }
 

@@ -73,6 +73,43 @@ const (
 	shardOpCorr = "corr"
 )
 
+// maxShardLine caps one protocol line, in bytes, on both sides of the
+// wire. The largest line a suite sweep sends is a worker's ready message
+// naming every kernel or a cell naming its designs, well under 1 KiB, so
+// 1 MiB leaves room for long store paths and large design batches while
+// a peer can no longer make its reader buffer an unbounded line.
+const maxShardLine = 1 << 20
+
+// ErrShardLineTooLong reports a protocol line longer than maxShardLine.
+var ErrShardLineTooLong = fmt.Errorf("experiments: shard protocol line exceeds %d bytes", maxShardLine)
+
+// shardReader reads one protocol message per line, each at most
+// maxShardLine bytes.
+type shardReader struct{ sc *bufio.Scanner }
+
+func newShardReader(r io.Reader) *shardReader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), maxShardLine)
+	return &shardReader{sc}
+}
+
+// read decodes the next line into m. It returns io.EOF at the end of the
+// stream and ErrShardLineTooLong, without buffering the rest of the
+// line, once a line outgrows the cap.
+func (r *shardReader) read(m *shardMsg) error {
+	if !r.sc.Scan() {
+		err := r.sc.Err()
+		if errors.Is(err, bufio.ErrTooLong) {
+			return ErrShardLineTooLong
+		}
+		if err == nil {
+			err = io.EOF
+		}
+		return err
+	}
+	return json.Unmarshal(r.sc.Bytes(), m)
+}
+
 // ShardConn is one coordinator↔worker connection: a line-delimited JSON
 // stream plus a closer that tears the transport down (killing the
 // subprocess for spawned workers, closing the socket for TCP ones).
@@ -166,7 +203,7 @@ func CloseShardConns(conns []*ShardConn) {
 // coordinator-requested size, so a worker keeps its cores busy while
 // replies stay serialized. Returns nil on a clean "done" or EOF.
 func ServeShardWorker(r io.Reader, w io.Writer) error {
-	dec := json.NewDecoder(bufio.NewReaderSize(r, 1<<16))
+	in := newShardReader(r)
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	var mu sync.Mutex // serializes reply lines from eval goroutines
@@ -197,9 +234,12 @@ func ServeShardWorker(r io.Reader, w io.Writer) error {
 	defer wg.Wait()
 	for {
 		var m shardMsg
-		if err := dec.Decode(&m); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		if err := in.read(&m); err != nil {
+			if errors.Is(err, io.EOF) {
 				return nil
+			}
+			if errors.Is(err, ErrShardLineTooLong) {
+				return fatal(err)
 			}
 			return err
 		}
@@ -428,10 +468,10 @@ func runSharded(cfg Config, storePath, op string, designs []string, conns []*Sha
 		wg.Add(1)
 		go func() { // reader
 			defer wg.Done()
-			dec := json.NewDecoder(bufio.NewReaderSize(conn.R, 1<<16))
+			in := newShardReader(conn.R)
 			for {
 				var m shardMsg
-				err := dec.Decode(&m)
+				err := in.read(&m)
 				select {
 				case events <- shardEvent{conn: c, msg: m, err: err}:
 				case <-quit:
@@ -562,7 +602,7 @@ func runSharded(cfg Config, storePath, op string, designs []string, conns []*Sha
 			allDead = allDead && d
 		}
 		if allDead && remaining > 0 {
-			return fmt.Errorf("experiments: all %d shard workers died with %d of %d cells unfinished (conn %s last: %v)",
+			return fmt.Errorf("experiments: all %d shard workers died with %d of %d cells unfinished (conn %s last: %w)",
 				len(conns), remaining, len(cells), conns[c].Name, cause)
 		}
 		return nil

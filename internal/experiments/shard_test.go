@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -366,4 +367,44 @@ func checkShardWorkerReplies(t *testing.T, storePath string, dec *trace.Decoded,
 		t.Fatal(err)
 	}
 	coordW.Close()
+}
+
+// endlessLine is a peer that sends one line that never ends.
+type endlessLine struct{}
+
+func (endlessLine) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = 'x'
+	}
+	return len(p), nil
+}
+
+// TestShardWorkerRejectsLongLine feeds a worker a line that never ends:
+// it must stop reading once the line passes maxShardLine, tell the
+// coordinator with a fatal error and return ErrShardLineTooLong.
+func TestShardWorkerRejectsLongLine(t *testing.T) {
+	var out bytes.Buffer
+	err := ServeShardWorker(endlessLine{}, &out)
+	if !errors.Is(err, ErrShardLineTooLong) {
+		t.Fatalf("ServeShardWorker = %v, want ErrShardLineTooLong", err)
+	}
+	var m shardMsg
+	if err := json.Unmarshal(out.Bytes(), &m); err != nil || m.Type != "error" || m.ID != -1 || m.Msg != ErrShardLineTooLong.Error() {
+		t.Errorf("worker replied %q (%v), want a fatal error naming the cap", out.String(), err)
+	}
+}
+
+// TestShardCoordinatorRejectsLongLine connects the coordinator to a
+// worker whose reply is a line that never ends: the connection must die
+// with ErrShardLineTooLong instead of buffering the line, and with no
+// worker left the sweep fails naming it.
+func TestShardCoordinatorRejectsLongLine(t *testing.T) {
+	storePath, _ := suiteStore(t)
+	cfg := Default()
+	cfg.SweepWorkers = 1
+	conn := &ShardConn{Name: "endless", R: endlessLine{}, W: io.Discard}
+	_, err := Fig5Sharded(cfg, storePath, nil, []*ShardConn{conn}, ShardOptions{})
+	if !errors.Is(err, ErrShardLineTooLong) {
+		t.Fatalf("Fig5Sharded = %v, want an error wrapping ErrShardLineTooLong", err)
+	}
 }

@@ -70,43 +70,11 @@ func (k *Kernel) Validate() error {
 	return nil
 }
 
-// WarpAddOp is one lane's effective adder operation within a traced warp
-// instruction.
-type WarpAddOp struct {
-	Active bool
-	EA, EB uint64 // effective operands (post subtraction transform)
-	Cin0   uint
-	Sum    uint64 // exact result
-}
-
-// AddTracer observes every executed warp-level adder operation (integer
-// add/sub and the FP mantissa additions), after execution, with all 32
-// lanes delivered together. Warp-synchronous delivery matters: hardware
-// predicts every lane of a warp from the *same* pre-update history state,
-// and meters that serialize lanes would overstate shared-history designs.
-//
-// Installing a live tracer forces Launch onto the sequential (one-worker)
-// path, because tracers observe a single globally ordered stream and are
-// not required to be thread-safe. That constraint is kept ONLY for legacy
-// third-party tracers: all built-in meters (trace.CorrMeter,
-// trace.DSEMeter, value traces, …) should instead consume a Recording
-// captured via SetRecorder, which records in parallel — one lock-free
-// shard per SM, folded in SM-ID order — and replays the bit-identical
-// stream any number of times without re-simulating.
-//
-// ops points at the SM's scratch buffer, which the next warp add
-// overwrites: it is valid only for the duration of the call and must be
-// copied if kept.
-type AddTracer interface {
-	TraceWarpAdds(unit core.UnitKind, pc, gtidBase uint32, ops *[32]WarpAddOp)
-}
-
 // Device is the simulated GPU.
 type Device struct {
 	cfg    Config
 	mem    *Memory
 	prices map[core.UnitKind]core.EnergyParams
-	tracer AddTracer
 	rec    *Recorder
 	// l2Stats accumulates the per-SM L2 shard counters across launches
 	// (the device-level cumulative view RunStats.L2 reports). Written
@@ -128,6 +96,13 @@ type Device struct {
 	// simulated cycle and fails the launch on error; tests install it to
 	// check invariants of the SM loop.
 	cycleCheck func(*smState) error
+
+	// recordCheck, when set, receives every warp add's columns as observe
+	// hands them to an installed Recorder (the j-th set bit of active owns
+	// ea[j] and eb[j]; the slices are valid only during the call); tests
+	// install it to compare a recording with the stream the SMs produced.
+	// It is called from every SM worker and does not change their count.
+	recordCheck func(kind core.UnitKind, pc, gtidBase, active, cin uint32, ea, eb []uint64)
 }
 
 // SetObs installs (or clears, with nil) the span tracer. Every Launch
@@ -141,12 +116,9 @@ func (d *Device) SetObs(tr *obs.Tracer) { d.obs = tr }
 // serial per device, so this is simply "the last launch".
 func (d *Device) LaunchTimings() PhaseTimings { return d.timings }
 
-// SetTracer installs (or clears, with nil) the adder-operation observer.
-func (d *Device) SetTracer(t AddTracer) { d.tracer = t }
-
 // SetRecorder installs (or clears, with nil) a warp-add stream recorder.
-// Unlike SetTracer it leaves the parallel launch path enabled; each SM
-// records into its own shard and Launch folds them in SM-ID order. When a
+// Recording leaves the parallel launch path enabled: each SM records
+// into its own shard and Launch folds them in SM-ID order. When a
 // metrics registry is installed, each launch publishes the bytes it
 // recorded on the "sim.record_bytes" gauge.
 func (d *Device) SetRecorder(r *Recorder) { d.rec = r }
@@ -330,12 +302,9 @@ func (r *RunStats) MispredictionRate() float64 {
 // and stores go through striped locks and cross-SM atomics commit their
 // read-modify-write under the stripe lock, so the only cross-SM ordering
 // a race-free kernel can observe is the (commutative) accumulation order
-// of its atomics. Installing an AddTracer forces the sequential path:
-// tracers observe a single globally ordered warp-synchronous stream and
-// are not required to be thread-safe (a legacy constraint — see
-// AddTracer). An installed Recorder does NOT serialize the launch: each
-// SM records into its own shard and the shards fold in SM-ID order, so
-// the recorded stream is bit-identical at any worker count.
+// of its atomics. An installed Recorder does not serialize the launch:
+// each SM records into its own shard and the shards fold in SM-ID order,
+// so the recorded stream is bit-identical at any worker count.
 func (d *Device) Launch(k *Kernel) (*RunStats, error) {
 	if err := k.Validate(); err != nil {
 		return nil, err
@@ -387,9 +356,6 @@ func (d *Device) Launch(k *Kernel) (*RunStats, error) {
 	setupSpan.End()
 
 	workers := d.cfg.smWorkers(numSMs)
-	if d.tracer != nil {
-		workers = 1
-	}
 	simSpan := launchSpan.Child("simulate",
 		obs.Int("sms", int64(numSMs)),
 		obs.Int("workers", int64(workers)))

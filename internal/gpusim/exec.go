@@ -254,7 +254,7 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 	b := sm.srcVec(w, in.Srcs[1], &sm.opB)
 	dst := w.regRow(in.Dst)
 	st2 := sm.dev.cfg.AdderMode == ST2Adders
-	if st2 || sm.observed() {
+	if st2 || sm.rec != nil {
 		// The warp add's columns: each executing lane's effective operands
 		// (a subtraction ones'-complements b and injects carry 1), packed
 		// in ascending lane order.
@@ -301,36 +301,16 @@ func (sm *smState) execIntAddSub(w *warp, pc uint32, in *isa.Instr, execMask uin
 	return nil
 }
 
-// observed reports whether a live tracer or a recording shard watches
-// this SM's adder operations.
-func (sm *smState) observed() bool { return sm.dev.tracer != nil || sm.rec != nil }
-
-// observe reports one warp add's columns to the installed live tracer
-// and/or this SM's recording shard. Only a live tracer gets per-lane
-// WarpAddOps with their sums. The only error it can return is the
-// recording byte-cap tripping.
+// observe hands one warp add's columns to this SM's recording shard. The
+// only error it can return is the recording byte-cap tripping.
 func (sm *smState) observe(unit *core.Unit, pc, gtidBase, active, cin uint32, ea, eb []uint64) error {
-	if active == 0 {
+	if sm.rec == nil || active == 0 {
 		return nil
 	}
-	if t := sm.dev.tracer; t != nil {
-		ops := &sm.addOps
-		*ops = [32]WarpAddOp{}
-		width := unit.Adder().Config().Width
-		j := 0
-		for m := active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			c := uint(cin >> l & 1)
-			sum, _ := bitmath.AddWithCarry(ea[j], eb[j], c, width)
-			ops[l] = WarpAddOp{Active: true, EA: ea[j], EB: eb[j], Cin0: c, Sum: sum}
-			j++
-		}
-		t.TraceWarpAdds(unit.Kind, pc, gtidBase, ops)
+	if check := sm.dev.recordCheck; check != nil {
+		check(unit.Kind, pc, gtidBase, active, cin, ea, eb)
 	}
-	if sm.rec != nil {
-		return sm.rec.append(unit.Kind, pc, gtidBase, active, cin, ea, eb)
-	}
-	return nil
+	return sm.rec.append(unit.Kind, pc, gtidBase, active, cin, ea, eb)
 }
 
 // execFloatAddSub: the architectural result is native IEEE; in ST² mode
@@ -344,7 +324,7 @@ func (sm *smState) execFloatAddSub(w *warp, pc uint32, in *isa.Instr, execMask u
 		unit = sm.dpu
 	}
 	st2 := sm.dev.cfg.AdderMode == ST2Adders
-	mantissa := st2 || sm.observed()
+	mantissa := st2 || sm.rec != nil
 	a := sm.srcVec(w, in.Srcs[0], &sm.opA)
 	b := sm.srcVec(w, in.Srcs[1], &sm.opB)
 	dst := w.regRow(in.Dst)

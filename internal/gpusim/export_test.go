@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"st2gpu/internal/core"
 )
 
 // recMagic heads the serialized recording stream that the golden and
@@ -41,6 +43,12 @@ func (r *Recording) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return total, nil
+}
+
+// tapRecording makes every later launch on d hand fn each warp add's
+// columns exactly as observe passes them to the recorder.
+func (d *Device) tapRecording(fn func(kind core.UnitKind, pc, gtidBase, active, cin uint32, ea, eb []uint64)) {
+	d.recordCheck = fn
 }
 
 // CheckIssueGate makes every later launch on d check, on every SM at the

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"st2gpu/internal/core"
 	"st2gpu/internal/isa"
 	"st2gpu/internal/metrics"
 )
@@ -274,49 +273,6 @@ func TestParallelAtomicsLoseNoUpdates(t *testing.T) {
 	}
 	if rs.AtomicLaneOps != grid*block {
 		t.Errorf("atomic lane ops = %d, want %d", rs.AtomicLaneOps, grid*block)
-	}
-}
-
-// countingTracer counts trace callbacks; it is deliberately not
-// thread-safe — installing a tracer must force the sequential path.
-type countingTracer struct{ warps, lanes uint64 }
-
-func (c *countingTracer) TraceWarpAdds(_ core.UnitKind, _, _ uint32, ops *[32]WarpAddOp) {
-	c.warps++
-	for l := range ops {
-		if ops[l].Active {
-			c.lanes++
-		}
-	}
-}
-
-func TestTracerForcesSequentialPath(t *testing.T) {
-	run := func() (uint64, uint64) {
-		d, err := New(parallelConfig(8, BaselineAdders))
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr := &countingTracer{}
-		d.SetTracer(tr)
-		in := make([]float32, 32*128)
-		for i := range in {
-			in[i] = float32(i%257)*0.375 + 1
-		}
-		if err := d.Memory().WriteF32s(0x1000, in); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Launch(&Kernel{Program: fpKernel(t), GridDim: 32, BlockDim: 128}); err != nil {
-			t.Fatal(err)
-		}
-		return tr.warps, tr.lanes
-	}
-	w1, l1 := run()
-	w2, l2 := run()
-	if w1 == 0 || l1 == 0 {
-		t.Fatal("tracer observed nothing")
-	}
-	if w1 != w2 || l1 != l2 {
-		t.Errorf("traced counts not deterministic: (%d,%d) vs (%d,%d)", w1, l1, w2, l2)
 	}
 }
 

@@ -3,7 +3,6 @@ package gpusim
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"st2gpu/internal/bitmath"
@@ -21,12 +20,12 @@ const DefaultRecordMaxBytes = 1 << 30
 const recChargeChunk = 64 << 10
 
 // Recorder captures a launch's warp-add operation stream into a compact
-// in-memory Recording. Install it with Device.SetRecorder; unlike an
-// AddTracer it does NOT force the sequential launch path — every SM
-// appends to its own lock-free shard, and the shards are folded in SM-ID
-// order after the workers join, so the recorded stream is bit-identical
-// at any ParallelSMs worker count and equals the stream a sequential
-// live tracer would have observed.
+// in-memory Recording; it is the one way to observe the add stream.
+// Install it with Device.SetRecorder. It does not force the sequential
+// launch path: every SM appends to its own lock-free shard, and the
+// shards are folded in SM-ID order after the workers join, so the
+// recorded stream is bit-identical at any ParallelSMs worker count and
+// equals the stream the SMs produce when run one after another.
 type Recorder struct {
 	maxBytes uint64
 	chunk    uint64        // per-shard charge granularity
@@ -79,7 +78,7 @@ func (r *Recorder) fold(shards []*recShard) uint64 {
 // Recording is a compact encoded warp-add operation stream: one segment
 // per (launch, SM) in execution-fold order. Within a segment, records
 // carry delta-encoded PCs and warp bases, packed active/carry-in masks,
-// and varint effective operands; exact sums are reconstructed at replay
+// and varint effective operands; exact sums are reconstructed at decode
 // time (Sum = EA + EB + Cin0 over the unit width), so they are never
 // stored.
 type Recording struct {
@@ -212,16 +211,14 @@ type DecodedRecord struct {
 	Sum      []uint64
 }
 
-// Decode walks the recorded stream once, in the exact order a sequential
-// live tracer would have observed it (SM-ID-major, per-SM execution
-// order), invoking visit per warp-synchronous record. Sums are
+// Decode walks the recorded stream once, in SM-ID-major, per-SM
+// execution order, invoking visit per warp-synchronous record. Sums are
 // reconstructed from the effective operands (Sum = EA + EB + Cin0 over
-// the unit width) — the integrity check that makes a recording a valid
-// stand-in for a live trace. This is the single varint-decode pass
-// behind both Replay and the structure-of-arrays decoded caches built by
-// internal/trace; callers that evaluate many designs should decode once
-// and walk the flat arrays instead of re-decoding per consumer.
-// Decode is read-only and safe to call concurrently.
+// the unit width). This is the single varint-decode pass behind the
+// structure-of-arrays decoded form built by internal/trace; callers that
+// evaluate many designs should decode once and walk the flat arrays
+// instead of re-decoding per consumer. Decode is read-only and safe to
+// call concurrently.
 func (r *Recording) Decode(visit func(rec *DecodedRecord) error) error {
 	var ea, eb, sum [32]uint64
 	dr := DecodedRecord{}
@@ -303,30 +300,6 @@ func (r *Recording) Decode(visit func(rec *DecodedRecord) error) error {
 		}
 	}
 	return nil
-}
-
-// Replay feeds the recorded stream to t in the exact order a sequential
-// live tracer would have observed it. Sums are reconstructed from the
-// effective operands, so the delivered WarpAddOps are bit-identical to
-// the live-traced ones. Replay is read-only: the same Recording can be
-// replayed any number of times, concurrently from multiple goroutines.
-func (r *Recording) Replay(t AddTracer) error {
-	return r.Decode(func(rec *DecodedRecord) error {
-		var ops [32]WarpAddOp
-		j := 0
-		for m := rec.Active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ops[l] = WarpAddOp{
-				Active: true,
-				EA:     rec.EA[j], EB: rec.EB[j],
-				Cin0: uint(rec.Cin >> l & 1),
-				Sum:  rec.Sum[j],
-			}
-			j++
-		}
-		t.TraceWarpAdds(rec.Kind, rec.PC, rec.GtidBase, &ops)
-		return nil
-	})
 }
 
 // --- varint helpers ---

@@ -2,10 +2,12 @@ package gpusim
 
 import (
 	"bytes"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
 
+	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
 	"st2gpu/internal/isa"
 	"st2gpu/internal/metrics"
@@ -79,25 +81,20 @@ func TestRecordingBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// capturedWarp is one warp-synchronous tracer delivery.
-type capturedWarp struct {
-	kind     core.UnitKind
-	pc, base uint32
-	ops      [32]WarpAddOp
+// capturedAdd is one warp add as observe handed it to the recorder,
+// with each active lane's exact sum computed from its operands.
+type capturedAdd struct {
+	kind        core.UnitKind
+	pc, base    uint32
+	active, cin uint32
+	ea, eb, sum []uint64
 }
 
-// captureTracer stores the full stream it observes.
-type captureTracer struct{ evs []capturedWarp }
-
-func (c *captureTracer) TraceWarpAdds(kind core.UnitKind, pc, base uint32, ops *[32]WarpAddOp) {
-	c.evs = append(c.evs, capturedWarp{kind: kind, pc: pc, base: base, ops: *ops})
-}
-
-// TestReplayMatchesLiveTracer installs a live tracer and a recorder on
-// the same launch (the tracer forces the sequential path, so the live
-// stream is the globally ordered reference), then replays the recording
-// and requires the decoded stream — order, masks, operands, carry-ins,
-// and reconstructed sums — to equal the live one exactly.
+// TestReplayMatchesLiveTracer taps the columns each SM hands its
+// recorder on a one-worker launch (so the tapped stream is in SM-ID-major
+// order), then decodes the recording and requires the decoded stream —
+// order, masks, operands, carry-ins and reconstructed sums — to equal the
+// tapped one exactly.
 func TestReplayMatchesLiveTracer(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -109,13 +106,28 @@ func TestReplayMatchesLiveTracer(t *testing.T) {
 		{"barrier", barrierKernel(t), 32, 128, nil},
 		{"fp", fpKernel(t), 32, 128, fpSetup},
 	} {
-		d, err := New(parallelConfig(0, BaselineAdders))
+		d, err := New(parallelConfig(1, BaselineAdders))
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := &captureTracer{}
+		var live []capturedAdd
+		d.tapRecording(func(kind core.UnitKind, pc, base, active, cin uint32, ea, eb []uint64) {
+			cfg, err := kind.AdderConfig(8)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sum := make([]uint64, len(ea))
+			j := 0
+			for m := active; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				sum[j], _ = bitmath.AddWithCarry(ea[j], eb[j], uint(cin>>l&1), cfg.Width)
+				j++
+			}
+			live = append(live, capturedAdd{kind, pc, base, active, cin,
+				append([]uint64(nil), ea...), append([]uint64(nil), eb...), sum})
+		})
 		rec := NewRecorder(0)
-		d.SetTracer(live)
 		d.SetRecorder(rec)
 		if tc.setup != nil {
 			if err := tc.setup(d.Memory()); err != nil {
@@ -125,16 +137,20 @@ func TestReplayMatchesLiveTracer(t *testing.T) {
 		if _, err := d.Launch(&Kernel{Program: tc.prog, GridDim: tc.grid, BlockDim: tc.block}); err != nil {
 			t.Fatal(err)
 		}
-		replayed := &captureTracer{}
-		if err := rec.Recording().Replay(replayed); err != nil {
-			t.Fatalf("%s: replay: %v", tc.name, err)
+		var decoded []capturedAdd
+		if err := rec.Recording().Decode(func(r *DecodedRecord) error {
+			decoded = append(decoded, capturedAdd{r.Kind, r.PC, r.GtidBase, r.Active, r.Cin,
+				append([]uint64(nil), r.EA...), append([]uint64(nil), r.EB...), append([]uint64(nil), r.Sum...)})
+			return nil
+		}); err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
-		if len(live.evs) == 0 {
-			t.Fatalf("%s: live tracer saw no operations", tc.name)
+		if len(live) == 0 {
+			t.Fatalf("%s: the tap saw no operations", tc.name)
 		}
-		if !reflect.DeepEqual(live.evs, replayed.evs) {
-			t.Errorf("%s: replayed stream differs from live stream (%d live vs %d replayed records)",
-				tc.name, len(live.evs), len(replayed.evs))
+		if !reflect.DeepEqual(live, decoded) {
+			t.Errorf("%s: decoded stream differs from the tapped stream (%d tapped vs %d decoded records)",
+				tc.name, len(live), len(decoded))
 		}
 	}
 }

@@ -167,10 +167,12 @@ type smState struct {
 	stats    *SMStats
 
 	// barrierArrived counts, per live block, the warps currently waiting
-	// at a barrier. Maintained incrementally (bumped when a warp arrives,
-	// entry deleted on release) so releaseBarriers does no per-cycle
-	// allocation and is O(blocks-at-barrier), not O(warps).
+	// at a barrier: bumped when a warp arrives, entry deleted on release.
+	// releasable lists the blocks whose every live warp has arrived, in
+	// the order they got there; releaseBarriers frees them at the top of
+	// the next cycle and empties it.
 	barrierArrived map[int]int
+	releasable     []int
 
 	// shard is this SM's private metrics buffer (nil when no registry is
 	// installed); written once at the end of run, folded by the device in
@@ -183,14 +185,12 @@ type smState struct {
 	rec *recShard
 
 	// Per-instruction scratch, reused by every warp instruction so the
-	// issue path allocates nothing: immediate/special operand vectors, a
-	// warp add's packed effective-operand columns, and the per-lane adds a
-	// live AddTracer receives. The columns and addOps are handed to the
-	// ST² unit, the recorder and tracers, valid only for the duration of
-	// the call.
+	// issue path allocates nothing: immediate/special operand vectors and
+	// a warp add's packed effective-operand columns. The columns are
+	// handed to the ST² unit and the recorder, valid only for the duration
+	// of the call.
 	opA, opB, opC [32]uint64
 	ea, eb        [32]uint64
-	addOps        [32]WarpAddOp
 }
 
 // units returns the SM's ST² execution units in a fixed fold order.
@@ -291,29 +291,24 @@ func (sm *smState) refill() {
 	}
 }
 
-// releaseBarriers frees blocks whose live warps have all arrived. The
-// arrival counts are maintained incrementally by tryIssue (and decayed
-// by warp exits through liveBlocks), so the common all-running cycle is
-// a single empty-map check with no allocation.
+// releaseBarriers frees the blocks on the releasable list: every live
+// warp of each has arrived at the barrier. tryIssue lists a block when a
+// barrier arrival or a warp exit makes its arrival count equal its live
+// warp count, so the common cycle with no such block does no work.
 func (sm *smState) releaseBarriers() {
-	if len(sm.barrierArrived) == 0 {
-		return
-	}
-	//st2:det-ok per-block effects are disjoint and idempotent: each b releases only its own block's warps, so visit order cannot reach results
-	for b, n := range sm.barrierArrived {
-		if n == sm.liveBlocks[b] {
-			for _, i := range sm.active {
-				if w := sm.warps[i]; w.blockIdx == b && w.atBarrier {
-					w.atBarrier = false
-					if w.nextIssue < sm.cycle+1 {
-						w.nextIssue = sm.cycle + 1
-					}
-					sm.refreshReady(w)
+	for _, b := range sm.releasable {
+		for _, i := range sm.active {
+			if w := sm.warps[i]; w.blockIdx == b && w.atBarrier {
+				w.atBarrier = false
+				if w.nextIssue < sm.cycle+1 {
+					w.nextIssue = sm.cycle + 1
 				}
+				sm.refreshReady(w)
 			}
-			delete(sm.barrierArrived, b)
 		}
+		delete(sm.barrierArrived, b)
 	}
+	sm.releasable = sm.releasable[:0]
 }
 
 // noIssue is the gate of a warp that is done or waiting at a barrier.
@@ -392,17 +387,24 @@ func (sm *smState) tryIssue(w *warp) (bool, error) {
 	cls := d.class
 	sm.stats.WarpInstrs[cls]++
 	sm.stats.ThreadInstrs[cls] += uint64(res.activeLanes)
+	b := w.blockIdx
 	if res.barrier {
 		w.atBarrier = true
 		sm.gate[w.id] = noIssue
-		sm.barrierArrived[w.blockIdx]++
+		sm.barrierArrived[b]++
+		if sm.barrierArrived[b] == sm.liveBlocks[b] {
+			sm.releasable = append(sm.releasable, b)
+		}
 		sm.stats.BarrierWaits++
 	}
 	if res.exited {
 		sm.retire(w)
-		sm.liveBlocks[w.blockIdx]--
-		if sm.liveBlocks[w.blockIdx] == 0 {
-			delete(sm.liveBlocks, w.blockIdx)
+		sm.liveBlocks[b]--
+		if n := sm.barrierArrived[b]; n > 0 && n == sm.liveBlocks[b] {
+			sm.releasable = append(sm.releasable, b)
+		}
+		if sm.liveBlocks[b] == 0 {
+			delete(sm.liveBlocks, b)
 			sm.refill()
 		}
 	}

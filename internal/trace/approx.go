@@ -1,30 +1,14 @@
 package trace
 
 import (
-	"fmt"
 	"math"
 
 	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
-	"st2gpu/internal/gpusim"
-	"st2gpu/internal/speculate"
-	"st2gpu/internal/stats"
 )
 
-// ApproxMeter quantifies what the error-accepting approximate speculative
-// adders of the paper's related work ([10]–[13]) would do on real kernel
-// streams: it executes every traced operation with the predicted carries
-// and *no correction pass*, recording how often the result is wrong and
-// by how much. This is the repository's evidence for the paper's central
-// design decision — why ST² insists on the variable-latency correction.
-type ApproxMeter struct {
-	Designs []string
-	preds   map[string]speculate.Predictor
-	wrong   map[string]*stats.Rate
-	relErr  map[string]*runningMean
-	scratch warpScratch
-}
-
+// runningMean accumulates the approximate-adder study's relative errors
+// (see EvalApproxBatch).
 type runningMean struct {
 	sum float64
 	n   uint64
@@ -43,31 +27,6 @@ func (r *runningMean) mean() float64 {
 		return 0
 	}
 	return r.sum / float64(r.n)
-}
-
-// NewApproxMeter builds the meter over the given designs (nil = the
-// final ST² design and staticZero, the most common approximate-adder
-// assumption).
-func NewApproxMeter(designs []string) (*ApproxMeter, error) {
-	if designs == nil {
-		designs = []string{"staticZero", speculate.FinalDesign}
-	}
-	m := &ApproxMeter{
-		Designs: designs,
-		preds:   make(map[string]speculate.Predictor),
-		wrong:   make(map[string]*stats.Rate),
-		relErr:  make(map[string]*runningMean),
-	}
-	for _, d := range designs {
-		p, err := speculate.NewDesign(d, g64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: approx design %q: %w", d, err)
-		}
-		m.preds[d] = p
-		m.wrong[d] = &stats.Rate{}
-		m.relErr[d] = &runningMean{}
-	}
-	return m, nil
 }
 
 // widthOf returns the datapath width for a unit kind.
@@ -100,35 +59,4 @@ func approxSum(ea, eb uint64, cin0 uint, width uint, predicted uint64) uint64 {
 		out |= s << lo
 	}
 	return out & bitmath.Mask(width)
-}
-
-// TraceWarpAdds implements gpusim.AddTracer. The warp is compacted once
-// (the traced Sum doubles as the exact result — the recording integrity
-// check pins Sum == EA+EB+Cin0 over the unit width) and every design
-// runs the shared batched eval core.
-func (m *ApproxMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]gpusim.WarpAddOp) {
-	r := m.scratch.compact(kind, pc, gtidBase, ops)
-	for _, d := range m.Designs {
-		approxStep(m.preds[d], m.wrong[d], m.relErr[d], r, &m.scratch.eval)
-	}
-}
-
-// WrongRate returns the fraction of operations whose uncorrected result
-// would have been wrong.
-func (m *ApproxMeter) WrongRate(design string) (float64, error) {
-	r, ok := m.wrong[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: design %q not in approx meter", design)
-	}
-	return r.Value(), nil
-}
-
-// MeanRelError returns the mean relative magnitude error of the wrong
-// results.
-func (m *ApproxMeter) MeanRelError(design string) (float64, error) {
-	r, ok := m.relErr[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: design %q not in approx meter", design)
-	}
-	return r.mean(), nil
 }

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"st2gpu/internal/bitmath"
+	"st2gpu/internal/core"
 	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
 )
@@ -17,14 +18,37 @@ import (
 //
 //   - Per-design predictor state is fully independent, so iterating
 //     record-major (all designs per record) produces bit-identical
-//     per-design results to replaying the stream through a DSEMeter,
-//     CorrMeter or ApproxMeter — each design still observes the records
-//     in stream order with its own pre-update state.
+//     per-design results to evaluating each design alone, one warp at a
+//     time (the per-warp meters in the package tests, which
+//     TestDecodedEvalMatchesMeterReplay holds these evaluators to) —
+//     each design still observes the records in stream order with its
+//     own pre-update state.
 //   - The Peek overlay is hoisted: PeekBitsWarp computes each lane's
 //     statically-resolved boundaries once per record, and OverlayPeek
 //     applies exactly the peekPredictor composition per design, so
 //     stripping the Peek wrapper (SplitPeek) changes nothing bit-wise.
-//
+
+// warpRec is the canonical flat form of one warp-synchronous record: the
+// lane masks plus per-active-lane operands, exact sums and (unmasked)
+// boundary carry-outs in ascending lane order — the j-th set bit of
+// active owns index j. DecodedKernel.each presents every record as a
+// zero-copy warpRec view over the flat arrays.
+type warpRec struct {
+	kind        core.UnitKind
+	pc, base    uint32
+	active, cin uint32
+	ea, eb, sum []uint64
+	carries     []uint64 // 7-boundary carry-outs, kind mask applied at eval
+}
+
+// evalScratch is the per-evaluator lane scratch reused across records.
+type evalScratch struct {
+	carries, static, actual [32]uint64
+}
+
+// nonZeroBit returns 1 when x != 0 and 0 otherwise, without a branch.
+func nonZeroBit(x uint64) uint64 { return (x | -x) >> 63 }
+
 // batchScratch is reused across records; all slices index by compacted
 // lane position j (the j-th set bit of active).
 type batchScratch struct {
@@ -50,7 +74,7 @@ func batchPreds(designs []string) (inner []speculate.Predictor, peeked []bool, a
 
 // EvalMissBatch evaluates a batch of speculation designs over the
 // decoded stream in one pass with Figure 5 semantics. Result i is
-// bit-identical to a DSEMeter replay of designs[i].
+// bit-identical to evaluating designs[i] alone.
 func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
 	inner, peeked, anyPeek, err := batchPreds(designs)
 	if err != nil {
@@ -84,8 +108,8 @@ func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
 }
 
 // EvalCorrBatch evaluates a batch of Figure 3 correlation schemes over
-// the decoded stream in one pass. Result i is bit-identical to a
-// CorrMeter replay of designs[i].
+// the decoded stream in one pass. Result i is bit-identical to
+// evaluating designs[i] alone.
 func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
 	inner, peeked, anyPeek, err := batchPreds(designs)
 	if err != nil {
@@ -121,9 +145,8 @@ func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
 
 // EvalApproxBatch evaluates a batch of designs with the
 // approximate-adder (no-correction) semantics in one pass. Result i is
-// bit-identical to an ApproxMeter replay of designs[i]; relative errors
-// accumulate in ascending lane order within each design, as the meter
-// does.
+// bit-identical to evaluating designs[i] alone; relative errors
+// accumulate in ascending lane order within each design.
 func (k *DecodedKernel) EvalApproxBatch(designs []string) ([]ApproxResult, error) {
 	inner, peeked, anyPeek, err := batchPreds(designs)
 	if err != nil {

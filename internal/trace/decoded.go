@@ -98,27 +98,6 @@ func (k *DecodedKernel) each(visit func(r *warpRec)) {
 	}
 }
 
-// Replay feeds the decoded stream to a legacy AddTracer, reconstructing
-// the dense [32]WarpAddOp form — bit-identical to replaying the original
-// recording.
-func (k *DecodedKernel) Replay(t gpusim.AddTracer) {
-	k.each(func(r *warpRec) {
-		var ops [32]gpusim.WarpAddOp
-		j := 0
-		for m := r.active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			ops[l] = gpusim.WarpAddOp{
-				Active: true,
-				EA:     r.ea[j], EB: r.eb[j],
-				Cin0: uint(r.cin >> l & 1),
-				Sum:  r.sum[j],
-			}
-			j++
-		}
-		t.TraceWarpAdds(r.kind, r.pc, r.base, &ops)
-	})
-}
-
 // ApproxResult is one design's uncorrected-adder outcome on one kernel.
 type ApproxResult struct {
 	Wrong       stats.Rate

@@ -44,10 +44,10 @@ type captureTracer struct {
 	kinds []core.UnitKind
 	pcs   []uint32
 	bases []uint32
-	ops   [][32]gpusim.WarpAddOp
+	ops   [][32]laneOp
 }
 
-func (c *captureTracer) TraceWarpAdds(kind core.UnitKind, pc, base uint32, ops *[32]gpusim.WarpAddOp) {
+func (c *captureTracer) TraceWarpAdds(kind core.UnitKind, pc, base uint32, ops *[32]laneOp) {
 	c.kinds = append(c.kinds, kind)
 	c.pcs = append(c.pcs, pc)
 	c.bases = append(c.bases, base)
@@ -80,7 +80,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Replay(meter); err != nil {
+	if err := replay(rec, meter); err != nil {
 		t.Fatal(err)
 	}
 	miss, err := k.EvalMissBatch(designs)
@@ -97,7 +97,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Replay(cm); err != nil {
+	if err := replay(rec, cm); err != nil {
 		t.Fatal(err)
 	}
 	corr, err := k.EvalCorrBatch(Fig3Designs[:])
@@ -115,7 +115,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Replay(am); err != nil {
+	if err := replay(rec, am); err != nil {
 		t.Fatal(err)
 	}
 	approx, err := k.EvalApproxBatch(approxDesigns)
@@ -131,8 +131,9 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	}
 }
 
-// TestDecodedReplayMatchesRecordingReplay: the decoded form reconstructs
-// the exact legacy tracer stream.
+// TestDecodedReplayMatchesRecordingReplay: the decoded form holds
+// exactly the stream Recording.Decode delivers — order, masks, operands,
+// carry-ins and sums.
 func TestDecodedReplayMatchesRecordingReplay(t *testing.T) {
 	set := recordPathfinder(t)
 	dec, err := DecodeSet(set)
@@ -143,10 +144,10 @@ func TestDecodedReplayMatchesRecordingReplay(t *testing.T) {
 	k, _ := dec.Kernel("pathfinder")
 
 	var fromRec, fromDec captureTracer
-	if err := rec.Replay(&fromRec); err != nil {
+	if err := replay(rec, &fromRec); err != nil {
 		t.Fatal(err)
 	}
-	k.Replay(&fromDec)
+	replayDecoded(k, &fromDec)
 	if !reflect.DeepEqual(fromRec, fromDec) {
 		t.Fatal("decoded replay stream differs from recording replay stream")
 	}

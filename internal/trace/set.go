@@ -5,9 +5,9 @@ import "st2gpu/internal/gpusim"
 // Set is an ordered collection of named per-kernel recordings plus their
 // capture configuration: the in-memory result of one suite capture,
 // which DecodeSet turns into the decoded form that sweeps evaluate and
-// the store persists. A recording is only a valid stand-in for a live
-// trace of the same (scale, SM count, seed) workload, so those travel
-// with it and are stamped onto the decoded form.
+// the store persists. A recording answers only for the (scale, SM count,
+// seed) workload it captured, so those travel with it and are stamped
+// onto the decoded form.
 type Set struct {
 	Scale  int
 	NumSMs int

@@ -1,27 +1,25 @@
 // Package trace implements the value- and carry-correlation analyses of
-// the paper's Sections III and IV: collectors that attach to the GPU
-// simulator's adder-operation stream (gpusim.AddTracer) and produce
+// the paper's Sections III and IV over the GPU simulator's recorded
+// adder-operation stream, decoded once into flat arrays (DecodedKernel):
 //
 //   - Figure 2-style value-evolution series (per-PC result streams in
 //     logical time);
 //   - Figure 3-style carry-in match rates across the temporal/spatial
 //     axes (Prev+Gtid, Prev+FullPC+Gtid, Prev+FullPC+Ltid);
-//   - the single-pass design-space sweep behind Figure 5, evaluating
-//     every speculation design on the identical operation stream.
+//   - the design-batched sweep behind Figure 5, evaluating every
+//     speculation design on the identical operation stream.
 package trace
 
 import (
-	"fmt"
+	"math/bits"
 	"sort"
 
 	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
-	"st2gpu/internal/gpusim"
 	"st2gpu/internal/speculate"
-	"st2gpu/internal/stats"
 )
 
-// g64 is the prediction geometry shared by every meter: with 8-bit
+// g64 is the prediction geometry shared by every evaluator: with 8-bit
 // slices, boundary i sits at bit 8(i+1) for every unit width, so one
 // 7-boundary predictor covers ALU64/ALU32/FPU/DPU operations — narrower
 // ops simply use (and are judged on) their low boundaries. This mirrors
@@ -52,41 +50,42 @@ type ValuePoint struct {
 	Value int64
 }
 
-// ValueTrace records, for one thread, the result stream of each PC —
+// ValueTrace holds, for one thread, the result stream of each PC —
 // exactly the data behind Figure 2's pathfinder plot.
 type ValueTrace struct {
 	Gtid   uint32
 	MaxPts int
-	clock  int
 	series map[uint32][]ValuePoint
 }
 
-// NewValueTrace traces thread gtid, keeping at most maxPts points per PC.
-func NewValueTrace(gtid uint32, maxPts int) *ValueTrace {
-	return &ValueTrace{Gtid: gtid, MaxPts: maxPts, series: make(map[uint32][]ValuePoint)}
-}
-
-// TraceWarpAdds implements gpusim.AddTracer.
-func (v *ValueTrace) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]gpusim.WarpAddOp) {
-	if v.Gtid < gtidBase || v.Gtid >= gtidBase+32 {
-		return
+// NewValueTrace walks k in stream order and collects thread gtid's add
+// results per PC, keeping at most maxPts points per PC. Logical time
+// counts every add the thread executes, kept or not.
+func NewValueTrace(k *DecodedKernel, gtid uint32, maxPts int) *ValueTrace {
+	v := &ValueTrace{Gtid: gtid, MaxPts: maxPts, series: make(map[uint32][]ValuePoint)}
+	clock := 0
+	for i, base := range k.GtidBase {
+		if gtid < base || gtid >= base+32 {
+			continue
+		}
+		l := gtid - base
+		active := k.Active[i]
+		if active>>l&1 == 0 {
+			continue
+		}
+		clock++
+		pc := k.PC[i]
+		if len(v.series[pc]) >= maxPts {
+			continue
+		}
+		sum := k.Sum[int(k.Off[i])+bits.OnesCount32(active&(1<<l-1))]
+		val := int64(sum) // 64-bit results; mantissa magnitudes for FP adds
+		if k.Kind[i] == core.ALU32 {
+			val = bitmath.SignExtend(sum, 32)
+		}
+		v.series[pc] = append(v.series[pc], ValuePoint{Time: clock, Value: val})
 	}
-	op := ops[v.Gtid-gtidBase]
-	if !op.Active {
-		return
-	}
-	v.clock++
-	if len(v.series[pc]) >= v.MaxPts {
-		return
-	}
-	var val int64
-	switch kind {
-	case core.ALU32:
-		val = bitmath.SignExtend(op.Sum, 32)
-	default:
-		val = int64(op.Sum) // 64-bit results; mantissa magnitudes for FP adds
-	}
-	v.series[pc] = append(v.series[pc], ValuePoint{Time: v.clock, Value: val})
+	return v
 }
 
 // PCs returns the traced PCs in ascending order.
@@ -105,139 +104,7 @@ func (v *ValueTrace) Series(pc uint32) []ValuePoint { return v.series[pc] }
 // --- Figure 3: carry-in correlation ---
 
 // Fig3Designs are the three history-bucketing schemes of Figure 3.
+// Cold buckets compare against the zero-initialized history — which is
+// what lets shared histories (Ltid) score higher than fully
+// disambiguated ones (Gtid): sharing warms buckets faster.
 var Fig3Designs = []string{"Gtid+Prev", "Gtid+Prev+FullPC", "Ltid+Prev+FullPC"}
-
-// CorrMeter measures, for each Figure 3 scheme, the fraction of boundary
-// carry-ins that match the history bucket's previous content. Cold
-// buckets compare against the zero-initialized history — which is what
-// lets *shared* histories (Ltid) score higher than fully disambiguated
-// ones (Gtid): sharing warms buckets faster.
-type CorrMeter struct {
-	preds   map[string]speculate.Predictor
-	match   map[string]*stats.Rate
-	scratch warpScratch
-}
-
-// NewCorrMeter builds the three-scheme correlation meter.
-func NewCorrMeter() (*CorrMeter, error) {
-	m := &CorrMeter{
-		preds: make(map[string]speculate.Predictor),
-		match: make(map[string]*stats.Rate),
-	}
-	for _, d := range Fig3Designs {
-		p, err := speculate.NewDesign(d, g64)
-		if err != nil {
-			return nil, err
-		}
-		m.preds[d] = p
-		m.match[d] = &stats.Rate{}
-	}
-	return m, nil
-}
-
-// TraceWarpAdds implements gpusim.AddTracer: every lane's prediction is
-// read from the pre-update history (warp-synchronous), then all lanes
-// write back. The warp is compacted once and all three schemes run the
-// shared batched eval core.
-func (m *CorrMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]gpusim.WarpAddOp) {
-	r := m.scratch.compact(kind, pc, gtidBase, ops)
-	for _, d := range Fig3Designs {
-		corrStep(m.preds[d], m.match[d], r, &m.scratch.eval)
-	}
-}
-
-// MatchRate returns the per-boundary match fraction for a design.
-func (m *CorrMeter) MatchRate(design string) (float64, error) {
-	r, ok := m.match[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: unknown Figure 3 design %q", design)
-	}
-	return r.Value(), nil
-}
-
-// Rates returns all three match rates in Fig3Designs order.
-func (m *CorrMeter) Rates() []float64 {
-	out := make([]float64, len(Fig3Designs))
-	for i, d := range Fig3Designs {
-		out[i], _ = m.MatchRate(d)
-	}
-	return out
-}
-
-// RawRate exposes the underlying counter so callers can aggregate match
-// rates op-weighted across kernels (buckets with a single observation
-// contribute nothing and must not be averaged as zero).
-func (m *CorrMeter) RawRate(design string) (stats.Rate, error) {
-	r, ok := m.match[design]
-	if !ok {
-		return stats.Rate{}, fmt.Errorf("trace: unknown Figure 3 design %q", design)
-	}
-	return *r, nil
-}
-
-// --- Figure 5: single-pass design-space sweep ---
-
-// DSEMeter evaluates a set of speculation designs on the identical
-// operation stream, counting per-thread-op mispredictions exactly as the
-// ST² hardware would (a thread-op mispredicts when any non-Peek boundary
-// was speculated wrong).
-type DSEMeter struct {
-	Designs []string
-	preds   map[string]speculate.Predictor
-	miss    map[string]*stats.Rate
-	scratch warpScratch
-}
-
-// NewDSEMeter builds a sweep over the given designs (defaulting to the
-// full Figure 5 space when nil).
-func NewDSEMeter(designs []string) (*DSEMeter, error) {
-	if designs == nil {
-		designs = speculate.DesignSpace
-	}
-	m := &DSEMeter{
-		Designs: designs,
-		preds:   make(map[string]speculate.Predictor),
-		miss:    make(map[string]*stats.Rate),
-	}
-	for _, d := range designs {
-		p, err := speculate.NewDesign(d, g64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: design %q: %w", d, err)
-		}
-		m.preds[d] = p
-		m.miss[d] = &stats.Rate{}
-	}
-	return m, nil
-}
-
-// TraceWarpAdds implements gpusim.AddTracer: predictions for every lane
-// come from the pre-update history (as in hardware, where the CRF row is
-// read once per warp), then mispredicting lanes write back. The warp is
-// compacted once (boundary carries computed per lane, not per design)
-// and every design runs the shared batched eval core.
-func (m *DSEMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]gpusim.WarpAddOp) {
-	r := m.scratch.compact(kind, pc, gtidBase, ops)
-	for _, d := range m.Designs {
-		dseStep(m.preds[d], m.miss[d], r, &m.scratch.eval)
-	}
-}
-
-// MissRate returns a design's thread misprediction rate.
-func (m *DSEMeter) MissRate(design string) (float64, error) {
-	r, ok := m.miss[design]
-	if !ok {
-		return 0, fmt.Errorf("trace: design %q not in sweep", design)
-	}
-	return r.Value(), nil
-}
-
-// Rate exposes the raw counter for aggregation across kernels.
-func (m *DSEMeter) Rate(design string) (stats.Rate, error) {
-	r, ok := m.miss[design]
-	if !ok {
-		return stats.Rate{}, fmt.Errorf("trace: design %q not in sweep", design)
-	}
-	return *r, nil
-}
-
-func popcount(x uint64) int { return bitmath.PopCount64(x) }

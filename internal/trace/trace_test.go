@@ -5,23 +5,21 @@ import (
 
 	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
-	"st2gpu/internal/gpusim"
-	"st2gpu/internal/kernels"
 	"st2gpu/internal/speculate"
 )
 
 // feed pushes a synthetic stream through any tracer: per (pc, warp),
 // slowly evolving operands on four active lanes — the paper's correlated
 // regime.
-func feed(t *testing.T, tr gpusim.AddTracer, ops int) {
+func feed(t *testing.T, tr addTracer, ops int) {
 	t.Helper()
 	for i := 0; i < ops; i++ {
 		for pc := uint32(0); pc < 4; pc++ {
-			var batch [32]gpusim.WarpAddOp
+			var batch [32]laneOp
 			for lane := 0; lane < 4; lane++ {
 				ea := uint64(i)*3 + uint64(pc)*1000 + uint64(lane)
 				eb := uint64(pc) * 17
-				batch[lane] = gpusim.WarpAddOp{Active: true, EA: ea, EB: eb, Sum: ea + eb}
+				batch[lane] = laneOp{Active: true, EA: ea, EB: eb, Sum: ea + eb}
 			}
 			tr.TraceWarpAdds(core.ALU, pc, 0, &batch)
 		}
@@ -29,8 +27,9 @@ func feed(t *testing.T, tr gpusim.AddTracer, ops int) {
 }
 
 func TestValueTrace(t *testing.T) {
-	vt := NewValueTrace(2, 16)
-	feed(t, vt, 32)
+	var kb kernelBuilder
+	feed(t, &kb, 32)
+	vt := NewValueTrace(&kb.k, 2, 16)
 	pcs := vt.PCs()
 	if len(pcs) != 4 {
 		t.Fatalf("PCs = %v", pcs)
@@ -52,18 +51,21 @@ func TestValueTrace(t *testing.T) {
 			t.Fatal("logical time must increase")
 		}
 	}
+	// Logical time counts every add the thread executes: four PCs per
+	// iteration, so PC0's points sit four ticks apart.
+	if s[0].Time != 1 || s[1].Time != 5 {
+		t.Errorf("PC0 times %d, %d; want 1, 5", s[0].Time, s[1].Time)
+	}
 	// Signed interpretation of 32-bit results.
-	vt32 := NewValueTrace(0, 4)
-	var one [32]gpusim.WarpAddOp
-	one[0] = gpusim.WarpAddOp{Active: true, Sum: 0xFFFFFFFF}
-	vt32.TraceWarpAdds(core.ALU32, 0, 0, &one)
-	if vt32.Series(0)[0].Value != -1 {
+	var kb32 kernelBuilder
+	var one [32]laneOp
+	one[0] = laneOp{Active: true, Sum: 0xFFFFFFFF}
+	kb32.TraceWarpAdds(core.ALU32, 0, 0, &one)
+	if NewValueTrace(&kb32.k, 0, 4).Series(0)[0].Value != -1 {
 		t.Error("ALU32 results should sign-extend")
 	}
 	// Other threads are ignored.
-	vt2 := NewValueTrace(99, 4)
-	feed(t, vt2, 4)
-	if len(vt2.PCs()) != 0 {
+	if len(NewValueTrace(&kb.k, 99, 4).PCs()) != 0 {
 		t.Error("ValueTrace leaked other threads")
 	}
 }
@@ -131,24 +133,12 @@ func TestDSEMeterUnknownDesignFails(t *testing.T) {
 	}
 }
 
-// End-to-end: attach all collectors to a real pathfinder simulation and
-// confirm the Figure 2 PCs and Figure 3 ordering appear.
+// End-to-end: replay a recorded pathfinder simulation through the
+// meters and walk its decoded form for Figure 2; confirm the Figure 2
+// PCs and Figure 3 ordering appear.
 func TestTracersOnPathfinder(t *testing.T) {
-	spec, err := kernels.Pathfinder(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := gpusim.DefaultConfig()
-	cfg.NumSMs = 1
-	cfg.AdderMode = gpusim.BaselineAdders
-	d, err := gpusim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spec.Setup(d.Memory()); err != nil {
-		t.Fatal(err)
-	}
-	vt := NewValueTrace(5, 200)
+	set := recordPathfinder(t)
+	rec, _ := set.Get("pathfinder")
 	cm, err := NewCorrMeter()
 	if err != nil {
 		t.Fatal(err)
@@ -157,10 +147,15 @@ func TestTracersOnPathfinder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetTracer(Multi{vt, cm, dse})
-	if _, err := d.Launch(spec.Kernel); err != nil {
+	if err := replay(rec, Multi{cm, dse}); err != nil {
 		t.Fatal(err)
 	}
+	dec, err := DecodeSet(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _ := dec.Kernel("pathfinder")
+	vt := NewValueTrace(k, 5, 200)
 	if len(vt.PCs()) < 4 {
 		t.Errorf("pathfinder thread should execute several add PCs, got %v", vt.PCs())
 	}
@@ -183,12 +178,12 @@ func TestDSEMeterMatchesAdderSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 0xFF+0x01 produces a boundary carry staticZero always misses.
-	var b1 [32]gpusim.WarpAddOp
-	b1[0] = gpusim.WarpAddOp{Active: true, EA: 0xFF, EB: 0x01, Sum: 0x100}
+	var b1 [32]laneOp
+	b1[0] = laneOp{Active: true, EA: 0xFF, EB: 0x01, Sum: 0x100}
 	m.TraceWarpAdds(core.ALU, 0, 0, &b1)
 	// 1+2 produces none (and peek is irrelevant to staticZero).
-	var b2 [32]gpusim.WarpAddOp
-	b2[0] = gpusim.WarpAddOp{Active: true, EA: 1, EB: 2, Sum: 3}
+	var b2 [32]laneOp
+	b2[0] = laneOp{Active: true, EA: 1, EB: 2, Sum: 3}
 	m.TraceWarpAdds(core.ALU, 0, 0, &b2)
 	r, _ := m.Rate("staticZero")
 	if r.Hits != 1 || r.Total != 2 {
@@ -244,8 +239,8 @@ func TestApproxMeterSingleOp(t *testing.T) {
 	}
 	// 0xC0 + 0x40 = 0x100; dropping the carry into slice 1 yields 0.
 	// (MSBs disagree, so Peek cannot save staticZero here.)
-	var b1 [32]gpusim.WarpAddOp
-	b1[0] = gpusim.WarpAddOp{Active: true, EA: 0xC0, EB: 0x40, Sum: 0x100}
+	var b1 [32]laneOp
+	b1[0] = laneOp{Active: true, EA: 0xC0, EB: 0x40, Sum: 0x100}
 	m.TraceWarpAdds(core.ALU, 0, 0, &b1)
 	wrong, _ := m.WrongRate("staticZero")
 	if wrong != 1 {
@@ -260,9 +255,9 @@ func TestApproxMeterSingleOp(t *testing.T) {
 func TestChainMeter(t *testing.T) {
 	m := NewChainMeter()
 	// Small positive operands: chains stay inside one slice.
-	var b1 [32]gpusim.WarpAddOp
+	var b1 [32]laneOp
 	for l := 0; l < 8; l++ {
-		b1[l] = gpusim.WarpAddOp{Active: true, EA: uint64(l), EB: 3}
+		b1[l] = laneOp{Active: true, EA: uint64(l), EB: 3}
 	}
 	m.TraceWarpAdds(core.ALU, 0, 0, &b1)
 	if m.Ops != 8 {
@@ -273,8 +268,8 @@ func TestChainMeter(t *testing.T) {
 	}
 	// Crossing zero from a negative value ripples the carry to the top
 	// (the paper's PC3-style full-width chain).
-	var b2 [32]gpusim.WarpAddOp
-	b2[0] = gpusim.WarpAddOp{Active: true, EA: ^uint64(0), EB: 2} // -1 + 2
+	var b2 [32]laneOp
+	b2[0] = laneOp{Active: true, EA: ^uint64(0), EB: 2} // -1 + 2
 	m.TraceWarpAdds(core.ALU, 1, 0, &b2)
 	if m.MeanChainLength() <= 1 {
 		t.Errorf("negative result should lengthen the mean chain: %.2f", m.MeanChainLength())
@@ -290,23 +285,9 @@ func TestChainMeter(t *testing.T) {
 // End-to-end on pathfinder: the Section III observation — most adds have
 // chains within one slice.
 func TestChainMeterOnPathfinder(t *testing.T) {
-	spec, err := kernels.Pathfinder(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := gpusim.DefaultConfig()
-	cfg.NumSMs = 1
-	cfg.AdderMode = gpusim.BaselineAdders
-	d, err := gpusim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := spec.Setup(d.Memory()); err != nil {
-		t.Fatal(err)
-	}
+	rec, _ := recordPathfinder(t).Get("pathfinder")
 	m := NewChainMeter()
-	d.SetTracer(m)
-	if _, err := d.Launch(spec.Kernel); err != nil {
+	if err := replay(rec, m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Ops == 0 {
