@@ -43,9 +43,10 @@ race:
 # against the flat []byte oracle. The sliced-adder pass checks every
 # Execute result field against the slice-by-slice reference model, the
 # ST² unit pass checks the columnar ExecuteWarp (sums, stall, statistics,
-# CRF rows) against the per-lane oracle, and the carry pass checks the
+# CRF rows) against the per-lane oracle, the carry pass checks the
 # packed boundary carries (byte-gather and shift-walk paths) against
-# big.Int addition.
+# big.Int addition, and the approximate-sum pass checks the one-addition
+# uncorrected sliced sum against its slice-by-slice oracle.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
@@ -53,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
 	$(GO) test -run='^$$' -fuzz=FuzzUnitExecuteWarp -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCarriesAgainstBigInt -fuzztime=5s ./internal/bitmath
+	$(GO) test -run='^$$' -fuzz=FuzzApproxSum -fuzztime=5s ./internal/trace
 
 # The scale-4 simulate pass checked against perfbench's pinned output
 # digests: the one bit-identity check at a scale where blocks retire and

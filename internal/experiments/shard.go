@@ -384,9 +384,9 @@ func Fig3Sharded(cfg Config, storePath string, conns []*ShardConn, opts ShardOpt
 }
 
 // shardCell is one dispatchable unit: a kernel and a contiguous design
-// batch. The id doubles as the slot its rates land in.
+// batch. Its index in the cell list is its wire id and the slot its
+// rates land in.
 type shardCell struct {
-	id     int
 	kernel string
 	lo, hi int // design range [lo, hi)
 }
@@ -424,7 +424,7 @@ func runSharded(cfg Config, storePath, op string, designs []string, conns []*Sha
 	cells := make([]shardCell, nk*nb)
 	for t := range cells {
 		i, b := t/nb, t%nb
-		cells[t] = shardCell{id: t, kernel: names[i], lo: batches[b][0], hi: batches[b][1]}
+		cells[t] = shardCell{kernel: names[i], lo: batches[b][0], hi: batches[b][1]}
 	}
 
 	var cellsDispatched, cellsRetried *metrics.Counter
@@ -660,8 +660,9 @@ func runSharded(cfg Config, storePath, op string, designs []string, conns []*Sha
 				}
 				continue
 			}
-			if want := cells[t].hi - cells[t].lo; len(ev.msg.Rates) != want {
-				if err := requeue(t, fmt.Errorf("experiments: shard cell %d returned %d rates, want %d", t, len(ev.msg.Rates), want)); err != nil {
+			i := t / nb
+			if err := checkShardRates(ev.msg.Rates, cells[t].hi-cells[t].lo, results[i*nb:(i+1)*nb]); err != nil {
+				if err := requeue(t, fmt.Errorf("experiments: shard cell %d %w", t, err)); err != nil {
 					return nil, nil, err
 				}
 				dispatch(c)
@@ -692,8 +693,60 @@ func runSharded(cfg Config, storePath, op string, designs []string, conns []*Sha
 	return rates, names, nil
 }
 
+// designBatches splits nd designs into contiguous [lo, hi) batches sized
+// so the (kernel × batch) grid still has at least `workers` (≥ 1) cells
+// to keep every worker busy, clamped to at most nd batches; every kernel
+// gets the same split. It is the shard partition only: the in-process
+// grid splits by lanes (laneGrid), but a kernel split over several cells
+// here can land on several shard workers, and each of them then loads
+// the kernel's whole store section.
+func designBatches(workers, nk, nd int) [][2]int {
+	nb := min((workers+nk-1)/nk, nd)
+	out := make([][2]int, nb)
+	for b := 0; b < nb; b++ {
+		out[b] = [2]int{b * nd / nb, (b + 1) * nd / nb}
+	}
+	return out
+}
+
+// checkShardRates says why a cell's result rates cannot be right, or
+// returns nil. want is the cell's design count (≥ 1) and siblings the
+// accepted results of the kernel's cells (nil while pending). Every
+// design of one kernel sees the same lane stream, so every rate of the
+// kernel carries the same Total, and none hits more than its Total.
+func checkShardRates(rates []stats.Rate, want int, siblings [][]stats.Rate) error {
+	if len(rates) != want {
+		return fmt.Errorf("returned %d rates, want %d", len(rates), want)
+	}
+	for _, rs := range append([][]stats.Rate{rates}, siblings...) {
+		for _, r := range rs {
+			if r.Total != rates[0].Total {
+				return fmt.Errorf("returned rates over %d and %d events for one kernel", rates[0].Total, r.Total)
+			}
+			if r.Hits > r.Total {
+				return fmt.Errorf("returned %d hits of %d events", r.Hits, r.Total)
+			}
+		}
+	}
+	return nil
+}
+
+// foldBatches scatters per-cell batched results back into the flat
+// (kernel × design) rate grid, in fixed order.
+func foldBatches(rates []stats.Rate, cells [][]stats.Rate, batches [][2]int, nk, nd int) {
+	nb := len(batches)
+	for i := 0; i < nk; i++ {
+		for b := 0; b < nb; b++ {
+			lo := batches[b][0]
+			for x, r := range cells[i*nb+b] {
+				rates[i*nd+lo+x] = r
+			}
+		}
+	}
+}
+
 // suiteCovered checks a worker's advertised kernel list holds every
-// suite kernel, failing the same way suiteKernels does on a short set.
+// suite kernel, failing the same way sweepGrid does on a short set.
 func suiteCovered(suite, have []string) error {
 	got := make(map[string]bool, len(have))
 	for _, n := range have {

@@ -18,6 +18,7 @@ import (
 
 	"st2gpu/internal/kernels"
 	"st2gpu/internal/speculate"
+	"st2gpu/internal/stats"
 	"st2gpu/internal/trace"
 )
 
@@ -257,6 +258,46 @@ func TestShardedSweepRetryExhausted(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "giving up") || !strings.Contains(err.Error(), "injected cell failure") {
 		t.Errorf("retry-exhausted error %q does not name the failure", err)
+	}
+}
+
+// TestShardedSweepRejectsImpossibleCounts covers the result-count check:
+// a worker whose rates hit more often than they ran, or whose rates for
+// one kernel run over different totals, has each such reply treated as
+// a cell error, so the sweep gives up naming the bad counts instead of
+// folding them into rows.
+func TestShardedSweepRejectsImpossibleCounts(t *testing.T) {
+	storePath, _ := suiteStore(t)
+	for name, tc := range map[string]struct {
+		workers int // per conn; 16 over 2 conns splits each kernel into 2 cells
+		rate    func(id, j int) stats.Rate
+		want    string
+	}{
+		"hits over total": {1, func(int, int) stats.Rate { return stats.Rate{Hits: 11, Total: 10} },
+			"11 hits of 10 events"},
+		"mismatched totals in a reply": {1, func(_, j int) stats.Rate { return stats.Rate{Total: uint64(10 + j)} },
+			"over 10 and 11 events"},
+		"mismatched totals across cells": {16, func(id, _ int) stats.Rate { return stats.Rate{Total: uint64(10 + id)} },
+			"events for one kernel"},
+	} {
+		cfg := Default()
+		cfg.SweepWorkers = tc.workers
+		reply := func(m shardMsg) shardMsg {
+			rates := make([]stats.Rate, len(m.Designs))
+			for j := range rates {
+				rates[j] = tc.rate(m.ID, j)
+			}
+			return shardMsg{Type: "result", ID: m.ID, Rates: rates}
+		}
+		conns := []*ShardConn{fakeWorker(t, reply), fakeWorker(t, reply)}
+		_, err := Fig5Sharded(cfg, storePath, nil, conns, ShardOptions{MaxAttempts: 2, Lease: time.Minute})
+		if err == nil {
+			t.Errorf("%s: sweep accepted impossible result counts", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "giving up") || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not name the bad counts (%q)", name, err, tc.want)
+		}
 	}
 }
 

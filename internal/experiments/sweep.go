@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,12 +22,13 @@ import (
 // scheduled over a bounded worker pool. Each grid cell walks its kernel's
 // arrays ONCE scoring a contiguous batch of designs (the design-batched
 // kernel in trace amortizes the operand loads, true-carry masks and Peek
-// computation across the batch), and writes its results into a
-// task-indexed slot; the fold into rows happens afterwards in fixed
-// suite × design order — the same per-worker-shard + fold-in-fixed-order
-// rule the parallel simulator uses. The batch partition varies with the
-// worker count, but each design's counters never depend on which batch
-// it landed in (per-design predictor state is independent), so rows are
+// computation across the batch), and writes its results into its own
+// slots of the kernel-major result grid; the fold into rows happens
+// afterwards in fixed suite × design order — the same per-worker-shard +
+// fold-in-fixed-order rule the parallel simulator uses. The batch
+// partition follows each kernel's lanes and the worker count (laneGrid),
+// but each design's counters never depend on which batch it landed in
+// (per-design predictor state is independent), so rows are
 // bit-identical at any SweepWorkers count.
 
 // runGrid runs n independent tasks over a fixed pool of `workers`
@@ -163,42 +165,6 @@ func (m *cellMeter) close() {
 	}
 }
 
-// designBatches splits nd designs into contiguous [lo, hi) batches sized
-// so the (kernel × batch) grid still has at least `workers` cells to
-// keep every worker busy, clamped to [1, nd] batches. One worker gets
-// one batch of everything — the maximum-amortization schedule.
-func designBatches(workers, nk, nd int) [][2]int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	nb := (workers + nk - 1) / nk
-	if nb < 1 {
-		nb = 1
-	}
-	if nb > nd {
-		nb = nd
-	}
-	out := make([][2]int, nb)
-	for b := 0; b < nb; b++ {
-		out[b] = [2]int{b * nd / nb, (b + 1) * nd / nb}
-	}
-	return out
-}
-
-// foldBatches scatters per-cell batched results back into the flat
-// (kernel × design) rate grid, in fixed order.
-func foldBatches(rates []stats.Rate, cells [][]stats.Rate, batches [][2]int, nk, nd int) {
-	nb := len(batches)
-	for i := 0; i < nk; i++ {
-		for b := 0; b < nb; b++ {
-			lo := batches[b][0]
-			for x, r := range cells[i*nb+b] {
-				rates[i*nd+lo+x] = r
-			}
-		}
-	}
-}
-
 // foldFig5Rows folds the flat kernel-major (kernel × design) rate grid
 // into Fig5 rows: per design, the mean of the per-kernel miss rates in
 // fixed suite order. Shared by the in-process and sharded sweeps so
@@ -241,100 +207,112 @@ func foldFig3Rows(names []string, rates []stats.Rate) []Fig3Row {
 	return append(rows, avg)
 }
 
-// suiteKernels resolves every suite kernel in the decoded set, in suite
-// order — the fixed fold order of every grid below.
-func suiteKernels(dec *trace.Decoded) ([]kernels.Workload, []*trace.DecodedKernel, error) {
+// gridCell is one cell of the sweep grid: kernel `kernel`'s designs
+// [lo, hi).
+type gridCell struct{ kernel, lo, hi int }
+
+// laneGrid partitions the (kernel × design) grid by decoded lanes:
+// kernel k's nd designs split into clamp(⌈2·W·lanes_k / Σlanes⌉, 1, nd)
+// contiguous batches, W being workers (≤ 0 means GOMAXPROCS). So each
+// cell walks at most about 1/(2W) of the grid's lanes × designs volume
+// unless its kernel runs out of designs to split, and a kernel holding
+// at most Σlanes/(2W) lanes stays one cell, the maximum-amortization
+// walk. Cells come in non-increasing lanes × designs order, kernel-major
+// among equals, so the costliest cells are claimed first and the cheap
+// ones fill in behind them.
+func laneGrid(workers int, lanes []uint64, nd int) []gridCell {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var total uint64
+	for _, n := range lanes {
+		total += n
+	}
+	var cells []gridCell
+	for k, n := range lanes {
+		nb := 1
+		if total > 0 {
+			nb = int((2*uint64(workers)*n + total - 1) / total)
+		}
+		nb = max(1, min(nb, nd))
+		for b := 0; b < nb; b++ {
+			cells = append(cells, gridCell{k, b * nd / nb, (b + 1) * nd / nb})
+		}
+	}
+	cost := func(c gridCell) uint64 { return lanes[c.kernel] * uint64(c.hi-c.lo) }
+	sort.SliceStable(cells, func(a, b int) bool { return cost(cells[a]) > cost(cells[b]) })
+	return cells
+}
+
+// sweepGrid evaluates every suite kernel of dec against designs on the
+// lane-weighted grid and returns the flat kernel-major (kernel × design)
+// result grid plus the suite's kernel names, its fixed fold order. Each
+// cell writes only its own slots, so the grid needs no fold; the float
+// folds over it run afterwards in suite × design order, and per-design
+// results never depend on the batch a design landed in, so rows are
+// bit-identical at any SweepWorkers count.
+func sweepGrid[R any](cfg Config, dec *trace.Decoded, grid string, designs []string,
+	eval func(*trace.DecodedKernel, []string) ([]R, error)) ([]R, []string, error) {
+	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
+		return nil, nil, err
+	}
 	ws := kernels.Suite()
+	names := make([]string, len(ws))
 	ks := make([]*trace.DecodedKernel, len(ws))
+	lanes := make([]uint64, len(ws))
 	for i, w := range ws {
 		k, ok := dec.Kernel(w.Name)
 		if !ok {
 			return nil, nil, fmt.Errorf("experiments: decoded set is missing kernel %q", w.Name)
 		}
-		ks[i] = k
+		names[i], ks[i], lanes[i] = w.Name, k, uint64(k.NumLanes())
 	}
-	return ws, ks, nil
+	nd := len(designs)
+	cells := laneGrid(cfg.SweepWorkers, lanes, nd)
+	out := make([]R, len(ks)*nd)
+	meter := cfg.newCellMeter(grid, len(cells))
+	err := runGrid(cfg.SweepWorkers, len(cells), func(w, t int) error {
+		c := cells[t]
+		batch := designs[c.lo:c.hi]
+		done := meter.cell(w, names[c.kernel], len(batch), lanes[c.kernel]*uint64(len(batch)))
+		rs, err := eval(ks[c.kernel], batch)
+		done()
+		if err != nil {
+			return err
+		}
+		copy(out[c.kernel*nd+c.lo:c.kernel*nd+c.hi], rs)
+		return nil
+	})
+	meter.close()
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, names, nil
 }
 
 // Fig5FromDecoded sweeps the design space over a decoded set: the
-// (kernel × design-batch) grid runs on cfg.SweepWorkers workers and each
-// cell is ONE array walk scoring its whole design batch — no varint
-// decoding, no simulation, operand loads amortized across designs. Rows
-// are bit-identical to Fig5 at any worker count.
+// lane-weighted (kernel × design-batch) grid runs on cfg.SweepWorkers
+// workers and each cell is ONE array walk scoring its whole design
+// batch — no varint decoding, no simulation, operand loads amortized
+// across designs. Rows are bit-identical to Fig5 at any worker count.
 func Fig5FromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]Fig5Row, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
 	}
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	ws, ks, err := suiteKernels(dec)
+	rates, names, err := sweepGrid(cfg, dec, "fig5", designs, (*trace.DecodedKernel).EvalMissBatch)
 	if err != nil {
 		return nil, err
 	}
-	nk, nd := len(ks), len(designs)
-	batches := designBatches(cfg.SweepWorkers, nk, nd)
-	nb := len(batches)
-	cells := make([][]stats.Rate, nk*nb)
-	meter := cfg.newCellMeter("fig5", nk*nb)
-	err = runGrid(cfg.SweepWorkers, nk*nb, func(w, t int) error {
-		i, b := t/nb, t%nb
-		batch := designs[batches[b][0]:batches[b][1]]
-		done := meter.cell(w, ws[i].Name, len(batch), uint64(ks[i].NumLanes())*uint64(len(batch)))
-		rs, err := ks[i].EvalMissBatch(batch)
-		done()
-		if err != nil {
-			return err
-		}
-		cells[t] = rs
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	rates := make([]stats.Rate, nk*nd)
-	foldBatches(rates, cells, batches, nk, nd)
-	return foldFig5Rows(designs, rates, nk), nil
+	return foldFig5Rows(designs, rates, len(names)), nil
 }
 
 // Fig3FromDecoded runs the Figure 3 correlation analysis over a decoded
-// set with the (kernel × scheme-batch) grid on cfg.SweepWorkers workers.
-// Rows are bit-identical to Fig3 at any worker count.
+// set on the lane-weighted (kernel × scheme-batch) grid. Rows are
+// bit-identical to Fig3 at any worker count.
 func Fig3FromDecoded(cfg Config, dec *trace.Decoded) ([]Fig3Row, error) {
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	ws, ks, err := suiteKernels(dec)
+	rates, names, err := sweepGrid(cfg, dec, "fig3", trace.Fig3Designs, (*trace.DecodedKernel).EvalCorrBatch)
 	if err != nil {
 		return nil, err
-	}
-	nk, nd := len(ks), len(trace.Fig3Designs)
-	batches := designBatches(cfg.SweepWorkers, nk, nd)
-	nb := len(batches)
-	cells := make([][]stats.Rate, nk*nb)
-	meter := cfg.newCellMeter("fig3", nk*nb)
-	err = runGrid(cfg.SweepWorkers, nk*nb, func(w, t int) error {
-		i, b := t/nb, t%nb
-		batch := trace.Fig3Designs[batches[b][0]:batches[b][1]]
-		done := meter.cell(w, ws[i].Name, len(batch), uint64(ks[i].NumLanes())*uint64(len(batch)))
-		rs, err := ks[i].EvalCorrBatch(batch)
-		done()
-		if err != nil {
-			return err
-		}
-		cells[t] = rs
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	rates := make([]stats.Rate, nk*nd)
-	foldBatches(rates, cells, batches, nk, nd)
-	names := make([]string, nk)
-	for i, w := range ws {
-		names[i] = w.Name
 	}
 	return foldFig3Rows(names, rates), nil
 }
@@ -342,45 +320,13 @@ func Fig3FromDecoded(cfg Config, dec *trace.Decoded) ([]Fig3Row, error) {
 // approxFromDecoded is the decoded-grid form of the approximate-adder
 // study.
 func approxFromDecoded(cfg Config, dec *trace.Decoded, designs []string) ([]ApproxRow, error) {
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
-	}
-	ws, ks, err := suiteKernels(dec)
+	res, names, err := sweepGrid(cfg, dec, "approx", designs, (*trace.DecodedKernel).EvalApproxBatch)
 	if err != nil {
 		return nil, err
-	}
-	nk, nd := len(ks), len(designs)
-	batches := designBatches(cfg.SweepWorkers, nk, nd)
-	nb := len(batches)
-	cells := make([][]trace.ApproxResult, nk*nb)
-	meter := cfg.newCellMeter("approx", nk*nb)
-	err = runGrid(cfg.SweepWorkers, nk*nb, func(w, t int) error {
-		i, b := t/nb, t%nb
-		batch := designs[batches[b][0]:batches[b][1]]
-		done := meter.cell(w, ws[i].Name, len(batch), uint64(ks[i].NumLanes())*uint64(len(batch)))
-		rs, err := ks[i].EvalApproxBatch(batch)
-		done()
-		if err != nil {
-			return err
-		}
-		cells[t] = rs
-		return nil
-	})
-	meter.close()
-	if err != nil {
-		return nil, err
-	}
-	res := make([]trace.ApproxResult, nk*nd)
-	for i := 0; i < nk; i++ {
-		for b := 0; b < nb; b++ {
-			lo := batches[b][0]
-			for x, r := range cells[i*nb+b] {
-				res[i*nd+lo+x] = r
-			}
-		}
 	}
 	// Aggregate in suite order so the floating-point sums do not depend
 	// on the grid schedule.
+	nk, nd := len(names), len(designs)
 	out := make([]ApproxRow, nd)
 	for j, d := range designs {
 		var wrSum, reSum float64

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -100,5 +101,66 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 	if _, err := Fig5FromDecoded(cfg, partial, nil); err == nil {
 		t.Error("Fig5FromDecoded accepted a decoded set missing every suite kernel")
+	}
+}
+
+// TestLaneGridPartition checks the lane-weighted grid on synthetic lane
+// counts: every (kernel, design) pair lands in exactly one non-empty
+// cell, cells come in non-increasing lanes × designs order, and each
+// kernel gets clamp(⌈2·W·lanes/Σlanes⌉, 1, nd) cells, so one at or under
+// the target cell size Σlanes/(2W) stays a single cell.
+func TestLaneGridPartition(t *testing.T) {
+	suites := map[string][]uint64{
+		"one kernel at 90%": {9000, 400, 300, 200, 100},
+		"zero-lane kernels": {0, 7000, 0, 2000, 1000, 0},
+		"zero-lane suite":   {0, 0, 0},
+		"even":              {500, 500, 500, 500},
+	}
+	for name, lanes := range suites {
+		var total uint64
+		for _, n := range lanes {
+			total += n
+		}
+		for _, nd := range []int{1, 3, 12} {
+			for _, w := range []int{1, 2, 16} {
+				cells := laneGrid(w, lanes, nd)
+				seen := make([]int, len(lanes)*nd)
+				perKernel := make([]int, len(lanes))
+				for x, c := range cells {
+					if c.lo >= c.hi || c.lo < 0 || c.hi > nd {
+						t.Fatalf("%s nd=%d W=%d: cell %d has design range [%d,%d)", name, nd, w, x, c.lo, c.hi)
+					}
+					for d := c.lo; d < c.hi; d++ {
+						seen[c.kernel*nd+d]++
+					}
+					perKernel[c.kernel]++
+					if x > 0 {
+						p := cells[x-1]
+						if lanes[p.kernel]*uint64(p.hi-p.lo) < lanes[c.kernel]*uint64(c.hi-c.lo) {
+							t.Errorf("%s nd=%d W=%d: cell %d costs more than cell %d", name, nd, w, x, x-1)
+						}
+					}
+				}
+				for i, n := range seen {
+					if n != 1 {
+						t.Errorf("%s nd=%d W=%d: kernel %d design %d is in %d cells", name, nd, w, i/nd, i%nd, n)
+					}
+				}
+				for k, n := range lanes {
+					want := 1
+					if total > 0 {
+						want = int(math.Ceil(2 * float64(w) * float64(n) / float64(total)))
+					}
+					want = max(1, min(want, nd))
+					if perKernel[k] != want {
+						t.Errorf("%s nd=%d W=%d: kernel %d (%d of %d lanes) has %d cells, want %d",
+							name, nd, w, k, n, total, perKernel[k], want)
+					}
+					if 2*uint64(w)*n <= total && perKernel[k] != 1 {
+						t.Errorf("%s nd=%d W=%d: kernel %d under the target cell size was split", name, nd, w, k)
+					}
+				}
+			}
+		}
 	}
 }

@@ -44,19 +44,18 @@ func widthOf(kind core.UnitKind) uint {
 }
 
 // approxSum assembles the no-correction result: each 8-bit slice adds
-// with its predicted carry-in, wrong or not.
+// with its predicted carry-in, wrong or not. All slices add at once, one
+// per byte: the byte-wise sum of the operands drops every byte's carry
+// out (the low seven bits add, the top bit is a XOR), and the carry-ins
+// — cin0 into byte 0, predicted bit i-1 into byte i — are then added to
+// bit 0 of each byte the same way. A narrow top slice is the low bits of
+// its byte, so masking to the width finishes it.
 func approxSum(ea, eb uint64, cin0 uint, width uint, predicted uint64) uint64 {
-	n := bitmath.NumSlices(width, 8)
-	var out uint64
-	for i := uint(0); i < n; i++ {
-		lo := i * 8
-		w := bitmath.SliceWidthAt(i, width, 8)
-		cin := cin0
-		if i > 0 {
-			cin = uint((predicted >> (i - 1)) & 1)
-		}
-		s, _ := bitmath.AddWithCarry(bitmath.Slice(ea, lo, w), bitmath.Slice(eb, lo, w), cin, w)
-		out |= s << lo
-	}
-	return out & bitmath.Mask(width)
+	const hi = 0x8080808080808080
+	s := ((ea &^ hi) + (eb &^ hi)) ^ ((ea ^ eb) & hi)
+	x := (predicted<<1 | uint64(cin0&1)) & 0xFF
+	// Bit i of x moves to bit 8i: bits 0-6 by one multiply (no two
+	// partial products overlap), bit 7 by a shift.
+	c := (x&0x7F)*0x0002040810204081&0x0101010101010101 | (x&0x80)<<49
+	return (((s &^ hi) + c) ^ (s & hi)) & bitmath.Mask(width)
 }

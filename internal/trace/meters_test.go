@@ -187,7 +187,7 @@ func approxStep(p speculate.Predictor, wrong *stats.Rate, relErr *runningMean, r
 		actual := r.carries[j] & mask
 		s.actual[j] = actual
 		used := (carries[j] &^ static[j]) | (actual & static[j] & mask)
-		got := approxSum(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used)
+		got := approxSumSlices(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used)
 		mispred |= uint32(nonZeroBit((carries[j]^actual)&mask&^static[j])) << l
 		if got != r.sum[j] {
 			wrongResults++
