@@ -785,10 +785,12 @@ func entryFootprint(records, lanes int) uint64 {
 	return 21*uint64(records) + 32*uint64(lanes)
 }
 
-// decodeSections decodes the given section payload buffers on a bounded
-// pool and folds them, in entries order, into a Decoded stamped with the
-// store's capture config. bufs[i] is entries[i]'s payload.
-func (info *storeInfo) decodeSections(entries []storeEntry, bufs [][]byte, workers int) (*Decoded, error) {
+// decodeSections decodes the given sections on a bounded pool and folds
+// them, in entries order, into a Decoded stamped with the store's capture
+// config. payload(i) returns entries[i]'s payload bytes; it runs on the
+// worker that decodes the section, and nothing keeps the bytes once the
+// section's columns are built.
+func (info *storeInfo) decodeSections(entries []storeEntry, payload func(i int) ([]byte, error), workers int) (*Decoded, error) {
 	d := &Decoded{
 		Scale: info.scale, NumSMs: info.numSMs, Seed: info.seed,
 		names:   make([]string, len(entries)),
@@ -805,7 +807,12 @@ func (info *storeInfo) decodeSections(entries []storeEntry, bufs [][]byte, worke
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			k, err := decodeSection(bufs[i], ent.records, ent.lanes,
+			buf, err := payload(i)
+			if err != nil {
+				errs[i] = fmt.Errorf("trace: store kernel %q payload: %w", ent.name, err)
+				return
+			}
+			k, err := decodeSection(buf, ent.records, ent.lanes,
 				info.flags&storeHasSum != 0, info.flags&storeHasCarries != 0)
 			if err != nil {
 				errs[i] = fmt.Errorf("trace: store kernel %q: %w", ent.name, err)
@@ -835,7 +842,7 @@ func readDecoded(r io.Reader, maxBytes uint64, workers int) (*Decoded, int64, er
 
 	// Sequential payload read (chunked so a lying length fails at true
 	// EOF), then parallel section decode with results folded in table
-	// order.
+	// order. Each payload is dropped as its section decodes.
 	bufs := make([][]byte, len(info.entries))
 	for i, ent := range info.entries {
 		buf, err := readSection(r, ent.sectLen)
@@ -844,7 +851,11 @@ func readDecoded(r io.Reader, maxBytes uint64, workers int) (*Decoded, int64, er
 		}
 		bufs[i] = buf
 	}
-	d, err := info.decodeSections(info.entries, bufs, workers)
+	d, err := info.decodeSections(info.entries, func(i int) ([]byte, error) {
+		buf := bufs[i]
+		bufs[i] = nil
+		return buf, nil
+	}, workers)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -880,14 +891,33 @@ func min64(a, b uint64) uint64 {
 }
 
 // ReadStoreFile loads a store saved by WriteStoreFile under the default
-// byte budget with GOMAXPROCS section-decode workers.
+// byte budget with GOMAXPROCS section-decode workers. It holds the store
+// to ReadDecoded's whole-file budget, and like LoadKernels it refuses a
+// file whose size differs from its section table and reads each section
+// at its offset.
+//
+// It returns after a full collection. The load is the largest burst of
+// allocation in a sweep process. Without the collection, the heap goal
+// for the work that follows is set by whichever collection the burst
+// triggered last, and that one found anywhere from 70% of the store live
+// to all of it, so a scale-4 sweep's later peak resident set moved by
+// ~250 MB from run to run. After it, the goal is twice the store.
 func ReadStoreFile(path string) (*Decoded, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadDecoded(f, ReadOptions{})
+	h, err := newStoreHandle(f, gpusim.DefaultRecordMaxBytes, true)
+	if err != nil {
+		return nil, err
+	}
+	d, err := h.readSections(f, h.info.entries, h.offsets, 0)
+	if err != nil {
+		return nil, err
+	}
+	runtime.GC()
+	return d, nil
 }
 
 // --- zigzag helpers (the recording encoder's delta transform) ---

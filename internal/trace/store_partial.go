@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"os"
 
 	"st2gpu/internal/gpusim"
@@ -30,15 +29,21 @@ type StoreHandle struct {
 // a store bigger than one worker's budget is readable a slice at a
 // time.
 func OpenStore(path string, maxBytes uint64) (*StoreHandle, error) {
-	if maxBytes == 0 {
-		maxBytes = gpusim.DefaultRecordMaxBytes
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("trace: open store: %w", err)
 	}
 	defer f.Close()
-	info, err := readStoreInfo(bufio.NewReaderSize(f, 1<<16), maxBytes, false)
+	return newStoreHandle(f, maxBytes, false)
+}
+
+// newStoreHandle is OpenStore over the open store f; wholeFile also
+// holds the whole store to the budget, as readStoreInfo describes.
+func newStoreHandle(f *os.File, maxBytes uint64, wholeFile bool) (*StoreHandle, error) {
+	if maxBytes == 0 {
+		maxBytes = gpusim.DefaultRecordMaxBytes
+	}
+	info, err := readStoreInfo(bufio.NewReaderSize(f, 1<<16), maxBytes, wholeFile)
 	if err != nil {
 		return nil, err
 	}
@@ -48,10 +53,10 @@ func OpenStore(path string, maxBytes uint64) (*StoreHandle, error) {
 	}
 	if want := info.headerLen + int64(info.payloadTotal); fi.Size() != want {
 		return nil, fmt.Errorf("trace: store %s is %d bytes but its section table declares %d",
-			path, fi.Size(), want)
+			f.Name(), fi.Size(), want)
 	}
 	h := &StoreHandle{
-		path:     path,
+		path:     f.Name(),
 		maxBytes: maxBytes,
 		info:     info,
 		offsets:  make([]int64, len(info.entries)),
@@ -124,13 +129,21 @@ func (h *StoreHandle) LoadKernels(names []string, workers int) (*Decoded, error)
 		return nil, fmt.Errorf("trace: open store: %w", err)
 	}
 	defer f.Close()
-	bufs := make([][]byte, len(selected))
-	for i, ent := range selected {
-		buf, err := readSection(io.NewSectionReader(f, selectedOff[i], int64(ent.sectLen)), ent.sectLen)
-		if err != nil {
-			return nil, fmt.Errorf("trace: store kernel %q payload: %w", ent.name, err)
+	return h.readSections(f, selected, selectedOff, workers)
+}
+
+// readSections reads and decodes the given sections of the store file f,
+// whose payloads start at offsets. The store matched its section table
+// at open, so no declared length exceeds the file: each payload is read
+// whole into one buffer of its exact size, on the worker that decodes it.
+// A load thus holds at most `workers` payloads at once and allocates no
+// buffer it then copies and throws away.
+func (h *StoreHandle) readSections(f *os.File, entries []storeEntry, offsets []int64, workers int) (*Decoded, error) {
+	return h.info.decodeSections(entries, func(i int) ([]byte, error) {
+		buf := make([]byte, entries[i].sectLen)
+		if _, err := f.ReadAt(buf, offsets[i]); err != nil {
+			return nil, err
 		}
-		bufs[i] = buf
-	}
-	return h.info.decodeSections(selected, bufs, workers)
+		return buf, nil
+	}, workers)
 }

@@ -143,7 +143,7 @@ func TestPartialLoadMatchesFullRead(t *testing.T) {
 // TestPartialLoadErrors covers the handle's failure paths: unknown
 // kernels fail naming the missing kernel, over-budget subsets fail
 // with ErrStoreTooBig before any payload read, and a truncated file is
-// rejected at OpenStore.
+// rejected at OpenStore and by ReadStoreFile.
 func TestPartialLoadErrors(t *testing.T) {
 	path, full := writeMultiKernelStore(t, StoreOptions{})
 	names := full.Names()
@@ -181,6 +181,11 @@ func TestPartialLoadErrors(t *testing.T) {
 		t.Fatal("truncated store: want error, got nil")
 	} else if !strings.Contains(err.Error(), "declares") {
 		t.Fatalf("truncated store: error %q does not report the size mismatch", err)
+	}
+	if _, err := ReadStoreFile(cut); err == nil {
+		t.Fatal("ReadStoreFile(truncated store): want error, got nil")
+	} else if !strings.Contains(err.Error(), "declares") {
+		t.Fatalf("ReadStoreFile(truncated store): error %q does not report the size mismatch", err)
 	}
 }
 
