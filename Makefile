@@ -45,8 +45,10 @@ race:
 # ST² unit pass checks the columnar ExecuteWarp (sums, stall, statistics,
 # CRF rows) against the per-lane oracle, the carry pass checks the
 # packed boundary carries (byte-gather and shift-walk paths) against
-# big.Int addition, and the approximate-sum pass checks the one-addition
-# uncorrected sliced sum against its slice-by-slice oracle.
+# big.Int addition, the approximate-sum pass checks the one-addition
+# uncorrected sliced sum against its slice-by-slice oracle, and the
+# predictor pass drives every registry design's flat tables through
+# random warp streams and bounds against the map-backed predictors.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
@@ -55,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzUnitExecuteWarp -fuzztime=5s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCarriesAgainstBigInt -fuzztime=5s ./internal/bitmath
 	$(GO) test -run='^$$' -fuzz=FuzzApproxSum -fuzztime=5s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzDesignWarp -fuzztime=5s ./internal/speculate
 
 # The scale-4 simulate pass checked against perfbench's pinned output
 # digests: the one bit-identity check at a scale where blocks retire and

@@ -335,7 +335,7 @@ func BenchmarkCRFWarpOp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	crf := speculate.NewDefaultCRF(1)
+	crf := speculate.NewDefaultCRF(16, 1)
 	spec := &core.CRFSpeculator{CRF: crf, Geom: unit.Geometry()}
 	ea, eb := make([]uint64, core.WarpSize), make([]uint64, core.WarpSize)
 	for l := range ea {

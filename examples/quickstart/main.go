@@ -43,13 +43,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	crf := speculate.NewDefaultCRF(42)
+	// The loop below is a one-instruction program at PC 3, whose low 4
+	// bits index the CRF row.
+	const pc = 3
+	crf := speculate.NewDefaultCRF(pc+1, 42)
 	spec := &core.CRFSpeculator{CRF: crf, Geom: unit.Geometry()}
 
 	// 3. Execute a warp-wide loop: every lane accumulates a stride —
 	// the "consecutive operations from the same code location are highly
 	// correlated" regime of the paper.
-	const pc = 3 // low 4 bits index the CRF row
 	acc := [32]uint64{}
 	for lane := range acc {
 		acc[lane] = uint64(lane) * 1000

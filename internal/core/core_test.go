@@ -135,7 +135,7 @@ func mispredicts(u *Unit, spec Speculator, pc, gtidBase, active, cin uint32, ea,
 // under the hardware CRF speculator.
 func TestExecuteWarpExact(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	crf := speculate.NewDefaultCRF(1)
+	crf := speculate.NewDefaultCRF(64, 1)
 	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
@@ -170,7 +170,7 @@ func TestExecuteWarpExact(t *testing.T) {
 
 func TestExecuteWarpInactiveLanes(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	spec := &PredictorSpeculator{P: speculate.NewStaticZero(u.Geometry())}
+	spec := speculate.AsWarp(speculate.NewStaticZero(u.Geometry()))
 	sums, _ := u.ExecuteWarp(spec, 0, 0, 1<<3, 0, []uint64{5}, []uint64{7})
 	if len(sums) != 1 || sums[0] != 12 || u.Stats().ThreadOps != 1 {
 		t.Errorf("partial warp wrong: sums %v, stats %+v", sums, u.Stats())
@@ -186,7 +186,7 @@ func TestExecuteWarpInactiveLanes(t *testing.T) {
 // take 2 cycles; zero mispredictions take 1.
 func TestWarpStallSemantics(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	spec := &PredictorSpeculator{P: speculate.NewStaticZero(u.Geometry())}
+	spec := speculate.AsWarp(speculate.NewStaticZero(u.Geometry()))
 	// Operands with no boundary carries and MSBs clear: staticZero never
 	// wrong → 1 cycle. (Low slice-MSBs avoid carries entirely.)
 	active, cin, ea, eb := fullWarp(u, adder.Add, func(l int) (uint64, uint64) { return 0x01, 0x02 })
@@ -213,7 +213,7 @@ func TestWarpStallSemantics(t *testing.T) {
 // mispredict; with Peek disabled a cold CRF speculates them wrong.
 func TestPeekAccounting(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	crf := speculate.NewDefaultCRF(3)
+	crf := speculate.NewDefaultCRF(1, 3)
 	// 0x80 + 0x80 in every byte: both MSBs of every slice are 1, so every
 	// boundary carries 1 and Peek resolves it to 1.
 	const x = 0x8080808080808080
@@ -236,7 +236,7 @@ func TestPeekAccounting(t *testing.T) {
 // after a write-back commits eliminates the misprediction.
 func TestCRFSpeculatorLearns(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	crf := speculate.NewDefaultCRF(4)
+	crf := speculate.NewDefaultCRF(10, 4)
 	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
 	// Operands whose boundary carry exists but whose slice-0 MSBs
 	// disagree, so Peek cannot resolve it: 0xC0 + 0x40 = 0x100 (slice0
@@ -260,7 +260,7 @@ func TestCRFSpeculatorLearns(t *testing.T) {
 // lanes, same PC) benefits from the first warp's training.
 func TestCRFSharingAcrossWarps(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	crf := speculate.NewDefaultCRF(5)
+	crf := speculate.NewDefaultCRF(4, 5)
 	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
 	active, cin, ea, eb := fullWarp(u, adder.Add, func(l int) (uint64, uint64) { return 0xC0, 0x40 })
 	crf.BeginCycle(1)
@@ -273,7 +273,7 @@ func TestCRFSharingAcrossWarps(t *testing.T) {
 
 func TestUnitStatsAggregation(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	spec := &PredictorSpeculator{P: speculate.NewStaticZero(u.Geometry())}
+	spec := speculate.AsWarp(speculate.NewStaticZero(u.Geometry()))
 	active, cin, ea, eb := fullWarp(u, adder.Add, func(l int) (uint64, uint64) { return 0xFF, 0x01 })
 	u.ExecuteWarp(spec, 0, 0, active, cin, ea, eb)
 	st := u.Stats()
@@ -380,11 +380,15 @@ func TestMantissaThroughSlicedAdder(t *testing.T) {
 // should speculate well on the FPU after warm-up.
 func TestFPUSpeculationOnCorrelatedStream(t *testing.T) {
 	u := newTestUnit(t, FPU)
-	p, err := speculate.NewDesign(speculate.FinalDesign, u.Geometry())
+	b, err := speculate.NewBounds([]uint32{4}, WarpSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &PredictorSpeculator{P: p}
+	p, err := speculate.NewDesign(speculate.FinalDesign, u.Geometry(), b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := speculate.AsWarp(p)
 	rng := rand.New(rand.NewSource(8))
 	var mis, tot uint64
 	for iter := 0; iter < 400; iter++ {

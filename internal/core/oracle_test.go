@@ -218,25 +218,34 @@ func FuzzUnitExecuteWarp(f *testing.F) {
 		switch specB & 3 {
 		case 0, 1:
 			var err error
-			if crf, err = speculate.NewCRF(16, WarpSize, 7, int64(specB)); err != nil {
+			if crf, err = speculate.NewCRF(16, WarpSize, 7, 32, int64(specB)); err != nil {
 				t.Fatal(err)
 			}
-			if ocrf, err = speculate.NewCRF(16, WarpSize, 7, int64(specB)); err != nil {
+			if ocrf, err = speculate.NewCRF(16, WarpSize, 7, 32, int64(specB)); err != nil {
 				t.Fatal(err)
 			}
 			noPeek := specB&3 == 1
 			spec = &CRFSpeculator{CRF: crf, Geom: geom, DisablePeek: noPeek}
 			ospec = &laneCRF{crf: ocrf, geom: geom, disablePeek: noPeek}
 		default:
-			p, err := speculate.NewDesign(speculate.FinalDesign, geom)
+			// The stream below draws PCs below 32 and 8 warps' gtids.
+			pcs := make([]uint32, 32)
+			for i := range pcs {
+				pcs[i] = uint32(i)
+			}
+			b, err := speculate.NewBounds(pcs, 8*WarpSize)
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := speculate.NewDesign(speculate.FinalDesign, geom)
+			p, err := speculate.NewDesign(speculate.FinalDesign, geom, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec, ospec = &PredictorSpeculator{P: p}, &lanePredictor{p: op}
+			op, err := speculate.NewDesign(speculate.FinalDesign, geom, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, ospec = speculate.AsWarp(p), &lanePredictor{p: op}
 		}
 
 		s := &fuzzStream{data: data, state: uint64(len(data))}

@@ -77,7 +77,7 @@ func (k UnitKind) AdderConfig(sliceBits uint) (adder.Config, error) {
 // carry, every prediction reads the pre-update state, and bit l of
 // mispred marks the lanes whose speculation failed (the only ones the
 // hardware writes back). Implementations: CRFSpeculator (the hardware
-// path) and PredictorSpeculator (any trace-level design).
+// path) and speculate.AsWarp of any trace-level design.
 //
 // Every slice is the unit's per-warp scratch, reused by the next warp add:
 // valid only for the duration of the call and copied if kept.
@@ -300,21 +300,4 @@ func (c *CRFSpeculator) UpdateWarp(pc, _, active, mispred, _ uint32, _, _, actua
 	// WriteBack fails only on a lane-count mismatch, which the WarpSize
 	// row rules out.
 	_ = c.CRF.WriteBack(pc, mispred, c.row[:])
-}
-
-// PredictorSpeculator adapts a trace-level speculate.Predictor (any Fig 5
-// design point) to the warp interface, through the same batched dispatch
-// the trace evaluators use.
-type PredictorSpeculator struct {
-	P speculate.Predictor
-}
-
-// PredictWarp implements Speculator.
-func (p *PredictorSpeculator) PredictWarp(pc, gtidBase, active, cin uint32, ea, eb, carries, static []uint64) {
-	speculate.PredictWarp(p.P, pc, gtidBase, active, cin, ea, eb, carries, static)
-}
-
-// UpdateWarp implements Speculator.
-func (p *PredictorSpeculator) UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb, actual []uint64) {
-	speculate.UpdateWarp(p.P, pc, gtidBase, active, mispred, cin, ea, eb, actual)
 }

@@ -5,7 +5,6 @@ import (
 	"st2gpu/internal/kernels"
 	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
-	"st2gpu/internal/trace"
 )
 
 // AblationResult compares two configurations of the final design.
@@ -120,11 +119,7 @@ type ApproxRow struct {
 // decode-once sweep engine; rates are bit-identical at any
 // cfg.SweepWorkers count.
 func ApproximateAdderStudy(cfg Config) ([]ApproxRow, error) {
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := trace.DecodeSet(set)
+	dec, err := decodeSuite(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -147,6 +147,16 @@ func (c Config) recordWorkload(w kernels.Workload, mode gpusim.AdderMode) (*gpus
 	return c.recordSpec(spec, mode)
 }
 
+// decodeSuite records the suite once (RecordSuite) and decodes it once,
+// its trace.decode_set span going to cfg.Obs.
+func decodeSuite(cfg Config) (*trace.Decoded, error) {
+	set, err := RecordSuite(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return trace.DecodeSetTraced(set, cfg.Obs)
+}
+
 // RecordSuite simulates every suite kernel once under recording (kernels
 // concurrent, SMs parallel within each launch) and returns the captured
 // per-kernel streams, tagged with the capture configuration. Decode it
@@ -387,11 +397,7 @@ type CarryChainRow struct {
 // averages the kernels with an i-th boundary sample, and its counts are
 // suite totals.
 func CarryChains(cfg Config) ([]CarryChainRow, error) {
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := trace.DecodeSet(set)
+	dec, err := decodeSuite(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -544,11 +550,7 @@ type Fig3Row struct {
 // decode-once sweep engine — every rate is bit-identical at any
 // cfg.SweepWorkers count.
 func Fig3(cfg Config) ([]Fig3Row, error) {
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := trace.DecodeSet(set)
+	dec, err := decodeSuite(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -573,11 +575,7 @@ type Fig5Row struct {
 // rows follow the paper's Figure 5 left-to-right order; rates are
 // unweighted kernel averages.
 func Fig5(cfg Config, designs []string) ([]Fig5Row, error) {
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := trace.DecodeSet(set)
+	dec, err := decodeSuite(cfg)
 	if err != nil {
 		return nil, err
 	}

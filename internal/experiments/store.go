@@ -3,8 +3,8 @@ package experiments
 import (
 	"errors"
 	"io/fs"
-	"os"
 
+	"st2gpu/internal/obs"
 	"st2gpu/internal/trace"
 )
 
@@ -17,20 +17,18 @@ import (
 // per-field Matches error.
 //
 // With load set it returns the whole decoded suite: the fresh decode
-// when it built the file, else the file read under cfg.RecordMaxBytes on
-// cfg.SweepWorkers decode workers. Without load it parses only the
-// store's header and returns nil, for the sharded sweeps, whose workers
-// load just the kernel sections their cells name.
+// when it built the file, else every section of the file loaded on
+// cfg.SweepWorkers decode workers, its store.load span going to cfg.Obs.
+// cfg.RecordMaxBytes budgets that load's payload and decoded footprint
+// jointly. Without load it parses only the store's header and returns
+// nil, for the sharded sweeps, whose workers load just the kernel
+// sections their cells name.
 func SuiteStore(cfg Config, path string, opts trace.StoreOptions, load bool) (*trace.Decoded, error) {
 	dec, err := openSuiteStore(cfg, path, load)
 	if !errors.Is(err, fs.ErrNotExist) {
 		return dec, err
 	}
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if dec, err = trace.DecodeSetTraced(set, cfg.Obs); err != nil {
+	if dec, err = decodeSuite(cfg); err != nil {
 		return nil, err
 	}
 	opts.Tracer = cfg.Obs
@@ -43,28 +41,24 @@ func SuiteStore(cfg Config, path string, opts trace.StoreOptions, load bool) (*t
 	return dec, nil
 }
 
-// openSuiteStore reads an existing store (load) or parses just its
-// header, and checks its capture config against cfg.
+// openSuiteStore opens an existing store, checks its capture config
+// against cfg and, with load set, loads every section.
 func openSuiteStore(cfg Config, path string, load bool) (*trace.Decoded, error) {
-	if !load {
-		h, err := trace.OpenStore(path, cfg.RecordMaxBytes)
-		if err != nil {
-			return nil, err
-		}
-		return nil, h.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed)
-	}
-	f, err := os.Open(path)
+	h, err := trace.OpenStore(path, cfg.RecordMaxBytes)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	dec, err := trace.ReadDecoded(f, trace.ReadOptions{
-		MaxBytes: cfg.RecordMaxBytes, Workers: cfg.SweepWorkers, Tracer: cfg.Obs})
-	if err != nil {
+	if err := h.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil || !load {
 		return nil, err
 	}
-	if err := dec.Matches(cfg.Scale, cfg.NumSMs, cfg.Seed); err != nil {
-		return nil, err
+	span := cfg.Obs.Begin("store.load")
+	dec, err := h.LoadKernels(h.Names(), cfg.SweepWorkers)
+	if err == nil {
+		span.Add(
+			obs.Int("kernels", int64(len(dec.Names()))),
+			obs.Int("records", int64(dec.NumOps())),
+			obs.Int("lanes", int64(dec.NumLanes())))
 	}
-	return dec, nil
+	span.End()
+	return dec, err
 }

@@ -488,7 +488,7 @@ func (d *Device) newSM(id int, k *Kernel, params []byte, code []decodedInstr) (*
 			if entries == 0 {
 				entries = 16
 			}
-			crf, err := speculate.NewCRF(entries, 32, 7, d.cfg.Seed+int64(id))
+			crf, err := speculate.NewCRF(entries, 32, 7, len(code), d.cfg.Seed+int64(id))
 			if err != nil {
 				return nil, err
 			}
@@ -499,14 +499,28 @@ func (d *Device) newSM(id int, k *Kernel, params []byte, code []decodedInstr) (*
 				DisablePeek: d.cfg.DisablePeek,
 			}
 		} else {
-			p, err := speculate.NewDesign(d.cfg.Speculation, sm.alu64.Geometry())
+			b, err := speculate.NewBounds(programPCs(len(code)), uint64(k.GridDim)*uint64(k.BlockDim))
 			if err != nil {
 				return nil, err
 			}
-			sm.spec = &core.PredictorSpeculator{P: p}
+			p, err := speculate.NewDesign(d.cfg.Speculation, sm.alu64.Geometry(), b)
+			if err != nil {
+				return nil, err
+			}
+			sm.spec = speculate.AsWarp(p)
 		}
 	}
 	return sm, nil
+}
+
+// programPCs lists the PCs of an n-instruction program, the PC axis of
+// a live predictor's tables.
+func programPCs(n int) []uint32 {
+	pcs := make([]uint32, n)
+	for i := range pcs {
+		pcs[i] = uint32(i)
+	}
+	return pcs
 }
 
 // foldSM merges one finished SM's statistics into the run. Callers fold

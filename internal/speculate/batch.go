@@ -1,21 +1,17 @@
 package speculate
 
-import (
-	"math/bits"
+import "math/bits"
 
-	"st2gpu/internal/bitmath"
-)
-
-// WarpPredictor is the optional warp-batched fast path over Predictor:
-// one call covers every active lane of a warp-synchronous operation with
-// the lanes' operands and results in flat ascending-lane slices — the
-// j-th set bit of active owns index j (popcount(active) entries total).
+// WarpPredictor is the warp-batched form of Predictor: one call covers
+// every active lane of a warp-synchronous operation with the lanes'
+// operands and results in flat ascending-lane slices — the j-th set bit
+// of active owns index j (popcount(active) entries total).
 //
-// Semantics must be bit-identical to the per-lane Predictor calls the
-// package-level PredictWarp/UpdateWarp fall back to: all predictions
-// read the pre-update state (the hardware reads the CRF row once per
-// warp), and updates land in ascending lane order (last writer wins for
-// shared entries, exactly as the sequential per-lane loop behaves).
+// Semantics must be bit-identical to per-lane Predictor calls: all
+// predictions read the pre-update state (the hardware reads the CRF row
+// once per warp), and updates land in ascending lane order (last writer
+// wins for shared entries, exactly as the sequential per-lane loop
+// behaves).
 type WarpPredictor interface {
 	// PredictWarp fills carries[j]/static[j] for the j-th active lane.
 	// cin bit l is lane l's injected slice-0 carry.
@@ -26,19 +22,27 @@ type WarpPredictor interface {
 	UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb, actual []uint64)
 }
 
-// PredictWarp evaluates p for every active lane, taking the predictor's
-// batched fast path when it has one and per-lane Predict otherwise.
-// ea/eb hold the active lanes' effective operands in ascending-lane
-// order; carries/static must have popcount(active) entries.
-func PredictWarp(p Predictor, pc, gtidBase, active, cin uint32, ea, eb, carries, static []uint64) {
+// AsWarp returns p's batched fast path, or, when p has none, an adapter
+// that calls p once per active lane. Callers resolve it once per
+// predictor rather than per warp: in the Go runtime, a dynamic
+// interface assertion that misses its call site's cache allocates at
+// random while it builds that cache.
+func AsWarp(p Predictor) WarpPredictor {
 	if wp, ok := p.(WarpPredictor); ok {
-		wp.PredictWarp(pc, gtidBase, active, cin, ea, eb, carries, static)
-		return
+		return wp
 	}
+	return perLane{p}
+}
+
+// perLane is the WarpPredictor of a Predictor with no batched path.
+type perLane struct{ p Predictor }
+
+// PredictWarp implements WarpPredictor with one Predict per active lane.
+func (a perLane) PredictWarp(pc, gtidBase, active, cin uint32, ea, eb, carries, static []uint64) {
 	j := 0
 	for m := active; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
-		pr := p.Predict(Context{
+		pr := a.p.Predict(Context{
 			PC: pc, Gtid: gtidBase + uint32(l), Ltid: uint8(l),
 			EA: ea[j], EB: eb[j], Cin0: uint(cin >> l & 1),
 		})
@@ -47,19 +51,12 @@ func PredictWarp(p Predictor, pc, gtidBase, active, cin uint32, ea, eb, carries,
 	}
 }
 
-// UpdateWarp delivers one warp's true boundary carries to p, taking the
-// batched fast path when available and per-lane Update otherwise. actual
-// holds the (already kind-masked) boundary carries of the active lanes in
-// ascending-lane order; bit l of mispred marks lane l as mispredicted.
-func UpdateWarp(p Predictor, pc, gtidBase, active, mispred, cin uint32, ea, eb, actual []uint64) {
-	if wp, ok := p.(WarpPredictor); ok {
-		wp.UpdateWarp(pc, gtidBase, active, mispred, cin, ea, eb, actual)
-		return
-	}
+// UpdateWarp implements WarpPredictor with one Update per active lane.
+func (a perLane) UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb, actual []uint64) {
 	j := 0
 	for m := active; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
-		p.Update(Context{
+		a.p.Update(Context{
 			PC: pc, Gtid: gtidBase + uint32(l), Ltid: uint8(l),
 			EA: ea[j], EB: eb[j], Cin0: uint(cin >> l & 1),
 		}, actual[j], mispred&(1<<l) != 0)
@@ -81,68 +78,17 @@ func (s *staticPredictor) PredictWarp(_, _, active, _ uint32, _, _, carries, sta
 // UpdateWarp implements WarpPredictor: static predictors never learn.
 func (s *staticPredictor) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}
 
-// pcPart folds the PC exactly as key does, hoisted out of the per-lane
-// loop: within a warp-synchronous op every lane shares the PC.
-func (h *History) pcPart(pc uint32) uint64 {
-	switch h.cfg.PCMode {
-	case ModPC:
-		return uint64(pc) & bitmath.Mask(h.cfg.PCBits)
-	case FullPC:
-		return uint64(pc)
-	case XorPC:
-		folded := uint64(0)
-		p := uint64(pc)
-		for p != 0 {
-			folded ^= p & bitmath.Mask(h.cfg.PCBits)
-			p >>= h.cfg.PCBits
-		}
-		return folded
-	default:
-		return 0
-	}
-}
-
-// PredictWarp implements WarpPredictor: the PC fold happens once per warp
-// and shared-thread tables perform a single map lookup for all 32 lanes.
+// PredictWarp implements WarpPredictor: one row lookup per warp, then
+// one array load per active lane.
 func (h *History) PredictWarp(pc, gtidBase, active, _ uint32, _, _, carries, static []uint64) {
-	pcPart := h.pcPart(pc)
+	lo, hi, step := h.slots.warp(pc, gtidBase)
+	row := h.table[lo:hi]
 	mask := h.cfg.Geometry.BoundaryMask()
-	switch h.cfg.Threads {
-	case ByLtid:
-		if h.dense != nil {
-			// Dense fast path: lane l's slot sits at pcPart<<5|l — 32
-			// consecutive array loads, no hashing.
-			row := h.dense[pcPart<<5 : pcPart<<5+32]
-			j := 0
-			for m := active; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m)
-				carries[j] = row[l] & mask
-				static[j] = 0
-				j++
-			}
-			return
-		}
-		j := 0
-		for m := active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			carries[j] = h.load(pcPart<<5|uint64(l)) & mask
-			static[j] = 0
-			j++
-		}
-	case ByGtid:
-		j := 0
-		for m := active; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			carries[j] = h.load(h.gtidKey(pcPart, gtidBase+uint32(l))) & mask
-			static[j] = 0
-			j++
-		}
-	default: // SharedThreads: one bucket serves the whole warp
-		v := h.load(pcPart) & mask
-		n := bits.OnesCount32(active)
-		for j := 0; j < n; j++ {
-			carries[j], static[j] = v, 0
-		}
+	j := 0
+	for m := active; m != 0; m &= m - 1 {
+		carries[j] = row[bits.TrailingZeros32(m)*step] & mask
+		static[j] = 0
+		j++
 	}
 }
 
@@ -157,32 +103,24 @@ func (h *History) UpdateWarp(pc, gtidBase uint32, active, mispred, _ uint32, _, 
 	if write == 0 {
 		return
 	}
-	pcPart := h.pcPart(pc)
+	lo, hi, step := h.slots.warp(pc, gtidBase)
+	row := h.table[lo:hi]
 	mask := h.cfg.Geometry.BoundaryMask()
 	j := 0
 	for m := active; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
 		if write&(1<<l) != 0 {
-			var key uint64
-			switch h.cfg.Threads {
-			case ByLtid:
-				key = pcPart<<5 | uint64(l)
-			case ByGtid:
-				key = h.gtidKey(pcPart, gtidBase+uint32(l))
-			default:
-				key = pcPart
-			}
-			h.store(key, actual[j]&mask)
+			row[l*step] = actual[j] & mask
 		}
 		j++
 	}
 }
 
 // PredictWarp implements WarpPredictor: the inner predictor runs through
-// its own batched dispatch, then the Peek filter overlays the
+// its own batched path, then the Peek filter overlays the
 // statically-resolved boundaries branchlessly per lane.
 func (p *peekPredictor) PredictWarp(pc, gtidBase, active, cin uint32, ea, eb, carries, static []uint64) {
-	PredictWarp(p.inner, pc, gtidBase, active, cin, ea, eb, carries, static)
+	p.warp.PredictWarp(pc, gtidBase, active, cin, ea, eb, carries, static)
 	n := bits.OnesCount32(active)
 	for j := 0; j < n; j++ {
 		pk, values := PeekBits(p.g, ea[j], eb[j])
@@ -193,5 +131,5 @@ func (p *peekPredictor) PredictWarp(pc, gtidBase, active, cin uint32, ea, eb, ca
 
 // UpdateWarp implements WarpPredictor.
 func (p *peekPredictor) UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb, actual []uint64) {
-	UpdateWarp(p.inner, pc, gtidBase, active, mispred, cin, ea, eb, actual)
+	p.warp.UpdateWarp(pc, gtidBase, active, mispred, cin, ea, eb, actual)
 }

@@ -95,7 +95,7 @@ func TestOverlayPeekMatchesPeekPredictor(t *testing.T) {
 // TestSplitPeek checks the wrapper strip and the pass-through case.
 func TestSplitPeek(t *testing.T) {
 	g := Geometry{Width: 64, SliceBits: 8}
-	h, err := NewHistory(HistoryConfig{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByLtid})
+	h, err := NewHistory(HistoryConfig{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByLtid}, testBounds(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,24 +169,10 @@ func TestJudgeCorrWarpMatchesScalar(t *testing.T) {
 	}
 }
 
-// mapOnlyHistory runs a History forced onto the map representation so
-// the dense path can be differentially tested against it.
-func mapOnlyHistory(t *testing.T, cfg HistoryConfig) *History {
-	t.Helper()
-	h, err := NewHistory(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force the sparse fallback regardless of denseSize / grow mode.
-	h.dense, h.written, h.entries = nil, nil, 0
-	h.growMode, h.pcBits = false, 0
-	h.table = make(map[uint64]uint64)
-	return h
-}
-
-// TestHistoryDenseMatchesMap drives dense-eligible configurations with
-// an identical random request stream through both representations and
-// requires identical predictions, entry counts and warp-batch behavior.
+// TestHistoryDenseMatchesMap drives every PC and thread mode through a
+// flat History and the map-backed oracle with one random request stream
+// over a sparse set of 16-bit PCs, and requires identical predictions,
+// before and after a Reset.
 func TestHistoryDenseMatchesMap(t *testing.T) {
 	g := Geometry{Width: 64, SliceBits: 8}
 	cfgs := []HistoryConfig{
@@ -195,53 +181,53 @@ func TestHistoryDenseMatchesMap(t *testing.T) {
 		{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByLtid},
 		{Geometry: g, PCMode: ModPC, PCBits: 8, Threads: SharedThreads},
 		{Geometry: g, PCMode: XorPC, PCBits: 6, Threads: ByLtid, AlwaysUpdate: true},
-		// Grow-on-demand gtid-major tables (ByGtid, bounded PC space).
 		{Geometry: g, PCMode: NoPC, Threads: ByGtid},
 		{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByGtid},
 		{Geometry: g, PCMode: XorPC, PCBits: 5, Threads: ByGtid, AlwaysUpdate: true},
+		{Geometry: g, PCMode: FullPC, Threads: ByGtid, AlwaysUpdate: true},
+		{Geometry: g, PCMode: FullPC, Threads: ByLtid},
+	}
+	rng := rand.New(rand.NewSource(11))
+	pcs := make([]uint32, 512)
+	for i := range pcs {
+		pcs[i] = rng.Uint32() & 0xffff
+	}
+	b, err := NewBounds(pcs, 1<<10)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, cfg := range cfgs {
 		t.Run(cfg.Name(), func(t *testing.T) {
-			dense, err := NewHistory(cfg)
+			flat, err := NewHistory(cfg, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if dense.dense == nil && !dense.growMode {
-				t.Fatalf("config %v did not get a flat-table representation", cfg)
-			}
-			sparse := mapOnlyHistory(t, cfg)
+			sparse := newMapHistory(cfg)
 			rng := rand.New(rand.NewSource(12))
-			for i := 0; i < 5000; i++ {
-				gtid := rng.Uint32() & 0x3ff
-				if i%7 == 0 {
-					// Full-range ids exercise the grow-table overflow spill.
-					gtid = rng.Uint32()
-				}
-				ctx := Context{
-					PC:   rng.Uint32() & 0xffff,
-					Gtid: gtid,
+			ctx := func() Context {
+				return Context{
+					PC:   pcs[rng.Intn(len(pcs))],
+					Gtid: rng.Uint32() & 0x3ff,
 					Ltid: uint8(rng.Intn(32)),
 					EA:   rng.Uint64(), EB: rng.Uint64(),
 					Cin0: uint(rng.Intn(2)),
 				}
-				pd, ps := dense.Predict(ctx), sparse.Predict(ctx)
-				if pd != ps {
-					t.Fatalf("op %d: dense Predict %+v, map Predict %+v", i, pd, ps)
+			}
+			for i := 0; i < 5000; i++ {
+				c := ctx()
+				if pf, ps := flat.Predict(c), sparse.Predict(c); pf != ps {
+					t.Fatalf("op %d: flat Predict %+v, map Predict %+v", i, pf, ps)
 				}
 				actual := rng.Uint64()
 				mis := rng.Intn(3) != 0
-				dense.Update(ctx, actual, mis)
-				sparse.Update(ctx, actual, mis)
-				if dense.Entries() != sparse.Entries() {
-					t.Fatalf("op %d: dense Entries %d, map Entries %d", i, dense.Entries(), sparse.Entries())
+				flat.Update(c, actual, mis)
+				sparse.Update(c, actual, mis)
+			}
+			flat.Reset()
+			for i := 0; i < 100; i++ {
+				if p := flat.Predict(ctx()); p.Carries != 0 {
+					t.Fatalf("post-Reset prediction %+v not cold", p)
 				}
-			}
-			dense.Reset()
-			if dense.Entries() != 0 {
-				t.Fatalf("Entries after Reset = %d", dense.Entries())
-			}
-			if dense.Predict(Context{}).Carries != 0 {
-				t.Fatal("post-Reset prediction not cold")
 			}
 		})
 	}

@@ -76,8 +76,9 @@ type CRF struct {
 	rng           *rand.Rand
 	stats         CRFStats
 
-	rowReads []uint64              // per-row read counts
-	rowPCs   []map[uint32]struct{} // per-row set of PCs observed reading it
+	rowReads    []uint64 // per-row read counts
+	rowDistinct []uint64 // per-row count of distinct PCs observed reading it
+	pcSeen      []bool   // PC → read at least once
 }
 
 type crfWrite struct {
@@ -85,36 +86,42 @@ type crfWrite struct {
 	off      int    // per-lane packed boundary carries at stagedCarries[off:off+lanes]
 }
 
-// NewCRF builds a CRF with the given geometry. Entries must be a power of
-// two: Index selects a row by masking the low PC bits, so any other row
-// count would silently alias rows instead of using them all. Seed fixes
-// the arbitration order so simulations are reproducible.
-func NewCRF(entries, lanes int, boundaries uint, seed int64) (*CRF, error) {
+// NewCRF builds a CRF with the given geometry, read only at PCs below
+// pcs (the program length). Entries must be a power of two: Index
+// selects a row by masking the low PC bits, so any other row count would
+// silently alias rows instead of using them all. Seed fixes the
+// arbitration order so simulations are reproducible.
+func NewCRF(entries, lanes int, boundaries uint, pcs int, seed int64) (*CRF, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("speculate: CRF entry count %d not a power of two", entries)
 	}
 	if lanes <= 0 || boundaries == 0 || boundaries > 63 {
 		return nil, fmt.Errorf("speculate: bad CRF geometry %d×%d×%d", entries, lanes, boundaries)
 	}
+	if pcs <= 0 {
+		return nil, fmt.Errorf("speculate: CRF program length %d not positive", pcs)
+	}
 	rows := make([][]uint64, entries)
 	for i := range rows {
 		rows[i] = make([]uint64, lanes)
 	}
 	return &CRF{
-		entries:  entries,
-		lanes:    lanes,
-		nb:       boundaries,
-		rows:     rows,
-		staged:   make([][]crfWrite, entries),
-		rng:      rand.New(rand.NewSource(seed)),
-		rowReads: make([]uint64, entries),
-		rowPCs:   make([]map[uint32]struct{}, entries),
+		entries:     entries,
+		lanes:       lanes,
+		nb:          boundaries,
+		rows:        rows,
+		staged:      make([][]crfWrite, entries),
+		rng:         rand.New(rand.NewSource(seed)),
+		rowReads:    make([]uint64, entries),
+		rowDistinct: make([]uint64, entries),
+		pcSeen:      make([]bool, pcs),
 	}, nil
 }
 
-// NewDefaultCRF builds the paper's 16-entry, 32-lane, 7-bit CRF.
-func NewDefaultCRF(seed int64) *CRF {
-	c, err := NewCRF(16, 32, 7, seed)
+// NewDefaultCRF builds the paper's 16-entry, 32-lane, 7-bit CRF for a
+// program of pcs instructions.
+func NewDefaultCRF(pcs int, seed int64) *CRF {
+	c, err := NewCRF(16, 32, 7, pcs, seed)
 	if err != nil {
 		panic("speculate: default CRF geometry invalid: " + err.Error())
 	}
@@ -130,19 +137,16 @@ func (c *CRF) Index(pc uint32) int { return int(pc) & (c.entries - 1) }
 
 // ReadRow copies the committed history of the row holding pc into dst,
 // one word per lane up to len(dst), and returns the filled prefix of dst.
-// It counts as one 224-bit read port access and allocates nothing once
-// every PC has been seen.
+// It counts as one 224-bit read port access and allocates nothing. Each
+// PC maps to exactly one row, so a PC's first read is one more distinct
+// PC for its row.
 func (c *CRF) ReadRow(pc uint32, dst []uint64) []uint64 {
 	c.stats.Reads++
 	idx := c.Index(pc)
 	c.rowReads[idx]++
-	set := c.rowPCs[idx]
-	if set == nil {
-		set = make(map[uint32]struct{}, 2)
-		c.rowPCs[idx] = set
-	}
-	if _, seen := set[pc]; !seen {
-		set[pc] = struct{}{}
+	if !c.pcSeen[pc] {
+		c.pcSeen[pc] = true
+		c.rowDistinct[idx]++
 	}
 	return dst[:copy(dst, c.rows[idx])]
 }
@@ -224,9 +228,7 @@ func (c *CRF) Stats() CRFStats {
 	out.RowReads = make([]uint64, c.entries)
 	copy(out.RowReads, c.rowReads)
 	out.RowDistinctPCs = make([]uint64, c.entries)
-	for i, set := range c.rowPCs {
-		out.RowDistinctPCs[i] = uint64(len(set))
-	}
+	copy(out.RowDistinctPCs, c.rowDistinct)
 	return out
 }
 
@@ -244,8 +246,7 @@ func (c *CRF) Reset() {
 	c.nStaged = 0
 	c.stats = CRFStats{}
 	c.cycle = 0
-	for i := range c.rowReads {
-		c.rowReads[i] = 0
-		c.rowPCs[i] = nil
-	}
+	clear(c.rowReads)
+	clear(c.rowDistinct)
+	clear(c.pcSeen)
 }

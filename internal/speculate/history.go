@@ -1,8 +1,8 @@
 package speculate
 
 import (
+	"errors"
 	"fmt"
-	"math/bits"
 	"strings"
 
 	"st2gpu/internal/bitmath"
@@ -125,67 +125,193 @@ func (c HistoryConfig) Name() string {
 	return b.String()
 }
 
+// fold maps a PC to its table index under the PC mode: the low PCBits
+// bits (ModPC), the XOR of its PCBits-wide chunks (XorPC), the PC
+// itself (FullPC) or 0 (NoPC).
+func (c HistoryConfig) fold(pc uint32) uint32 {
+	switch c.PCMode {
+	case ModPC:
+		return pc & uint32(bitmath.Mask(c.PCBits))
+	case FullPC:
+		return pc
+	case XorPC:
+		folded := uint32(0)
+		for ; pc != 0; pc >>= c.PCBits {
+			folded ^= pc & uint32(bitmath.Mask(c.PCBits))
+		}
+		return folded
+	default:
+		return 0
+	}
+}
+
+// maxTableBytes caps every allocation sized from Bounds. The largest
+// table the scale-4 suite needs, Gtid+Prev+FullPC over sgemm, is ~8 MB;
+// the cap is what stops a corrupt store's PC 2^32-1 or gtid 2^32-1 from
+// sizing a multi-GiB table.
+const maxTableBytes = 1 << 28
+
+// ErrTableTooLarge reports Bounds that would size a predictor table, or
+// its PC index, past maxTableBytes.
+var ErrTableTooLarge = errors.New("speculate: predictor table exceeds the byte cap")
+
+// checkTable fails with ErrTableTooLarge unless entries of entryBytes
+// each fit under the cap.
+func checkTable(what string, entries, entryBytes uint64) error {
+	if entries > maxTableBytes/entryBytes {
+		return fmt.Errorf("speculate: %s of %d × %d B over %d B: %w",
+			what, entries, entryBytes, uint64(maxTableBytes), ErrTableTooLarge)
+	}
+	return nil
+}
+
+// Bounds are the facts every predictor table is sized from, known
+// before a stream's first operation: the PCs it presents and how many
+// global thread ids it numbers. A predictor built over Bounds panics on
+// an operation outside them, as on any index out of range.
+type Bounds struct {
+	pcs     []uint32 // distinct, ascending
+	threads uint64   // every gtid lies below it
+}
+
+// NewBounds bounds a stream that presents only the PCs in pcs
+// (duplicates are fine) and only global thread ids below threads. The
+// PC axis of a table is indexed by raw PC, so the largest PC must keep
+// that index under the byte cap.
+func NewBounds(pcs []uint32, threads uint64) (Bounds, error) {
+	var maxPC uint32
+	for _, pc := range pcs {
+		maxPC = max(maxPC, pc)
+	}
+	if err := checkTable("PC index", uint64(maxPC)+1, 4); err != nil {
+		return Bounds{}, err
+	}
+	seen := make([]bool, uint64(maxPC)+1)
+	n := 0
+	for _, pc := range pcs {
+		if !seen[pc] {
+			seen[pc] = true
+			n++
+		}
+	}
+	b := Bounds{pcs: make([]uint32, 0, n), threads: threads}
+	for pc, ok := range seen {
+		if ok {
+			b.pcs = append(b.pcs, uint32(pc))
+		}
+	}
+	return b, nil
+}
+
+// noRow marks a PC outside the bounds: its row offset indexes past any
+// table, so an operation there panics instead of aliasing another PC.
+const noRow = ^uint32(0)
+
+// slots is the flat layout of a history table: each distinct folded PC
+// of the bounds owns one row of `threads` consecutive entries, and every
+// raw PC maps to its fold's row, so ModPC/XorPC PCs alias exactly as the
+// fold says. An entry never written reads zero.
+type slots struct {
+	pcSlot  []uint32 // raw PC → offset of its row's first entry, or noRow
+	threads int      // entries per row: 1 (shared), 32 (Ltid) or the bounds' thread count (Gtid)
+	mode    ThreadMode
+	size    int // rows × threads
+}
+
+// newSlots lays out cfg's table over b, checking its size against the
+// byte cap before allocating it.
+func newSlots(cfg HistoryConfig, b Bounds) (slots, error) {
+	s := slots{threads: 1, mode: cfg.Threads}
+	switch cfg.Threads {
+	case ByLtid:
+		s.threads = 32
+	case ByGtid:
+		if err := checkTable("thread axis", b.threads, 8); err != nil {
+			return slots{}, err
+		}
+		s.threads = int(b.threads)
+	}
+	if len(b.pcs) == 0 {
+		return s, nil
+	}
+	maxPC := b.pcs[len(b.pcs)-1]
+	folds := uint64(1) << cfg.PCBits // NoPC: one row
+	if cfg.PCMode == FullPC {
+		folds = uint64(maxPC) + 1
+	}
+	rowOf := make([]uint32, folds) // fold → row number + 1
+	rows := uint32(0)
+	for _, pc := range b.pcs {
+		if f := cfg.fold(pc); rowOf[f] == 0 {
+			rows++
+			rowOf[f] = rows
+		}
+	}
+	if err := checkTable("history table", uint64(rows)*uint64(s.threads), 8); err != nil {
+		return slots{}, err
+	}
+	s.size = int(rows) * s.threads
+	s.pcSlot = make([]uint32, uint64(maxPC)+1)
+	for i := range s.pcSlot {
+		s.pcSlot[i] = noRow
+	}
+	for _, pc := range b.pcs {
+		s.pcSlot[pc] = (rowOf[cfg.fold(pc)] - 1) * uint32(s.threads)
+	}
+	return s, nil
+}
+
+// entry returns the table index of ctx's thread at ctx's PC.
+func (s *slots) entry(ctx Context) int {
+	t := 0
+	switch s.mode {
+	case ByLtid:
+		t = int(ctx.Ltid & 31)
+	case ByGtid:
+		t = int(ctx.Gtid)
+		if t >= s.threads {
+			panic(fmt.Sprintf("speculate: gtid %d outside the bounds' %d threads", t, s.threads))
+		}
+	}
+	return int(s.pcSlot[ctx.PC]) + t
+}
+
+// warp returns the table span [lo, hi) that holds the entries of a warp
+// at pc whose lane 0 is thread gtidBase, and the stride between lanes:
+// lane l's entry is lo + l*step (step 0 when the lanes share one entry).
+// Slicing a table with it panics for a PC or thread outside the bounds.
+func (s *slots) warp(pc, gtidBase uint32) (lo, hi, step int) {
+	lo = int(s.pcSlot[pc])
+	hi = lo + s.threads
+	switch s.mode {
+	case ByLtid:
+		step = 1
+	case ByGtid:
+		lo += int(gtidBase)
+		step = 1
+	}
+	return lo, hi, step
+}
+
 // History is the Prev-family predictor: a table of the boundary carry-outs
-// produced by previous operations, indexed by (folded PC, thread key).
-//
-// When the key space is bounded (every PC mode except FullPC, every
-// thread mode except ByGtid) the table is a dense flat array indexed by
-// the key directly — the batched evaluation kernel then pays one array
-// load per lookup instead of a map probe, with identical semantics: a
-// never-written slot reads as zero, exactly like a missing map entry.
-// ByGtid tables with a bounded PC space use a gtid-major flat table
-// grown on demand (gtids are dense small integers in practice), with
-// the map kept as overflow for pathological ids. Truly unbounded key
-// spaces (FullPC) keep the map alone.
+// produced by previous operations, indexed by (folded PC, thread). The
+// table is one flat array laid out by slots, allocated at construction.
 type History struct {
-	cfg      HistoryConfig
-	dense    []uint64          // flat table; nil when the key space is unbounded
-	written  []uint64          // dense-slot occupancy bitmap (backs Entries)
-	entries  int               // live dense/grow entries
-	growMode bool              // ByGtid with bounded PC: gtid-major grow-on-demand table
-	pcBits   uint              // grow-table PC index width (0 for NoPC)
-	table    map[uint64]uint64 // packed previous boundary carries (sparse fallback)
+	cfg   HistoryConfig
+	slots slots
+	table []uint64 // packed previous boundary carries
 }
 
-// maxDenseEntries bounds the eager flat-table allocation; bounded key
-// spaces larger than this (e.g. ModPC16+Ltid's 2M slots) fall back to
-// the map rather than pinning megabytes per predictor.
-const maxDenseEntries = 1 << 16
-
-// maxGrowGtid bounds the grow-on-demand ByGtid table: real launches
-// number their global threads densely from zero, so the table covers
-// them all; an adversarially huge gtid spills to the map instead of
-// sizing a multi-GiB allocation.
-const maxGrowGtid = 1 << 22
-
-// denseSize returns the flat-table slot count for a bounded key space,
-// or 0 when the keys are unbounded (FullPC PCs, ByGtid thread ids) or
-// the bounded space is too large to allocate eagerly.
-func (c HistoryConfig) denseSize() uint64 {
-	if c.PCMode == FullPC || c.Threads == ByGtid {
-		return 0
-	}
-	size := uint64(1) // NoPC: a single PC bucket
-	if c.PCMode == ModPC || c.PCMode == XorPC {
-		size = 1 << c.PCBits
-	}
-	if c.Threads == ByLtid {
-		size <<= 5
-	}
-	if size > maxDenseEntries {
-		return 0
-	}
-	return size
-}
-
-// NewHistory builds a Prev-family predictor.
-func NewHistory(cfg HistoryConfig) (*History, error) {
+// NewHistory builds a Prev-family predictor for a stream within b.
+func NewHistory(cfg HistoryConfig, b Bounds) (*History, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	h := &History{cfg: cfg}
-	h.Reset()
-	return h, nil
+	s, err := newSlots(cfg, b)
+	if err != nil {
+		return nil, err
+	}
+	return &History{cfg: cfg, slots: s, table: make([]uint64, s.size)}, nil
 }
 
 // Config returns the design point.
@@ -194,113 +320,10 @@ func (h *History) Config() HistoryConfig { return h.cfg }
 // Name implements Predictor.
 func (h *History) Name() string { return h.cfg.Name() }
 
-// Entries returns the number of live table entries (used by the DSE
-// commentary on table sizes).
-func (h *History) Entries() int {
-	if h.growMode {
-		return h.entries + len(h.table)
-	}
-	if h.dense != nil {
-		return h.entries
-	}
-	return len(h.table)
-}
-
-// growLimit is the first key past the grow-on-demand table's reach;
-// keys at or beyond it live in the overflow map.
-func (h *History) growLimit() uint64 { return maxGrowGtid << h.pcBits }
-
-// load reads the table slot for a key; unwritten slots read as zero in
-// every representation.
-func (h *History) load(key uint64) uint64 {
-	if h.growMode {
-		if key < uint64(len(h.dense)) {
-			return h.dense[key]
-		}
-		if key >= h.growLimit() {
-			return h.table[key]
-		}
-		return 0 // within reach but never grown to: cold
-	}
-	if h.dense != nil {
-		return h.dense[key]
-	}
-	return h.table[key]
-}
-
-// store writes a table slot, tracking dense occupancy for Entries.
-func (h *History) store(key, v uint64) {
-	if h.growMode {
-		if key >= h.growLimit() {
-			h.table[key] = v
-			return
-		}
-		if key >= uint64(len(h.dense)) {
-			size := uint64(1) << bits.Len64(key)
-			if lim := h.growLimit(); size > lim {
-				size = lim
-			}
-			grown := make([]uint64, size)
-			copy(grown, h.dense)
-			h.dense = grown
-			wr := make([]uint64, (size+63)/64)
-			copy(wr, h.written)
-			h.written = wr
-		}
-	}
-	if h.dense != nil {
-		if h.written[key>>6]&(1<<(key&63)) == 0 {
-			h.written[key>>6] |= 1 << (key & 63)
-			h.entries++
-		}
-		h.dense[key] = v
-		return
-	}
-	h.table[key] = v
-}
-
-// gtidKey is the ByGtid key for a folded PC and global thread id. The
-// grow-on-demand table is gtid-major (gtids are dense small integers,
-// so the table stays proportional to the live thread count); the map
-// layouts keep the historical pcPart-major packing. Both are injective,
-// so the choice is invisible to behavior.
-func (h *History) gtidKey(pcPart uint64, gtid uint32) uint64 {
-	if h.growMode {
-		return uint64(gtid)<<h.pcBits | pcPart
-	}
-	return pcPart<<32 | uint64(gtid)
-}
-
-func (h *History) key(ctx Context) uint64 {
-	var pcPart uint64
-	switch h.cfg.PCMode {
-	case ModPC:
-		pcPart = uint64(ctx.PC) & bitmath.Mask(h.cfg.PCBits)
-	case FullPC:
-		pcPart = uint64(ctx.PC)
-	case XorPC:
-		folded := uint64(0)
-		pc := uint64(ctx.PC)
-		for pc != 0 {
-			folded ^= pc & bitmath.Mask(h.cfg.PCBits)
-			pc >>= h.cfg.PCBits
-		}
-		pcPart = folded
-	}
-	switch h.cfg.Threads {
-	case ByLtid:
-		return pcPart<<5 | uint64(ctx.Ltid&31)
-	case ByGtid:
-		return h.gtidKey(pcPart, ctx.Gtid)
-	default:
-		return pcPart
-	}
-}
-
 // Predict implements Predictor: the previous carries stored for this
 // (PC, thread) bucket, defaulting to all-zero when cold.
 func (h *History) Predict(ctx Context) Prediction {
-	return Prediction{Carries: h.load(h.key(ctx)) & h.cfg.Geometry.BoundaryMask()}
+	return Prediction{Carries: h.table[h.slots.entry(ctx)] & h.cfg.Geometry.BoundaryMask()}
 }
 
 // Update implements Predictor. Matching the hardware, history is written
@@ -309,27 +332,8 @@ func (h *History) Update(ctx Context, actual uint64, mispredicted bool) {
 	if !mispredicted && !h.cfg.AlwaysUpdate {
 		return
 	}
-	h.store(h.key(ctx), actual&h.cfg.Geometry.BoundaryMask())
+	h.table[h.slots.entry(ctx)] = actual & h.cfg.Geometry.BoundaryMask()
 }
 
 // Reset implements Predictor.
-func (h *History) Reset() {
-	h.growMode, h.pcBits = false, 0
-	if size := h.cfg.denseSize(); size > 0 {
-		h.dense = make([]uint64, size)
-		h.written = make([]uint64, (size+63)/64)
-		h.entries = 0
-		h.table = nil
-		return
-	}
-	h.dense, h.written, h.entries = nil, nil, 0
-	h.table = make(map[uint64]uint64)
-	if h.cfg.Threads == ByGtid && h.cfg.PCMode != FullPC {
-		// Bounded PC space per thread: grow a gtid-major flat table on
-		// demand, keeping the map as overflow for pathological gtids.
-		h.growMode = true
-		if h.cfg.PCMode == ModPC || h.cfg.PCMode == XorPC {
-			h.pcBits = h.cfg.PCBits
-		}
-	}
-}
+func (h *History) Reset() { clear(h.table) }

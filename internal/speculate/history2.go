@@ -10,34 +10,36 @@ import "strings"
 // agree on, falling back to the most recent bit when they disagree.
 //
 // The paper lands on depth 1 (the plain Prev tables); this implementation
-// lets the claim be re-checked — see BenchmarkAblationHistoryDepth.
+// lets the claim be re-checked — see BenchmarkAblationHistoryDepth. Its
+// two tables share History's slot layout.
 type History2 struct {
 	cfg   HistoryConfig
-	last  map[uint64]uint64 // most recent carries
-	prev2 map[uint64]uint64 // carries before that
+	slots slots
+	last  []uint64 // most recent carries
+	prev2 []uint64 // carries before that
 }
 
-// NewHistory2 builds a depth-2 Prev-family predictor.
-func NewHistory2(cfg HistoryConfig) (*History2, error) {
+// NewHistory2 builds a depth-2 Prev-family predictor for a stream
+// within b.
+func NewHistory2(cfg HistoryConfig, b Bounds) (*History2, error) {
 	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s, err := newSlots(cfg, b)
+	if err != nil {
 		return nil, err
 	}
 	return &History2{
 		cfg:   cfg,
-		last:  make(map[uint64]uint64),
-		prev2: make(map[uint64]uint64),
+		slots: s,
+		last:  make([]uint64, s.size),
+		prev2: make([]uint64, s.size),
 	}, nil
 }
 
 // Name implements Predictor: the depth-1 name with "Prev" → "Prev2".
 func (h *History2) Name() string {
 	return strings.Replace(h.cfg.Name(), "Prev", "Prev2", 1)
-}
-
-func (h *History2) key(ctx Context) uint64 {
-	// Same bucketing as the depth-1 History.
-	tmp := History{cfg: h.cfg}
-	return tmp.key(ctx)
 }
 
 // Predict implements Predictor: where the two histories agree, predict
@@ -47,7 +49,7 @@ func (h *History2) key(ctx Context) uint64 {
 // be identical to depth 1; the alternation heuristic is what extra depth
 // can actually buy.
 func (h *History2) Predict(ctx Context) Prediction {
-	k := h.key(ctx)
+	k := h.slots.entry(ctx)
 	last := h.last[k]
 	old := h.prev2[k]
 	mask := h.cfg.Geometry.BoundaryMask()
@@ -61,23 +63,13 @@ func (h *History2) Update(ctx Context, actual uint64, mispredicted bool) {
 	if !mispredicted && !h.cfg.AlwaysUpdate {
 		return
 	}
-	k := h.key(ctx)
+	k := h.slots.entry(ctx)
 	h.prev2[k] = h.last[k]
 	h.last[k] = actual & h.cfg.Geometry.BoundaryMask()
 }
 
 // Reset implements Predictor.
 func (h *History2) Reset() {
-	h.last = make(map[uint64]uint64)
-	h.prev2 = make(map[uint64]uint64)
+	clear(h.last)
+	clear(h.prev2)
 }
-
-// Agreement returns, for the bucket of ctx, the boundary mask where the
-// two stored histories agree — the predictor's confidence signal.
-func (h *History2) Agreement(ctx Context) uint64 {
-	k := h.key(ctx)
-	return ^(h.last[k] ^ h.prev2[k]) & h.cfg.Geometry.BoundaryMask()
-}
-
-// DepthStats reports table occupancy.
-func (h *History2) DepthStats() (entries int) { return len(h.last) }

@@ -139,11 +139,12 @@ func PeekBits(g Geometry, ea, eb uint64) (static, values uint64) {
 type peekPredictor struct {
 	g     Geometry
 	inner Predictor
+	warp  WarpPredictor // AsWarp(inner)
 }
 
 // WithPeek adds the Peek mechanism in front of inner.
 func WithPeek(g Geometry, inner Predictor) Predictor {
-	return &peekPredictor{g: g, inner: inner}
+	return &peekPredictor{g: g, inner: inner, warp: AsWarp(inner)}
 }
 
 func (p *peekPredictor) Name() string { return p.inner.Name() + "+Peek" }

@@ -22,17 +22,18 @@ var DesignSpace = []string{
 // FinalDesign is the speculation mechanism ST² GPU ships with.
 const FinalDesign = "Ltid+Prev+ModPC4+Peek"
 
-// NewDesign constructs a named design point for the given geometry.
-// Beyond the Figure 5 set it also accepts "oracle" and the
-// "Ltid+Prev+XorPC4+Peek" hash-indexing ablation.
-func NewDesign(name string, g Geometry) (Predictor, error) {
+// NewDesign constructs a named design point for the given geometry,
+// sizing its tables for a stream within b. Beyond the Figure 5 set it
+// also accepts "oracle" and the "Ltid+Prev+XorPC4+Peek" hash-indexing
+// ablation. Bounds that would size a table past the byte cap fail with
+// ErrTableTooLarge.
+func NewDesign(name string, g Geometry, b Bounds) (Predictor, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	hist := func(pcMode PCMode, pcBits uint, threads ThreadMode, peek bool) (Predictor, error) {
-		h, err := NewHistory(HistoryConfig{
-			Geometry: g, PCMode: pcMode, PCBits: pcBits, Threads: threads,
-		})
+	hist := func(cfg HistoryConfig, peek bool) (Predictor, error) {
+		cfg.Geometry = g
+		h, err := NewHistory(cfg, b)
 		if err != nil {
 			return nil, err
 		}
@@ -46,32 +47,37 @@ func NewDesign(name string, g Geometry) (Predictor, error) {
 		return NewStaticZero(g), nil
 	case "staticOne":
 		return NewStaticOne(g), nil
-	case "VaLHALLA":
-		return NewVaLHALLA(g), nil
-	case "VaLHALLA+Peek":
-		return WithPeek(g, NewVaLHALLA(g)), nil
+	case "VaLHALLA", "VaLHALLA+Peek":
+		v, err := NewVaLHALLA(g, b)
+		if err != nil {
+			return nil, err
+		}
+		if name == "VaLHALLA+Peek" {
+			return WithPeek(g, v), nil
+		}
+		return v, nil
 	case "Prev":
-		return hist(NoPC, 0, SharedThreads, false)
+		return hist(HistoryConfig{}, false)
 	case "Prev+Peek":
-		return hist(NoPC, 0, SharedThreads, true)
+		return hist(HistoryConfig{}, true)
 	case "Prev+ModPC1+Peek":
-		return hist(ModPC, 1, SharedThreads, true)
+		return hist(HistoryConfig{PCMode: ModPC, PCBits: 1}, true)
 	case "Prev+ModPC2+Peek":
-		return hist(ModPC, 2, SharedThreads, true)
+		return hist(HistoryConfig{PCMode: ModPC, PCBits: 2}, true)
 	case "Prev+ModPC4+Peek":
-		return hist(ModPC, 4, SharedThreads, true)
+		return hist(HistoryConfig{PCMode: ModPC, PCBits: 4}, true)
 	case "Prev+ModPC8+Peek":
-		return hist(ModPC, 8, SharedThreads, true)
+		return hist(HistoryConfig{PCMode: ModPC, PCBits: 8}, true)
 	case "Gtid+Prev+ModPC4+Peek":
-		return hist(ModPC, 4, ByGtid, true)
+		return hist(HistoryConfig{PCMode: ModPC, PCBits: 4, Threads: ByGtid}, true)
 	case "Ltid+Prev+ModPC4+Peek":
-		return hist(ModPC, 4, ByLtid, true)
+		return hist(HistoryConfig{PCMode: ModPC, PCBits: 4, Threads: ByLtid}, true)
 	case "Ltid+Prev+XorPC4+Peek":
-		return hist(XorPC, 4, ByLtid, true)
+		return hist(HistoryConfig{PCMode: XorPC, PCBits: 4, Threads: ByLtid}, true)
 	// Temporal-axis exploration: depth-2 history with the alternation
 	// heuristic, wrapped in Peek like the final design.
 	case "Ltid+Prev2+ModPC4+Peek":
-		h2, err := NewHistory2(HistoryConfig{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByLtid})
+		h2, err := NewHistory2(HistoryConfig{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByLtid}, b)
 		if err != nil {
 			return nil, err
 		}
@@ -80,11 +86,11 @@ func NewDesign(name string, g Geometry) (Predictor, error) {
 	// with the *immediately preceding* operation in the same bucket, so
 	// their history updates on every operation, not only on mispredictions.
 	case "Gtid+Prev+FullPC":
-		return NewHistory(HistoryConfig{Geometry: g, PCMode: FullPC, Threads: ByGtid, AlwaysUpdate: true})
+		return hist(HistoryConfig{PCMode: FullPC, Threads: ByGtid, AlwaysUpdate: true}, false)
 	case "Ltid+Prev+FullPC":
-		return NewHistory(HistoryConfig{Geometry: g, PCMode: FullPC, Threads: ByLtid, AlwaysUpdate: true})
+		return hist(HistoryConfig{PCMode: FullPC, Threads: ByLtid, AlwaysUpdate: true}, false)
 	case "Gtid+Prev":
-		return NewHistory(HistoryConfig{Geometry: g, PCMode: NoPC, Threads: ByGtid, AlwaysUpdate: true})
+		return hist(HistoryConfig{PCMode: NoPC, Threads: ByGtid, AlwaysUpdate: true}, false)
 	case "CASA":
 		return NewCASA(g), nil
 	case "VLSA":

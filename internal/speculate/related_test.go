@@ -85,7 +85,7 @@ func TestVLSA(t *testing.T) {
 
 func TestRelatedWorkInRegistry(t *testing.T) {
 	for _, name := range []string{"CASA", "VLSA"} {
-		p, err := NewDesign(name, g64)
+		p, err := NewDesign(name, g64, testBounds(t))
 		if err != nil {
 			t.Fatalf("NewDesign(%q): %v", name, err)
 		}

@@ -1,10 +1,6 @@
 package speculate
 
-import (
-	"math/bits"
-
-	"st2gpu/internal/bitmath"
-)
+import "math/bits"
 
 // VaLHALLA models the prior state-of-the-art variable-latency adder the
 // paper compares against (Gok & Hardavellas, GLSVLSI 2017). Its defining
@@ -22,92 +18,56 @@ import (
 // constraints), updated to the majority of the boundary carries the
 // previous operation actually produced ("history aware local-carry").
 //
-// The table is a gtid-indexed slice grown on demand: global thread ids
-// are dense small integers in every workload, and an unwritten slot
-// reads 0 exactly like the missing map entry it replaces — the map this
-// used to be dominated the design-batched sweep's profile.
+// The table is one byte per thread of the bounds, allocated up front.
 type VaLHALLA struct {
-	g        Geometry
-	bits     []uint8          // gtid → last broadcast bit, gtids below maxValhallaDense
-	overflow map[uint32]uint8 // sparse fallback for pathologically large gtids
+	g    Geometry
+	bits []uint8 // gtid → last broadcast bit
 }
 
-// maxValhallaDense bounds the dense table: real launches number their
-// global threads densely from zero, so the slice covers them all; an
-// adversarially huge gtid (fuzzing, property tests) lands in the
-// overflow map instead of sizing a multi-GiB allocation.
-const maxValhallaDense = 1 << 22
-
-// NewVaLHALLA builds the baseline predictor.
-func NewVaLHALLA(g Geometry) *VaLHALLA {
-	return &VaLHALLA{g: g}
+// NewVaLHALLA builds the baseline predictor for a stream within b.
+func NewVaLHALLA(g Geometry, b Bounds) (*VaLHALLA, error) {
+	if err := checkTable("VaLHALLA thread table", b.threads, 1); err != nil {
+		return nil, err
+	}
+	return &VaLHALLA{g: g, bits: make([]uint8, b.threads)}, nil
 }
 
 // Name implements Predictor.
 func (v *VaLHALLA) Name() string { return "VaLHALLA" }
 
-// bit returns the thread's history bit (0 when never written).
-func (v *VaLHALLA) bit(gtid uint32) uint8 {
-	if uint64(gtid) < uint64(len(v.bits)) {
-		return v.bits[gtid]
-	}
-	if gtid >= maxValhallaDense {
-		return v.overflow[gtid]
+// majority is the broadcast bit an operation's true boundary carries
+// leave behind: 1 when a strict majority of the boundaries carried.
+func (v *VaLHALLA) majority(actual uint64) uint8 {
+	if 2*bits.OnesCount64(actual&v.g.BoundaryMask()) >= int(v.g.Boundaries())+1 {
+		return 1
 	}
 	return 0
-}
-
-// setBit writes the thread's history bit, growing the dense table to
-// cover it (or spilling to the overflow map past the dense bound).
-func (v *VaLHALLA) setBit(gtid uint32, b uint8) {
-	if gtid >= maxValhallaDense {
-		if v.overflow == nil {
-			v.overflow = make(map[uint32]uint8)
-		}
-		v.overflow[gtid] = b
-		return
-	}
-	if uint64(gtid) >= uint64(len(v.bits)) {
-		grown := make([]uint8, 1<<bits.Len64(uint64(gtid)))
-		copy(grown, v.bits)
-		v.bits = grown
-	}
-	v.bits[gtid] = b
 }
 
 // Predict implements Predictor: broadcast the thread's single history bit
 // to all boundaries.
 func (v *VaLHALLA) Predict(ctx Context) Prediction {
-	if v.bit(ctx.Gtid) == 1 {
-		return Prediction{Carries: v.g.BoundaryMask()}
-	}
-	return Prediction{}
+	return Prediction{Carries: uint64(v.bits[ctx.Gtid]) * v.g.BoundaryMask()}
 }
 
 // Update implements Predictor: the broadcast bit becomes the majority of
 // the boundary carries the operation actually produced. VaLHALLA updates
 // on every operation (it has no notion of selective write-back).
 func (v *VaLHALLA) Update(ctx Context, actual uint64, _ bool) {
-	nb := int(v.g.Boundaries())
-	ones := bitmath.PopCount64(actual & v.g.BoundaryMask())
-	if 2*ones >= nb+1 { // strict majority of boundaries carried
-		v.setBit(ctx.Gtid, 1)
-	} else {
-		v.setBit(ctx.Gtid, 0)
-	}
+	v.bits[ctx.Gtid] = v.majority(actual)
 }
 
 // Reset implements Predictor.
-func (v *VaLHALLA) Reset() { v.bits, v.overflow = nil, nil }
+func (v *VaLHALLA) Reset() { clear(v.bits) }
 
 // PredictWarp implements WarpPredictor: one table load per lane, no
 // Context materialization.
 func (v *VaLHALLA) PredictWarp(_, gtidBase, active, _ uint32, _, _, carries, static []uint64) {
 	mask := v.g.BoundaryMask()
+	row := v.bits[gtidBase:]
 	j := 0
 	for m := active; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		carries[j] = uint64(v.bit(gtidBase+uint32(l))) * mask
+		carries[j] = uint64(row[bits.TrailingZeros32(m)]) * mask
 		static[j] = 0
 		j++
 	}
@@ -117,30 +77,10 @@ func (v *VaLHALLA) PredictWarp(_, gtidBase, active, _ uint32, _, _, carries, sta
 // majority bit (VaLHALLA ignores the mispredict mask), matching the
 // sequential per-lane Update order.
 func (v *VaLHALLA) UpdateWarp(_, gtidBase, active, _, _ uint32, _, _, actual []uint64) {
-	nb := int(v.g.Boundaries())
-	mask := v.g.BoundaryMask()
-	if active == 0 {
-		return
-	}
-	hi := gtidBase + uint32(31-bits.LeadingZeros32(active))
-	dense := hi < maxValhallaDense && hi >= gtidBase // no wraparound
-	if dense && uint64(hi) >= uint64(len(v.bits)) {
-		// One growth covers the warp: lanes update gtidBase..hi.
-		v.setBit(hi, 0)
-	}
+	row := v.bits[gtidBase:]
 	j := 0
 	for m := active; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		ones := bits.OnesCount64(actual[j] & mask)
-		var b uint8
-		if 2*ones >= nb+1 {
-			b = 1
-		}
-		if dense {
-			v.bits[gtidBase+uint32(l)] = b
-		} else {
-			v.setBit(gtidBase+uint32(l), b)
-		}
+		row[bits.TrailingZeros32(m)] = v.majority(actual[j])
 		j++
 	}
 }

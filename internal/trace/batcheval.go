@@ -56,17 +56,37 @@ type batchScratch struct {
 	pkStatic, pkValues [32]uint64
 }
 
-// batchPreds builds the predictors for a design batch, stripping Peek
-// wrappers so the per-record Peek computation can be shared.
-func batchPreds(designs []string) (inner []speculate.Predictor, peeked []bool, anyPeek bool, err error) {
-	inner = make([]speculate.Predictor, len(designs))
+// bounds returns the PCs and the global thread count k's records
+// present, which size every predictor table evaluated over k.
+func (k *DecodedKernel) bounds() (speculate.Bounds, error) {
+	var threads uint64
+	for _, base := range k.GtidBase {
+		threads = max(threads, uint64(base)+32)
+	}
+	b, err := speculate.NewBounds(k.PC, threads)
+	if err != nil {
+		return speculate.Bounds{}, fmt.Errorf("trace: predictor bounds: %w", err)
+	}
+	return b, nil
+}
+
+// batchPreds builds the predictors for a design batch over k, stripping
+// Peek wrappers so the per-record Peek computation can be shared.
+func (k *DecodedKernel) batchPreds(designs []string) (inner []speculate.WarpPredictor, peeked []bool, anyPeek bool, err error) {
+	b, err := k.bounds()
+	if err != nil {
+		return nil, nil, false, err
+	}
+	inner = make([]speculate.WarpPredictor, len(designs))
 	peeked = make([]bool, len(designs))
 	for d, name := range designs {
-		p, err := speculate.NewDesign(name, g64)
+		p, err := speculate.NewDesign(name, g64, b)
 		if err != nil {
 			return nil, nil, false, fmt.Errorf("trace: design %q: %w", name, err)
 		}
-		inner[d], peeked[d] = speculate.SplitPeek(p)
+		var in speculate.Predictor
+		in, peeked[d] = speculate.SplitPeek(p)
+		inner[d] = speculate.AsWarp(in)
 		anyPeek = anyPeek || peeked[d]
 	}
 	return inner, peeked, anyPeek, nil
@@ -76,7 +96,7 @@ func batchPreds(designs []string) (inner []speculate.Predictor, peeked []bool, a
 // decoded stream in one pass with Figure 5 semantics. Result i is
 // bit-identical to evaluating designs[i] alone.
 func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
-	inner, peeked, anyPeek, err := batchPreds(designs)
+	inner, peeked, anyPeek, err := k.batchPreds(designs)
 	if err != nil {
 		return nil, err
 	}
@@ -95,13 +115,13 @@ func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
 		}
 		carries, static := s.eval.carries[:n], s.eval.static[:n]
 		for d, p := range inner {
-			speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+			p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
 			if peeked[d] {
 				speculate.OverlayPeek(carries, static, pkS, pkV)
 			}
 			mispred, missed := speculate.JudgeMissWarp(r.active, mask, carries, static, actual)
 			miss[d].Add(missed, uint64(n))
-			speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, actual)
+			p.UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, actual)
 		}
 	})
 	return miss, nil
@@ -111,7 +131,7 @@ func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
 // the decoded stream in one pass. Result i is bit-identical to
 // evaluating designs[i] alone.
 func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
-	inner, peeked, anyPeek, err := batchPreds(designs)
+	inner, peeked, anyPeek, err := k.batchPreds(designs)
 	if err != nil {
 		return nil, err
 	}
@@ -131,13 +151,13 @@ func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
 		}
 		carries, static := s.eval.carries[:n], s.eval.static[:n]
 		for d, p := range inner {
-			speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+			p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
 			if peeked[d] {
 				speculate.OverlayPeek(carries, static, pkS, pkV)
 			}
 			matched := speculate.JudgeCorrWarp(nb, mask, carries, actual)
 			match[d].Add(matched, uint64(nb)*uint64(n))
-			speculate.UpdateWarp(p, r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, actual)
+			p.UpdateWarp(r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, actual)
 		}
 	})
 	return match, nil
@@ -148,7 +168,7 @@ func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
 // bit-identical to evaluating designs[i] alone; relative errors
 // accumulate in ascending lane order within each design.
 func (k *DecodedKernel) EvalApproxBatch(designs []string) ([]ApproxResult, error) {
-	inner, peeked, anyPeek, err := batchPreds(designs)
+	inner, peeked, anyPeek, err := k.batchPreds(designs)
 	if err != nil {
 		return nil, err
 	}
@@ -169,7 +189,7 @@ func (k *DecodedKernel) EvalApproxBatch(designs []string) ([]ApproxResult, error
 		}
 		carries, static := s.eval.carries[:n], s.eval.static[:n]
 		for d, p := range inner {
-			speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+			p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
 			if peeked[d] {
 				speculate.OverlayPeek(carries, static, pkS, pkV)
 			}
@@ -188,7 +208,7 @@ func (k *DecodedKernel) EvalApproxBatch(designs []string) ([]ApproxResult, error
 				j++
 			}
 			wrong[d].Add(wrongResults, uint64(n))
-			speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, actual)
+			p.UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, actual)
 		}
 	})
 	out := make([]ApproxResult, len(designs))

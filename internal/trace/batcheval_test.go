@@ -1,11 +1,14 @@
 package trace
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
 
+	"st2gpu/internal/core"
 	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
 )
@@ -68,6 +71,33 @@ func TestBatchEvalBadDesign(t *testing.T) {
 	}
 	if _, err := k.EvalApproxBatch(bad); err == nil {
 		t.Error("EvalApproxBatch accepted an unknown design")
+	}
+}
+
+// TestBatchEvalCorruptBounds checks that a kernel whose records claim
+// PC 2^32-1 or gtid 2^32-1, as a corrupt store can, fails every batch
+// evaluator with ErrTableTooLarge instead of sizing a table from it.
+func TestBatchEvalCorruptBounds(t *testing.T) {
+	var one [32]laneOp
+	one[0] = laneOp{Active: true, EA: 1, EB: 2, Sum: 3}
+	var badPC, badGtid kernelBuilder
+	badPC.TraceWarpAdds(core.ALU, math.MaxUint32, 0, &one)
+	badGtid.TraceWarpAdds(core.ALU, 0, math.MaxUint32, &one)
+	for _, c := range []struct {
+		name string
+		k    *DecodedKernel
+	}{{"pc", &badPC.k}, {"gtid", &badGtid.k}} {
+		name, k := c.name, c.k
+		designs := []string{speculate.FinalDesign, "Gtid+Prev+FullPC"}
+		if _, err := k.EvalMissBatch(designs); !errors.Is(err, speculate.ErrTableTooLarge) {
+			t.Errorf("%s: EvalMissBatch: %v, want ErrTableTooLarge", name, err)
+		}
+		if _, err := k.EvalCorrBatch(designs); !errors.Is(err, speculate.ErrTableTooLarge) {
+			t.Errorf("%s: EvalCorrBatch: %v, want ErrTableTooLarge", name, err)
+		}
+		if _, err := k.EvalApproxBatch(designs); !errors.Is(err, speculate.ErrTableTooLarge) {
+			t.Errorf("%s: EvalApproxBatch: %v, want ErrTableTooLarge", name, err)
+		}
 	}
 }
 

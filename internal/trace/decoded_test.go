@@ -75,8 +75,12 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 		t.Fatalf("decoded %d records, recording holds %d", k.NumRecords(), rec.NumOps())
 	}
 
+	b, err := k.bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
 	designs := append(append([]string{}, speculate.DesignSpace...), "oracle")
-	meter, err := NewDSEMeter(designs)
+	meter, err := NewDSEMeter(designs, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +97,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 		}
 	}
 
-	cm, err := NewCorrMeter()
+	cm, err := NewCorrMeter(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +115,7 @@ func TestDecodedEvalMatchesMeterReplay(t *testing.T) {
 	}
 
 	approxDesigns := []string{"staticZero", "CASA", speculate.FinalDesign}
-	am, err := NewApproxMeter(approxDesigns)
+	am, err := NewApproxMeter(approxDesigns, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,14 +138,14 @@ func dseStep(p speculate.Predictor, miss *stats.Rate, r *warpRec, s *evalScratch
 	mask := bitmath.Mask(boundariesOf(r.kind))
 	n := len(r.ea)
 	carries, static := s.carries[:n], s.static[:n]
-	speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
 	actual := s.actual[:n]
 	for j := 0; j < n; j++ {
 		actual[j] = r.carries[j] & mask
 	}
 	mispred, missed := speculate.JudgeMissWarp(r.active, mask, carries, static, actual)
 	miss.Add(missed, uint64(n))
-	speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
+	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
 }
 
 // corrStep evaluates one Figure 3 scheme on one warp record: per-boundary
@@ -157,14 +157,14 @@ func corrStep(p speculate.Predictor, match *stats.Rate, r *warpRec, s *evalScrat
 	mask := bitmath.Mask(nb)
 	n := len(r.ea)
 	carries, static := s.carries[:n], s.static[:n]
-	speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
 	actual := s.actual[:n]
 	for j := 0; j < n; j++ {
 		actual[j] = r.carries[j] & mask
 	}
 	matched := speculate.JudgeCorrWarp(nb, mask, carries, actual)
 	match.Add(matched, uint64(nb)*uint64(n))
-	speculate.UpdateWarp(p, r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, s.actual[:n])
+	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, s.actual[:n])
 }
 
 // approxStep evaluates one design on one warp record with the
@@ -178,7 +178,7 @@ func approxStep(p speculate.Predictor, wrong *stats.Rate, relErr *runningMean, r
 	mask := bitmath.Mask(bitmath.NumSlices(width, 8) - 1)
 	n := len(r.ea)
 	carries, static := s.carries[:n], s.static[:n]
-	speculate.PredictWarp(p, r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
 	var mispred uint32
 	var wrongResults uint64
 	j := 0
@@ -196,7 +196,7 @@ func approxStep(p speculate.Predictor, wrong *stats.Rate, relErr *runningMean, r
 		j++
 	}
 	wrong.Add(wrongResults, uint64(n))
-	speculate.UpdateWarp(p, r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
+	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
 }
 
 // CorrMeter measures, for each Figure 3 scheme, the fraction of boundary
@@ -207,14 +207,15 @@ type CorrMeter struct {
 	scratch warpScratch
 }
 
-// NewCorrMeter builds the three-scheme correlation meter.
-func NewCorrMeter() (*CorrMeter, error) {
+// NewCorrMeter builds the three-scheme correlation meter for a stream
+// within b.
+func NewCorrMeter(b speculate.Bounds) (*CorrMeter, error) {
 	m := &CorrMeter{
 		preds: make(map[string]speculate.Predictor),
 		match: make(map[string]*stats.Rate),
 	}
 	for _, d := range Fig3Designs {
-		p, err := speculate.NewDesign(d, g64)
+		p, err := speculate.NewDesign(d, g64, b)
 		if err != nil {
 			return nil, err
 		}
@@ -272,8 +273,8 @@ type DSEMeter struct {
 }
 
 // NewDSEMeter builds a sweep over the given designs (defaulting to the
-// full Figure 5 space when nil).
-func NewDSEMeter(designs []string) (*DSEMeter, error) {
+// full Figure 5 space when nil) for a stream within b.
+func NewDSEMeter(designs []string, b speculate.Bounds) (*DSEMeter, error) {
 	if designs == nil {
 		designs = speculate.DesignSpace
 	}
@@ -283,7 +284,7 @@ func NewDSEMeter(designs []string) (*DSEMeter, error) {
 		miss:    make(map[string]*stats.Rate),
 	}
 	for _, d := range designs {
-		p, err := speculate.NewDesign(d, g64)
+		p, err := speculate.NewDesign(d, g64, b)
 		if err != nil {
 			return nil, fmt.Errorf("trace: design %q: %w", d, err)
 		}
@@ -334,8 +335,8 @@ type ApproxMeter struct {
 }
 
 // NewApproxMeter builds the meter over the given designs (nil = the
-// final ST² design and staticZero).
-func NewApproxMeter(designs []string) (*ApproxMeter, error) {
+// final ST² design and staticZero) for a stream within b.
+func NewApproxMeter(designs []string, b speculate.Bounds) (*ApproxMeter, error) {
 	if designs == nil {
 		designs = []string{"staticZero", speculate.FinalDesign}
 	}
@@ -346,7 +347,7 @@ func NewApproxMeter(designs []string) (*ApproxMeter, error) {
 		relErr:  make(map[string]*runningMean),
 	}
 	for _, d := range designs {
-		p, err := speculate.NewDesign(d, g64)
+		p, err := speculate.NewDesign(d, g64, b)
 		if err != nil {
 			return nil, fmt.Errorf("trace: approx design %q: %w", d, err)
 		}

@@ -26,6 +26,16 @@ func feed(t *testing.T, tr addTracer, ops int) {
 	}
 }
 
+// feedBounds bounds the stream feed presents: PCs 0-3 and one warp.
+func feedBounds(t *testing.T) speculate.Bounds {
+	t.Helper()
+	b, err := speculate.NewBounds([]uint32{0, 1, 2, 3}, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestValueTrace(t *testing.T) {
 	var kb kernelBuilder
 	feed(t, &kb, 32)
@@ -73,7 +83,7 @@ func TestValueTrace(t *testing.T) {
 // The paper's Figure 3 ordering: Prev+Gtid (no PC) is much worse than
 // Prev+FullPC+Gtid, and Ltid sharing is at least comparable to Gtid.
 func TestCorrMeterOrdering(t *testing.T) {
-	m, err := NewCorrMeter()
+	m, err := NewCorrMeter(feedBounds(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestCorrMeterOrdering(t *testing.T) {
 }
 
 func TestDSEMeterFinalDesignWins(t *testing.T) {
-	m, err := NewDSEMeter(nil)
+	m, err := NewDSEMeter(nil, feedBounds(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +138,7 @@ func TestDSEMeterFinalDesignWins(t *testing.T) {
 }
 
 func TestDSEMeterUnknownDesignFails(t *testing.T) {
-	if _, err := NewDSEMeter([]string{"nope"}); err == nil {
+	if _, err := NewDSEMeter([]string{"nope"}, feedBounds(t)); err == nil {
 		t.Error("unknown design should fail construction")
 	}
 }
@@ -139,22 +149,26 @@ func TestDSEMeterUnknownDesignFails(t *testing.T) {
 func TestTracersOnPathfinder(t *testing.T) {
 	set := recordPathfinder(t)
 	rec, _ := set.Get("pathfinder")
-	cm, err := NewCorrMeter()
+	dec, err := DecodeSet(set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dse, err := NewDSEMeter([]string{"staticZero", speculate.FinalDesign})
+	k, _ := dec.Kernel("pathfinder")
+	b, err := k.bounds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm, err := NewCorrMeter(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dse, err := NewDSEMeter([]string{"staticZero", speculate.FinalDesign}, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := replay(rec, Multi{cm, dse}); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSet(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k, _ := dec.Kernel("pathfinder")
 	vt := NewValueTrace(k, 5, 200)
 	if len(vt.PCs()) < 4 {
 		t.Errorf("pathfinder thread should execute several add PCs, got %v", vt.PCs())
@@ -173,7 +187,7 @@ func TestTracersOnPathfinder(t *testing.T) {
 // A mispredict flagged by the DSE meter corresponds exactly to what the
 // sliced adder would detect.
 func TestDSEMeterMatchesAdderSemantics(t *testing.T) {
-	m, err := NewDSEMeter([]string{"staticZero"})
+	m, err := NewDSEMeter([]string{"staticZero"}, feedBounds(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +213,7 @@ func TestDSEMeterMatchesAdderSemantics(t *testing.T) {
 // wrong predictions do, and the final design corrupts far fewer results
 // than staticZero on a correlated stream.
 func TestApproxMeter(t *testing.T) {
-	m, err := NewApproxMeter(nil)
+	m, err := NewApproxMeter(nil, feedBounds(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +239,7 @@ func TestApproxMeter(t *testing.T) {
 	if _, err := m.MeanRelError("bogus"); err == nil {
 		t.Error("unknown design should error")
 	}
-	if _, err := NewApproxMeter([]string{"nope"}); err == nil {
+	if _, err := NewApproxMeter([]string{"nope"}, feedBounds(t)); err == nil {
 		t.Error("unknown design should fail construction")
 	}
 }
@@ -233,7 +247,7 @@ func TestApproxMeter(t *testing.T) {
 // Single-op sanity: a dropped carry produces exactly the expected wrong
 // value, and the meter's relative-error tracking sees it.
 func TestApproxMeterSingleOp(t *testing.T) {
-	m, err := NewApproxMeter([]string{"staticZero"})
+	m, err := NewApproxMeter([]string{"staticZero"}, feedBounds(t))
 	if err != nil {
 		t.Fatal(err)
 	}
