@@ -893,15 +893,8 @@ func min64(a, b uint64) uint64 {
 // ReadStoreFile loads a store saved by WriteStoreFile under the default
 // byte budget with GOMAXPROCS section-decode workers. It holds the store
 // to ReadDecoded's whole-file budget, and like LoadKernels it refuses a
-// file whose size differs from its section table and reads each section
-// at its offset.
-//
-// It returns after a full collection. The load is the largest burst of
-// allocation in a sweep process. Without the collection, the heap goal
-// for the work that follows is set by whichever collection the burst
-// triggered last, and that one found anywhere from 70% of the store live
-// to all of it, so a scale-4 sweep's later peak resident set moved by
-// ~250 MB from run to run. After it, the goal is twice the store.
+// file whose size differs from its section table, reads each section at
+// its offset and returns after a full collection.
 func ReadStoreFile(path string) (*Decoded, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -912,12 +905,7 @@ func ReadStoreFile(path string) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := h.readSections(f, h.info.entries, h.offsets, 0)
-	if err != nil {
-		return nil, err
-	}
-	runtime.GC()
-	return d, nil
+	return h.readSections(f, h.info.entries, h.offsets, 0)
 }
 
 // --- zigzag helpers (the recording encoder's delta transform) ---

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"os"
+	"runtime"
 
 	"st2gpu/internal/gpusim"
 )
@@ -92,7 +93,7 @@ func (h *StoreHandle) Matches(scale, numSMs int, seed int64) error {
 // holds. The requested sections' payload bytes plus decoded column
 // footprint must fit the handle's byte budget. workers bounds the
 // section-decode pool (0 = GOMAXPROCS); the result is bit-identical at
-// any count.
+// any count. Like ReadStoreFile, it returns after a full collection.
 func (h *StoreHandle) LoadKernels(names []string, workers int) (*Decoded, error) {
 	want := make(map[string]bool, len(names))
 	for _, name := range names {
@@ -138,12 +139,25 @@ func (h *StoreHandle) LoadKernels(names []string, workers int) (*Decoded, error)
 // whole into one buffer of its exact size, on the worker that decodes it.
 // A load thus holds at most `workers` payloads at once and allocates no
 // buffer it then copies and throws away.
+//
+// It returns after a full collection. A load is a burst of allocation,
+// and without the collection the heap goal for the work that follows is
+// set by whichever collection the burst happened to trigger last: in a
+// scale-4 sweep, by whether one lands inside sgemm's 290 MB section,
+// which moved the peak resident set by ~450 MB from run to run. After
+// it, the goal is twice what the caller holds. The columns hold no
+// pointers, so the collection costs about a millisecond.
 func (h *StoreHandle) readSections(f *os.File, entries []storeEntry, offsets []int64, workers int) (*Decoded, error) {
-	return h.info.decodeSections(entries, func(i int) ([]byte, error) {
+	d, err := h.info.decodeSections(entries, func(i int) ([]byte, error) {
 		buf := make([]byte, entries[i].sectLen)
 		if _, err := f.ReadAt(buf, offsets[i]); err != nil {
 			return nil, err
 		}
 		return buf, nil
 	}, workers)
+	if err != nil {
+		return nil, err
+	}
+	runtime.GC()
+	return d, nil
 }
