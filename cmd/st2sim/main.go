@@ -12,10 +12,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"text/tabwriter"
-	"time"
 
 	"st2gpu/internal/core"
+	"st2gpu/internal/experiments"
 	"st2gpu/internal/gpusim"
 	"st2gpu/internal/isa"
 	"st2gpu/internal/kernels"
@@ -40,11 +41,9 @@ func main() {
 	)
 	flag.Parse()
 
+	all := append(kernels.Suite(), kernels.Extras()...)
 	if *list {
-		for _, w := range kernels.Suite() {
-			fmt.Printf("%-14s (%s)\n", w.Name, w.Suite)
-		}
-		for _, w := range kernels.Extras() {
+		for _, w := range all {
 			fmt.Printf("%-14s (%s)\n", w.Name, w.Suite)
 		}
 		for _, a := range kernels.Apps() {
@@ -106,23 +105,13 @@ func main() {
 		fatal(fmt.Errorf("unknown -mode %q", *mode))
 	}
 
-	var suite []kernels.Workload
-	if *kernel == "all" {
-		suite = kernels.Suite()
-	} else if w, err := kernels.ByName(*kernel); err == nil {
-		suite = []kernels.Workload{w}
-	} else {
-		found := false
-		for _, w := range kernels.Extras() {
-			if w.Name == *kernel {
-				suite = []kernels.Workload{w}
-				found = true
-				break
-			}
+	suite := kernels.Suite()
+	if *kernel != "all" {
+		i := slices.IndexFunc(all, func(w kernels.Workload) bool { return w.Name == *kernel })
+		if i < 0 {
+			fatal(fmt.Errorf("kernels: unknown workload %q", *kernel))
 		}
-		if !found {
-			fatal(err)
-		}
+		suite = all[i : i+1]
 	}
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -138,48 +127,22 @@ func main() {
 		fmt.Fprintln(tw, "kernel\tmode\tcycles\tthread instrs\tadd frac\tmispred\tL1 hit\tDRAM tx")
 	}
 
-	for i, w := range suite {
-		spec, err := w.Build(*scale)
-		if err != nil {
-			fatal(err)
+	cfg := experiments.Default()
+	cfg.Scale = *scale
+	cfg.NumSMs = *sms
+	cfg.Metrics = reg
+	cfg.Obs = tr
+	if *progress {
+		cfg.Progress = func(done, total int, name string) {
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, name)
 		}
-		cfg := gpusim.DefaultConfig()
-		cfg.NumSMs = *sms
-		cfg.AdderMode = adderMode
-		d, err := gpusim.New(cfg)
-		if err != nil {
-			fatal(err)
-		}
-		d.SetMetrics(reg)
-		d.SetObs(tr)
-		if spec.Setup != nil {
-			if err := spec.Setup(d.Memory()); err != nil {
-				fatal(err)
-			}
-		}
-		rs, err := d.Launch(spec.Kernel)
-		if err != nil {
-			fatal(err)
-		}
-		tVerify := time.Now()
-		if spec.Verify != nil {
-			if err := spec.Verify(d.Memory()); err != nil {
-				fatal(fmt.Errorf("%s: output verification failed: %w", w.Name, err))
-			}
-		}
-		ph := d.LaunchTimings()
-		if lg != nil {
-			if ph.Verify = time.Since(tVerify); ph.Verify <= 0 {
-				ph.Verify = time.Nanosecond
-			}
-			if err := lg.LogRun(*scale, cfg, rs, ph, reg); err != nil {
-				fatal(fmt.Errorf("%s: manifest: %w", w.Name, err))
-			}
-		}
-		if *progress {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", i+1, len(suite), w.Name)
-		}
-		printRow(tw, *report, w.Name, rs)
+	}
+	rss, err := experiments.RunSuite(cfg, suite, adderMode, lg)
+	if err != nil {
+		fatal(err)
+	}
+	for i, rs := range rss {
+		printRow(tw, *report, suite[i].Name, rs)
 	}
 	if lg != nil && tr != nil {
 		if err := lg.LogSpans("st2sim", tr); err != nil {

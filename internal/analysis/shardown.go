@@ -16,8 +16,8 @@ import (
 //
 //   - parameters of a worker callback invoked by a dispatcher (a
 //     function that calls its func-typed parameter from inside a
-//     goroutine, like experiments.runGrid / forEach, or from inside a
-//     callback it hands such a dispatcher, like Config.forEachKernel);
+//     goroutine, like experiments.runGrid, or from inside a
+//     callback it hands such a dispatcher);
 //   - variables captured from a loop iteration that encloses the `go`
 //     statement (Go ≥1.22 loop variables are per-iteration);
 //   - results of an atomic claim (x.Add(1) on a sync/atomic value) or a
@@ -246,9 +246,9 @@ type workerCtx struct {
 // owned each argument of that call is. A func literal passed to such a
 // parameter elsewhere in the package is then analyzed as a worker body.
 // Dispatchers layer: a function that calls its func-typed parameter from
-// inside a callback it hands to another dispatcher (experiments'
-// forEachKernel over forEach) is one too, so the search iterates to a
-// fixpoint. Ownedness only ever narrows, so the iteration terminates.
+// inside a callback it hands to another dispatcher is one too, so the
+// search iterates to a fixpoint. Ownedness only ever narrows, so the
+// iteration terminates.
 func (so *shardOwn) findDispatchers() {
 	so.dispatchers = make(map[types.Object][]bool)
 	for changed := true; changed; {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"st2gpu/internal/gpusim"
-	"st2gpu/internal/kernels"
 	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
 )
@@ -14,76 +13,68 @@ type AblationResult struct {
 	SansRate float64 // without it
 }
 
-// suiteMissRates runs the whole suite once per device-config mutation and
-// returns each config's average thread misprediction rate, in muts order.
-// This is the hardware ST² path: the in-pipeline CRF's contention,
-// arbitration and capacity interact with execution timing, so these
-// ablations genuinely need re-simulation and cannot be answered from a
-// recorded stream (contrast the predictor-only ablations, which ride
-// Fig5's record-once/replay-many path). The whole (config × kernel) grid
-// shares one forEach pool, and every launch's outputs are verified like
-// any other experiment run: a mutated config must keep the adder exact.
+// suiteMissRates returns, in muts order, the average thread
+// misprediction rate of the suite pass under each mutation of the
+// default ST² device config. This is the hardware ST² path: the
+// in-pipeline CRF's contention, arbitration and capacity interact with
+// execution timing, so these ablations genuinely need re-simulation and
+// cannot be answered from a recorded stream (contrast the predictor-only
+// ablations, which evaluate the decoded baseline pass). A mutation that
+// leaves the config unchanged reuses the memo's ST² pass; the rest run
+// their whole (config × kernel) grid on one runGrid pool, and every
+// launch's outputs are verified like any other experiment run: a mutated
+// config must keep the adder exact.
 func (c Config) suiteMissRates(muts ...func(*gpusim.Config)) ([]float64, error) {
-	n := len(kernels.Suite())
-	rates := make([]float64, len(muts)*n)
-	err := c.forEachPassKernel(len(muts), func(cell int, w kernels.Workload) error {
-		spec, err := w.Build(c.Scale)
-		if err != nil {
-			return err
-		}
-		dc := c.deviceConfig(gpusim.ST2Adders)
-		muts[cell/n](&dc)
-		rs, _, err := c.runSpec(spec, dc)
-		if err != nil {
-			return err
-		}
-		rates[cell] = rs.MispredictionRate()
-		return nil
-	})
+	dcs := make([]gpusim.Config, len(muts))
+	for i, mut := range muts {
+		dcs[i] = c.deviceConfig(gpusim.ST2Adders)
+		mut(&dcs[i])
+	}
+	ps, err := c.suite(dcs...)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(muts))
-	for m := range muts {
-		out[m] = stats.Mean(rates[m*n : (m+1)*n])
+	out := make([]float64, len(ps))
+	for i, p := range ps {
+		rates := make([]float64, len(p.runs))
+		for k, r := range p.runs {
+			rates[k] = r.stats.MispredictionRate()
+		}
+		out[i] = stats.Mean(rates)
 	}
 	return out, nil
+}
+
+// ablate compares the default ST² pass ("with" the feature) against the
+// pass under the one mutation sans.
+func (c Config) ablate(name string, sans func(*gpusim.Config)) (AblationResult, error) {
+	r, err := c.suiteMissRates(func(*gpusim.Config) {}, sans)
+	if err != nil {
+		return AblationResult{}, err
+	}
+	return AblationResult{Name: name, WithRate: r[0], SansRate: r[1]}, nil
 }
 
 // AblationPeek toggles the Peek static-resolution filter on the hardware
 // ST² path (Section IV-B: "Retrofitting VaLHALLA with Peek reduces its
 // misprediction rate by 18%" — here applied to the final design).
 func AblationPeek(cfg Config) (AblationResult, error) {
-	r, err := cfg.suiteMissRates(
-		func(*gpusim.Config) {},
-		func(dc *gpusim.Config) { dc.DisablePeek = true },
-	)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	return AblationResult{Name: "Peek", WithRate: r[0], SansRate: r[1]}, nil
+	return cfg.ablate("Peek", func(dc *gpusim.Config) { dc.DisablePeek = true })
 }
 
 // AblationContention compares the hardware CRF (write-back contention,
 // random arbitration, 16-entry table) against the idealized contention-
 // free predictor the Figure 5 sweep assumes — quantifying what the
-// paper's "random arbitration is enough" argument costs.
+// paper's "random arbitration is enough" argument costs. "With" is the
+// hardware constraint; "sans" is the idealized table.
 func AblationContention(cfg Config) (AblationResult, error) {
-	r, err := cfg.suiteMissRates(
-		func(*gpusim.Config) {},
-		func(dc *gpusim.Config) { dc.UseCRF = false },
-	)
-	if err != nil {
-		return AblationResult{}, err
-	}
-	// "With" the hardware constraint; "sans" is the idealized table.
-	return AblationResult{Name: "CRF contention", WithRate: r[0], SansRate: r[1]}, nil
+	return cfg.ablate("CRF contention", func(dc *gpusim.Config) { dc.UseCRF = false })
 }
 
 // AblationSharing contrasts thread-history sharing policies on identical
 // operation streams (Fig 5's right half): no disambiguation, Gtid
-// isolation, and Ltid lane sharing. Like every Fig5 delegate it records
-// each kernel once and replays the designs from the captured stream.
+// isolation, and Ltid lane sharing. Like every Fig5 delegate it
+// evaluates the designs over the shared decoded baseline pass.
 func AblationSharing(cfg Config) ([]Fig5Row, error) {
 	return Fig5(cfg, []string{
 		"Prev+ModPC4+Peek",
@@ -111,15 +102,14 @@ type ApproxRow struct {
 	MeanRelError float64
 }
 
-// ApproximateAdderStudy runs the suite once and evaluates uncorrected
-// speculative addition under staticZero (the assumption of approximate
-// adders [10]–[13]), CASA, and ST²'s own predictor — motivating the
-// paper's guaranteed-correctness design point. The suite is recorded
-// once, decoded once, and the (kernel × design) grid runs on the
-// decode-once sweep engine; rates are bit-identical at any
-// cfg.SweepWorkers count.
+// ApproximateAdderStudy evaluates uncorrected speculative addition under
+// staticZero (the assumption of approximate adders [10]–[13]), CASA, and
+// ST²'s own predictor — motivating the paper's guaranteed-correctness
+// design point. The (kernel × design) grid runs on the decode-once sweep
+// engine over the shared decoded baseline pass; rates are bit-identical
+// at any cfg.SweepWorkers count.
 func ApproximateAdderStudy(cfg Config) ([]ApproxRow, error) {
-	dec, err := decodeSuite(cfg)
+	dec, err := cfg.decoded()
 	if err != nil {
 		return nil, err
 	}

@@ -53,7 +53,7 @@ func TestRunSpecVerifiesMutatedConfigOutputs(t *testing.T) {
 	spec.Verify = func(*gpusim.Memory) error { return errors.New("wrong sum") }
 	dc := cfg.deviceConfig(gpusim.ST2Adders)
 	dc.CRFEntries = 4
-	if _, _, err := cfg.runSpec(spec, dc); err == nil || !strings.Contains(err.Error(), "output check") {
+	if _, err := cfg.runSpec(spec, dc, nil); err == nil || !strings.Contains(err.Error(), "output check") {
 		t.Errorf("runSpec with a failing output check returned %v", err)
 	}
 }

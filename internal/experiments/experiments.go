@@ -1,14 +1,13 @@
 // Package experiments contains one driver per figure and table of the
-// paper's evaluation: each function runs the right simulations and
-// returns the rows the paper plots, so the benchmarks in bench_test.go
-// and the cmd/ tools regenerate every result from scratch.
+// paper's evaluation; each returns the rows the paper plots. The drivers
+// fold shared suite passes (passes.go): a Config from Default() carries
+// a memo with one pass of the suite per effective device configuration,
+// shared by every copy of that Config and by no other Default() value.
 package experiments
 
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 	"time"
 
 	"st2gpu/internal/bitmath"
@@ -35,7 +34,9 @@ type Config struct {
 	ParallelSMs int
 	// RecordMaxBytes caps each kernel's in-memory adder-op recording
 	// (0 = gpusim.DefaultRecordMaxBytes). Exceeding it fails the run with
-	// a loud error instead of exhausting host memory.
+	// a loud error instead of exhausting host memory. The baseline suite
+	// pass always records, so the cap applies to every driver that reads
+	// it.
 	RecordMaxBytes uint64
 	// SweepWorkers bounds the worker pool the decode-once sweep engine
 	// schedules the (kernel × design) grid on: 0 lets the grid use
@@ -43,8 +44,10 @@ type Config struct {
 	// bit-identical at any worker count.
 	SweepWorkers int
 	// Progress, when non-nil, is called after each kernel of a suite pass
-	// finishes: done kernels so far, the suite total, and the kernel that
-	// just completed. Calls are serialized; done is monotonic even when
+	// finishes: done kernels so far, the total of the passes launched
+	// together, and the kernel that just completed. Only passes that
+	// actually execute report progress; a pass reused from the memo
+	// reports none. Calls are serialized; done is monotonic even when
 	// kernels run concurrently.
 	Progress func(done, total int, name string)
 	// Metrics, when non-nil, receives experiment activity: every device
@@ -57,10 +60,15 @@ type Config struct {
 	// sweep cells, plus each launch's setup/simulate/fold) for the Chrome
 	// trace and runlog v2 sinks. Observability only, like Metrics.
 	Obs *obs.Tracer
+
+	// memo holds the suite passes every copy of this Config shares; nil
+	// in a Config literal, whose drivers each use a throwaway memo.
+	memo *passMemo
 }
 
-// Default returns the configuration used by the benchmark harness.
-func Default() Config { return Config{Scale: 1, NumSMs: 2, Seed: 1} }
+// Default returns the configuration used by the benchmark harness, with
+// a fresh memo of suite passes that every copy of it shares.
+func Default() Config { return Config{Scale: 1, NumSMs: 2, Seed: 1, memo: new(passMemo)} }
 
 // deviceConfig builds the simulator configuration for a mode.
 func (c Config) deviceConfig(mode gpusim.AdderMode) gpusim.Config {
@@ -72,89 +80,52 @@ func (c Config) deviceConfig(mode gpusim.AdderMode) gpusim.Config {
 	return dc
 }
 
-// newDevice builds a device for one experiment run with the configured
-// observability (metrics registry, span tracer) installed. Many devices
-// may share one registry: launch counters are atomic sums, so the folded
-// totals are schedule-independent.
-func (c Config) newDevice(dc gpusim.Config) (*gpusim.Device, error) {
+// run is one verified launch: its statistics, its device's energy
+// prices, and its phase timings with the output check's time filled in.
+type run struct {
+	stats  *gpusim.RunStats
+	prices map[core.UnitKind]core.EnergyParams
+	phases gpusim.PhaseTimings
+}
+
+// runSpec sets up, launches and verifies one workload spec on a fresh
+// device with configuration dc and the configured observability (metrics
+// registry, span tracer) installed. Many devices may share one registry:
+// launch counters are atomic sums, so the folded totals are
+// schedule-independent. A non-nil rec records the add stream (the
+// parallel launch path stays enabled: recording shards are per-SM). The
+// verify phase is timed around the workload's output check, clamped to
+// ≥1ns so manifests never report zero.
+func (c Config) runSpec(spec *kernels.Spec, dc gpusim.Config, rec *gpusim.Recorder) (run, error) {
 	d, err := gpusim.New(dc)
 	if err != nil {
-		return nil, err
+		return run{}, err
 	}
 	if c.Metrics != nil {
 		d.SetMetrics(c.Metrics)
 	}
 	d.SetObs(c.Obs)
-	return d, nil
-}
-
-// runSpec sets up, launches and verifies one workload spec on a fresh
-// device with configuration dc.
-func (c Config) runSpec(spec *kernels.Spec, dc gpusim.Config) (*gpusim.RunStats, *gpusim.Device, error) {
-	d, err := c.newDevice(dc)
-	if err != nil {
-		return nil, nil, err
-	}
+	d.SetRecorder(rec)
 	if spec.Setup != nil {
 		if err := spec.Setup(d.Memory()); err != nil {
-			return nil, nil, fmt.Errorf("experiments: %s setup: %w", spec.Name, err)
+			return run{}, fmt.Errorf("experiments: %s setup: %w", spec.Name, err)
 		}
 	}
 	rs, err := d.Launch(spec.Kernel)
 	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
+		return run{}, fmt.Errorf("experiments: %s: %w", spec.Name, err)
 	}
+	tVerify := time.Now() //st2:det-ok wall-clock phase timing; feeds runlog timings only, never simulation results
 	if spec.Verify != nil {
 		if err := spec.Verify(d.Memory()); err != nil {
-			return nil, nil, fmt.Errorf("experiments: %s output check: %w", spec.Name, err)
+			return run{}, fmt.Errorf("experiments: %s output check: %w", spec.Name, err)
 		}
 	}
-	return rs, d, nil
-}
-
-// recordSpec simulates one workload spec with a stream recorder
-// installed (the parallel launch path stays enabled — recording shards
-// are per-SM) and returns the captured adder-op stream.
-func (c Config) recordSpec(spec *kernels.Spec, mode gpusim.AdderMode) (*gpusim.Recording, error) {
-	d, err := c.newDevice(c.deviceConfig(mode))
-	if err != nil {
-		return nil, err
+	ph := d.LaunchTimings()
+	if ph.Verify = time.Since(tVerify); ph.Verify <= 0 { //st2:det-ok wall-clock phase timing; feeds runlog timings only, never simulation results
+		ph.Verify = time.Nanosecond
 	}
-	rec := gpusim.NewRecorder(c.RecordMaxBytes)
-	d.SetRecorder(rec)
-	if spec.Setup != nil {
-		if err := spec.Setup(d.Memory()); err != nil {
-			return nil, fmt.Errorf("experiments: %s setup: %w", spec.Name, err)
-		}
-	}
-	if _, err := d.Launch(spec.Kernel); err != nil {
-		return nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
-	}
-	if spec.Verify != nil {
-		if err := spec.Verify(d.Memory()); err != nil {
-			return nil, fmt.Errorf("experiments: %s output check: %w", spec.Name, err)
-		}
-	}
-	return rec.Recording(), nil
-}
-
-// recordWorkload builds one named workload and records its stream.
-func (c Config) recordWorkload(w kernels.Workload, mode gpusim.AdderMode) (*gpusim.Recording, error) {
-	spec, err := w.Build(c.Scale)
-	if err != nil {
-		return nil, err
-	}
-	return c.recordSpec(spec, mode)
-}
-
-// decodeSuite records the suite once (RecordSuite) and decodes it once,
-// its trace.decode_set span going to cfg.Obs.
-func decodeSuite(cfg Config) (*trace.Decoded, error) {
-	set, err := RecordSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return trace.DecodeSetTraced(set, cfg.Obs)
+	return run{stats: rs, prices: d.Prices(), phases: ph}, nil
 }
 
 // RecordSuite simulates every suite kernel once under recording (kernels
@@ -162,155 +133,51 @@ func decodeSuite(cfg Config) (*trace.Decoded, error) {
 // per-kernel streams, tagged with the capture configuration. Decode it
 // once with trace.DecodeSet and evaluate any number of designs over the
 // decoded form, or let SuiteStore persist that form so later processes
-// skip the simulation and the decode.
+// skip the simulation and the decode. Its pass is its own: it neither
+// reads nor fills cfg's memo of suite passes.
 func RecordSuite(cfg Config) (*trace.Set, error) {
-	ws := kernels.Suite()
-	recs := make([]*gpusim.Recording, len(ws))
-	suiteSpan := cfg.Obs.Begin("experiments.record_suite",
-		obs.Int("kernels", int64(len(ws))))
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		kernSpan := suiteSpan.Child("record." + w.Name)
-		rec, err := cfg.recordWorkload(w, gpusim.BaselineAdders)
-		if err != nil {
-			kernSpan.End()
-			return err
-		}
-		kernSpan.Add(
-			obs.Int("records", int64(rec.NumOps())),
-			obs.Int("bytes", int64(rec.Bytes())))
-		kernSpan.End()
-		recs[i] = rec
-		return nil
-	})
-	suiteSpan.End()
-	if err != nil {
-		return nil, err
+	p := &suitePass{dc: cfg.deviceConfig(gpusim.BaselineAdders)}
+	p.ready.Add(1)
+	span := cfg.Obs.Begin("experiments.record_suite")
+	cfg.runPasses([]*suitePass{p})
+	span.End()
+	if p.err != nil {
+		return nil, p.err
 	}
-	set := trace.NewSet(cfg.Scale, cfg.NumSMs, cfg.Seed)
-	for i, w := range ws {
-		set.Add(w.Name, recs[i])
-	}
-	return set, nil
+	return p.set(cfg), nil
 }
 
-// forEachKernel runs fn over the evaluation suite on the forEach pool;
-// fn receives the kernel's index for order-preserving collection. If
-// c.Progress is set it is invoked under a mutex as each kernel finishes.
-func (c Config) forEachKernel(fn func(i int, w kernels.Workload) error) error {
-	return c.forEachPassKernel(1, fn)
-}
-
-// forEachPassKernel runs fn over passes × the evaluation suite on one
-// forEach pool, so no pass waits for the previous pass's slowest kernel.
-// fn receives the cell index pass·len(suite) + kernel index. Progress
-// counts kernels over all passes.
-func (c Config) forEachPassKernel(passes int, fn func(cell int, w kernels.Workload) error) error {
-	ws := kernels.Suite()
-	total := passes * len(ws)
-	var mu sync.Mutex
-	done := 0
-	return forEach(total, func(cell int) error {
-		w := ws[cell%len(ws)]
-		err := fn(cell, w)
-		if c.Progress != nil {
-			mu.Lock()
-			done++
-			c.Progress(done, total, w.Name)
-			mu.Unlock()
-		}
-		return err
-	})
-}
-
-// forEach runs fn(i) for every i in [0, n) concurrently (one goroutine
-// per index, at most GOMAXPROCS at a time) and returns the error of the
-// lowest failing index. Each invocation builds its own devices, so
-// results are deterministic and order-independent as long as fn stores
-// them by index.
-func forEach(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			errs[i] = fn(i)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runWorkload builds and runs one named workload.
-func (c Config) runWorkload(w kernels.Workload, mode gpusim.AdderMode) (*gpusim.RunStats, *gpusim.Device, error) {
-	spec, err := w.Build(c.Scale)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.runSpec(spec, c.deviceConfig(mode))
-}
-
-// RunSuite runs the full evaluation suite sequentially under one adder
-// mode and returns the per-kernel RunStats in suite order. When lg is
-// non-nil it emits one runlog manifest event per launch; with
-// cfg.Metrics unset each launch gets a fresh metrics registry so every
-// event's snapshot is self-contained, while a caller-provided registry
-// is shared across launches (snapshots cumulative, and live exporters
-// like /metrics see the whole suite). The verify phase is timed around
-// the workload's output check (clamped to ≥1ns so manifests never
-// report zero). cfg.Progress, if set, fires after each kernel.
-func RunSuite(cfg Config, mode gpusim.AdderMode, lg *runlog.Logger) ([]*gpusim.RunStats, error) {
-	ws := kernels.Suite()
+// RunSuite runs the workloads ws sequentially under one adder mode and
+// returns their RunStats in ws order. When lg is non-nil it emits one
+// runlog manifest event per launch; with cfg.Metrics unset each launch
+// gets a fresh metrics registry so every event's snapshot is
+// self-contained, while a caller-provided registry is shared across
+// launches (snapshots cumulative, and live exporters like /metrics see
+// the whole suite). cfg.Progress, if set, fires after each kernel. These
+// launches are the caller's own: they neither read nor fill cfg's memo
+// of suite passes.
+func RunSuite(cfg Config, ws []kernels.Workload, mode gpusim.AdderMode, lg *runlog.Logger) ([]*gpusim.RunStats, error) {
 	out := make([]*gpusim.RunStats, 0, len(ws))
+	c := cfg
 	for i, w := range ws {
 		spec, err := w.Build(cfg.Scale)
 		if err != nil {
 			return nil, err
 		}
+		if cfg.Metrics == nil {
+			c.Metrics = metrics.New()
+		}
 		dc := cfg.deviceConfig(mode)
-		d, err := gpusim.New(dc)
+		r, err := c.runSpec(spec, dc, nil)
 		if err != nil {
 			return nil, err
 		}
-		reg := cfg.Metrics
-		if reg == nil {
-			reg = metrics.New()
-		}
-		d.SetMetrics(reg)
-		d.SetObs(cfg.Obs)
-		if spec.Setup != nil {
-			if err := spec.Setup(d.Memory()); err != nil {
-				return nil, fmt.Errorf("experiments: %s setup: %w", spec.Name, err)
-			}
-		}
-		rs, err := d.Launch(spec.Kernel)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", spec.Name, err)
-		}
-		tVerify := time.Now() //st2:det-ok wall-clock phase timing; feeds runlog timings only, never simulation results
-		if spec.Verify != nil {
-			if err := spec.Verify(d.Memory()); err != nil {
-				return nil, fmt.Errorf("experiments: %s output check: %w", spec.Name, err)
-			}
-		}
-		ph := d.LaunchTimings()
-		if ph.Verify = time.Since(tVerify); ph.Verify <= 0 { //st2:det-ok wall-clock phase timing; feeds runlog timings only, never simulation results
-			ph.Verify = time.Nanosecond
-		}
 		if lg != nil {
-			if err := lg.LogRun(cfg.Scale, dc, rs, ph, reg); err != nil {
+			if err := lg.LogRun(cfg.Scale, dc, r.stats, r.phases, c.Metrics); err != nil {
 				return nil, fmt.Errorf("experiments: %s manifest: %w", spec.Name, err)
 			}
 		}
-		out = append(out, rs)
+		out = append(out, r.stats)
 		if cfg.Progress != nil {
 			cfg.Progress(i+1, len(ws), w.Name)
 		}
@@ -331,17 +198,21 @@ type MixRow struct {
 }
 
 // Fig1 reproduces Figure 1: the ALU/FPU add share of every kernel's
-// dynamic instructions, with an Average row appended.
+// dynamic instructions in the baseline pass, with an Average row
+// appended.
 func Fig1(cfg Config) ([]MixRow, error) {
-	rows := make([]MixRow, 23)
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		rs, _, err := cfg.runWorkload(w, gpusim.BaselineAdders)
-		if err != nil {
-			return err
-		}
+	ps, err := cfg.suite(cfg.deviceConfig(gpusim.BaselineAdders))
+	if err != nil {
+		return nil, err
+	}
+	ws := kernels.Suite()
+	rows := make([]MixRow, len(ws))
+	var avg MixRow
+	for i, r := range ps[0].runs {
+		rs := r.stats
 		tot := float64(rs.TotalThreadInstrs())
 		row := MixRow{
-			Kernel:   w.Name,
+			Kernel:   ws[i].Name,
 			ALUAdd:   float64(rs.ThreadInstrs[isa.FUAluAdd]) / tot,
 			FPUAdd:   float64(rs.ThreadInstrs[isa.FUFpAdd]) / tot,
 			ALUOther: float64(rs.ThreadInstrs[isa.FUAluOther]+rs.ThreadInstrs[isa.FUIntMul]+rs.ThreadInstrs[isa.FUIntDiv]) / tot,
@@ -349,13 +220,6 @@ func Fig1(cfg Config) ([]MixRow, error) {
 		}
 		row.Other = 1 - row.ALUAdd - row.FPUAdd - row.ALUOther - row.FPUOther
 		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var avg MixRow
-	for _, row := range rows {
 		avg.ALUAdd += row.ALUAdd
 		avg.FPUAdd += row.FPUAdd
 		avg.ALUOther += row.ALUOther
@@ -390,20 +254,19 @@ type CarryChainRow struct {
 }
 
 // CarryChains measures Section III's observation that most additions
-// have short carry chains — why per-slice speculation works at all. The
-// baseline suite is recorded and decoded as for Figure 3, and each
-// kernel's decoded lanes are walked once. The appended "Average" row is
+// have short carry chains — why per-slice speculation works at all. Each
+// kernel's lanes in the shared decoded baseline pass are walked once. The appended "Average" row is
 // the unweighted mean over the kernels that have adds; its CarryRates[i]
 // averages the kernels with an i-th boundary sample, and its counts are
 // suite totals.
 func CarryChains(cfg Config) ([]CarryChainRow, error) {
-	dec, err := decodeSuite(cfg)
+	dec, err := cfg.decoded()
 	if err != nil {
 		return nil, err
 	}
 	names := dec.Names()
 	rows := make([]CarryChainRow, len(names))
-	if err := forEach(len(names), func(i int) error {
+	if err := runGrid(0, len(names), func(_, i int) error {
 		k, _ := dec.Kernel(names[i]) // names come from dec itself
 		var err error
 		rows[i], err = carryChains(names[i], k)
@@ -490,21 +353,10 @@ type Fig2Series struct {
 }
 
 // Fig2 traces one pathfinder thread's additions per PC — the data behind
-// the paper's Figure 2 (bottom). The kernel is simulated once with the
-// parallel recording path, and its recording is decoded and walked as in
-// Fig2FromDecoded.
+// the paper's Figure 2 (bottom) — as Fig2FromDecoded over the shared
+// decoded baseline pass.
 func Fig2(cfg Config, gtid uint32, maxPts int) ([]Fig2Series, error) {
-	spec, err := kernels.Pathfinder(cfg.Scale)
-	if err != nil {
-		return nil, err
-	}
-	rec, err := cfg.recordSpec(spec, gpusim.BaselineAdders)
-	if err != nil {
-		return nil, err
-	}
-	set := trace.NewSet(cfg.Scale, cfg.NumSMs, cfg.Seed)
-	set.Add(fig2Kernel, rec)
-	dec, err := trace.DecodeSet(set)
+	dec, err := cfg.decoded()
 	if err != nil {
 		return nil, err
 	}
@@ -545,12 +397,11 @@ type Fig3Row struct {
 
 // Fig3 measures the temporal/spatial carry correlation of every kernel
 // plus the op-weighted suite aggregate (appended as "Average"). The
-// suite is simulated once under the parallel recording path, decoded
-// once into flat arrays, and the (kernel × scheme) grid runs on the
-// decode-once sweep engine — every rate is bit-identical at any
+// (kernel × scheme) grid runs on the decode-once sweep engine over the
+// shared decoded baseline pass — every rate is bit-identical at any
 // cfg.SweepWorkers count.
 func Fig3(cfg Config) ([]Fig3Row, error) {
-	dec, err := decodeSuite(cfg)
+	dec, err := cfg.decoded()
 	if err != nil {
 		return nil, err
 	}
@@ -565,17 +416,15 @@ type Fig5Row struct {
 	MissRate float64
 }
 
-// Fig5 sweeps the speculation design space over the full suite with a
-// single simulation pass per kernel (all designs observe the identical
-// operation stream). The suite is recorded once under the parallel
-// recording path, decoded once into flat arrays, and the
-// (kernel × design) grid runs on the decode-once sweep engine — adding
-// designs costs one array walk each, not a decode or a simulation.
-// Rates are bit-identical at any cfg.SweepWorkers count. The returned
-// rows follow the paper's Figure 5 left-to-right order; rates are
-// unweighted kernel averages.
+// Fig5 sweeps the speculation design space over the full suite (all
+// designs observe the identical operation stream). The (kernel × design)
+// grid runs on the decode-once sweep engine over the shared decoded
+// baseline pass — adding designs costs one array walk each, not a decode
+// or a simulation. Rates are bit-identical at any cfg.SweepWorkers
+// count. The returned rows follow the paper's Figure 5 left-to-right
+// order; rates are unweighted kernel averages.
 func Fig5(cfg Config, designs []string) ([]Fig5Row, error) {
-	dec, err := decodeSuite(cfg)
+	dec, err := cfg.decoded()
 	if err != nil {
 		return nil, err
 	}
@@ -594,19 +443,23 @@ type Fig6Row struct {
 	CRFConflicts  uint64
 }
 
-// Fig6 runs the full suite on the ST² GPU and reports the per-kernel
-// thread misprediction rates of Figure 6 plus the recompute statistics
-// quoted in Section VI (1.94 average, 2.73 max). The Average row is
-// appended last.
+// Fig6 reports, from the ST² suite pass, the per-kernel thread
+// misprediction rates of Figure 6 plus the recompute statistics quoted
+// in Section VI (1.94 average, 2.73 max). The Average row is appended
+// last.
 func Fig6(cfg Config) ([]Fig6Row, error) {
-	rows := make([]Fig6Row, 23)
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		rs, _, err := cfg.runWorkload(w, gpusim.ST2Adders)
-		if err != nil {
-			return err
-		}
+	ps, err := cfg.suite(cfg.deviceConfig(gpusim.ST2Adders))
+	if err != nil {
+		return nil, err
+	}
+	ws := kernels.Suite()
+	rows := make([]Fig6Row, len(ws))
+	var rateSum, recompSum float64
+	maxRecomp := 0
+	for i, r := range ps[0].runs {
+		rs := r.stats
 		var merged Fig6Row
-		merged.Kernel = w.Name
+		merged.Kernel = ws[i].Name
 		merged.MissRate = rs.MispredictionRate()
 		var mean float64
 		var n float64
@@ -628,14 +481,6 @@ func Fig6(cfg Config) ([]Fig6Row, error) {
 		}
 		merged.CRFConflicts = rs.CRF.Conflicts
 		rows[i] = merged
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rateSum, recompSum float64
-	maxRecomp := 0
-	for _, merged := range rows {
 		rateSum += merged.MissRate
 		recompSum += merged.MeanRecompute
 		if merged.MaxRecompute > maxRecomp {
@@ -680,39 +525,31 @@ type Fig7Summary struct {
 	MaxSystemSavingKernel string
 }
 
-// Fig7 runs every kernel under both adder microarchitectures and prices
-// the activity with the power model.
+// Fig7 prices every kernel's baseline and ST² suite passes with the
+// power model.
 func Fig7(cfg Config) ([]Fig7Row, Fig7Summary, error) {
 	tbl, err := power.DefaultTable(circuit.SAED90())
 	if err != nil {
 		return nil, Fig7Summary{}, err
 	}
-	rows := make([]Fig7Row, 23)
-	err = cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		base, dBase, err := cfg.runWorkload(w, gpusim.BaselineAdders)
-		if err != nil {
-			return err
-		}
-		st2, dST2, err := cfg.runWorkload(w, gpusim.ST2Adders)
-		if err != nil {
-			return err
-		}
+	ps, err := cfg.suite(cfg.deviceConfig(gpusim.BaselineAdders), cfg.deviceConfig(gpusim.ST2Adders))
+	if err != nil {
+		return nil, Fig7Summary{}, err
+	}
+	base, st2 := ps[0], ps[1]
+	ws := kernels.Suite()
+	rows := make([]Fig7Row, len(ws))
+	var sum Fig7Summary
+	for i, w := range ws {
 		row := Fig7Row{
 			Kernel:   w.Name,
-			Baseline: power.FromRun(base, dBase.Prices(), tbl),
-			ST2:      power.FromRun(st2, dST2.Prices(), tbl),
+			Baseline: power.FromRun(base.runs[i].stats, base.runs[i].prices, tbl),
+			ST2:      power.FromRun(st2.runs[i].stats, st2.runs[i].prices, tbl),
 		}
 		row.SystemSaving = 1 - row.ST2.Total()/row.Baseline.Total()
 		row.ChipSaving = 1 - row.ST2.Chip()/row.Baseline.Chip()
 		row.ALUFPUShare = row.Baseline[power.CompALUFPU] / row.Baseline.Total()
 		rows[i] = row
-		return nil
-	})
-	if err != nil {
-		return nil, Fig7Summary{}, err
-	}
-	var sum Fig7Summary
-	for _, row := range rows {
 		sum.AvgSystemSaving += row.SystemSaving
 		sum.AvgChipSaving += row.ChipSaving
 		sum.AvgALUFPUShare += row.ALUFPUShare
@@ -750,43 +587,36 @@ type PerfRow struct {
 }
 
 // PerfOverhead reproduces the "execution time within 0.36% of baseline,
-// worst case 3.5%" analysis. The Average row is appended last.
+// worst case 3.5%" analysis from the baseline and ST² suite passes. The
+// Average row is appended last.
 func PerfOverhead(cfg Config) ([]PerfRow, error) {
-	rows := make([]PerfRow, 23)
-	err := cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		base, _, err := cfg.runWorkload(w, gpusim.BaselineAdders)
-		if err != nil {
-			return err
-		}
-		st2, _, err := cfg.runWorkload(w, gpusim.ST2Adders)
-		if err != nil {
-			return err
-		}
-		rows[i] = PerfRow{
-			Kernel:     w.Name,
-			BaseCycles: base.Cycles,
-			ST2Cycles:  st2.Cycles,
-			Slowdown:   float64(st2.Cycles)/float64(base.Cycles) - 1,
-		}
-		return nil
-	})
+	ps, err := cfg.suite(cfg.deviceConfig(gpusim.BaselineAdders), cfg.deviceConfig(gpusim.ST2Adders))
 	if err != nil {
 		return nil, err
 	}
+	base, st2 := ps[0], ps[1]
+	ws := kernels.Suite()
+	rows := make([]PerfRow, len(ws))
 	var sum float64
-	for _, row := range rows {
-		sum += row.Slowdown
+	for i, w := range ws {
+		b, s := base.runs[i].stats.Cycles, st2.runs[i].stats.Cycles
+		rows[i] = PerfRow{
+			Kernel:     w.Name,
+			BaseCycles: b,
+			ST2Cycles:  s,
+			Slowdown:   float64(s)/float64(b) - 1,
+		}
+		sum += rows[i].Slowdown
 	}
-	rows = append(rows, PerfRow{Kernel: "Average", Slowdown: sum / float64(len(rows))})
-	return rows, nil
+	return append(rows, PerfRow{Kernel: "Average", Slowdown: sum / float64(len(rows))}), nil
 }
 
 // --- Section V-C: power-model calibration and validation ---
 
 // PowerValidation reproduces the calibration workflow: run the 123
 // micro-stressors on the baseline device, "measure" them on the synthetic
-// silicon, solve Equation 1's factors, and validate on the 23-kernel
-// suite.
+// silicon, solve Equation 1's factors, and validate on the baseline
+// suite pass.
 func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, power.Model, error) {
 	tbl, err := power.DefaultTable(circuit.SAED90())
 	if err != nil {
@@ -799,16 +629,16 @@ func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, po
 	// blocks → 1..NumSMs busy SMs).
 	chipSMs := 2 * cfg.NumSMs
 
-	// The launches run on the forEach pool and are priced there; the
+	// The launches run on the runGrid pool and are priced there; the
 	// silicon's noise RNG is stateful, so measure calls it in index order
 	// after the pool joins, keeping the model and report bit-identical at
 	// any GOMAXPROCS.
-	sample := func(name string, rs *gpusim.RunStats, d *gpusim.Device) power.Sample {
+	sample := func(name string, r run) power.Sample {
 		return power.Sample{
 			Name:    name,
-			B:       power.FromRun(rs, d.Prices(), tbl),
-			Seconds: tbl.Seconds(rs),
-			IdleSMs: chipSMs - rs.SMsUsed,
+			B:       power.FromRun(r.stats, r.prices, tbl),
+			Seconds: tbl.Seconds(r.stats),
+			IdleSMs: chipSMs - r.stats.SMsUsed,
 		}
 	}
 	measure := func(ss []power.Sample) {
@@ -818,16 +648,16 @@ func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, po
 	}
 
 	train := make([]power.Sample, kernels.NumMicro)
-	err = forEach(kernels.NumMicro, func(i int) error {
+	err = runGrid(0, kernels.NumMicro, func(_, i int) error {
 		spec, err := kernels.Micro(i)
 		if err != nil {
 			return err
 		}
-		rs, d, err := cfg.runSpec(spec, cfg.deviceConfig(gpusim.BaselineAdders))
+		r, err := cfg.runSpec(spec, cfg.deviceConfig(gpusim.BaselineAdders), nil)
 		if err != nil {
 			return err
 		}
-		train[i] = sample(spec.Name, rs, d)
+		train[i] = sample(spec.Name, r)
 		return nil
 	})
 	if err != nil {
@@ -839,17 +669,14 @@ func PowerValidation(cfg Config, noiseSigma float64) (power.ValidationReport, po
 		return power.ValidationReport{}, power.Model{}, err
 	}
 
-	val := make([]power.Sample, len(kernels.Suite()))
-	err = cfg.forEachKernel(func(i int, w kernels.Workload) error {
-		rs, d, err := cfg.runWorkload(w, gpusim.BaselineAdders)
-		if err != nil {
-			return err
-		}
-		val[i] = sample(w.Name, rs, d)
-		return nil
-	})
+	ps, err := cfg.suite(cfg.deviceConfig(gpusim.BaselineAdders))
 	if err != nil {
 		return power.ValidationReport{}, power.Model{}, err
+	}
+	ws := kernels.Suite()
+	val := make([]power.Sample, len(ws))
+	for i, w := range ws {
+		val[i] = sample(w.Name, ps[0].runs[i])
 	}
 	measure(val)
 	rep, err := power.Validate(model, val)

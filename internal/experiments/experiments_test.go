@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"st2gpu/internal/gpusim"
+	"st2gpu/internal/kernels"
 	"st2gpu/internal/metrics/runlog"
 	"st2gpu/internal/power"
 	"st2gpu/internal/speculate"
@@ -375,7 +376,7 @@ func TestRunSuiteManifestAndProgress(t *testing.T) {
 		}
 		calls = append(calls, name)
 	}
-	rss, err := RunSuite(cfg, gpusim.ST2Adders, lg)
+	rss, err := RunSuite(cfg, kernels.Suite(), gpusim.ST2Adders, lg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,11 +10,10 @@ import (
 
 // SuiteStore makes the decoded suite store at path available for cfg —
 // the one way every CLI's -store flag reaches the file. When no file
-// exists there it builds one: the suite is recorded once (RecordSuite),
-// decoded once, and written atomically with opts, its store.encode span
-// going to cfg.Obs. A store that already exists must have been captured
-// under cfg's scale, SM count and seed, or the call fails with the
-// per-field Matches error.
+// exists there it writes cfg's decoded baseline suite pass there,
+// atomically with opts, its store.encode span going to cfg.Obs. A store
+// that already exists must have been captured under cfg's scale, SM
+// count and seed, or the call fails with the per-field Matches error.
 //
 // With load set it returns the whole decoded suite: the fresh decode
 // when it built the file, else every section of the file loaded on
@@ -28,7 +27,7 @@ func SuiteStore(cfg Config, path string, opts trace.StoreOptions, load bool) (*t
 	if !errors.Is(err, fs.ErrNotExist) {
 		return dec, err
 	}
-	if dec, err = decodeSuite(cfg); err != nil {
+	if dec, err = cfg.decoded(); err != nil {
 		return nil, err
 	}
 	opts.Tracer = cfg.Obs
