@@ -46,9 +46,15 @@ race:
 # CRF rows) against the per-lane oracle, the carry pass checks the
 # packed boundary carries (byte-gather and shift-walk paths) against
 # big.Int addition, the approximate-sum pass checks the one-addition
-# uncorrected sliced sum against its slice-by-slice oracle, and the
-# predictor pass drives every registry design's flat tables through
-# random warp streams and bounds against the map-backed predictors.
+# uncorrected sliced sum against its slice-by-slice oracle, the
+# predictor pass drives every registry design's bit-plane tables through
+# random warp streams, geometries and bounds against the map-backed
+# predictors, the plane pass holds the lane/plane transposes, the Peek
+# planes, both judges, the masked and shared updates and VaLHALLA's
+# majority count to their per-lane oracles for 1 to 63 boundaries, and
+# the assembler pass checks that isa.Parse never panics, that every
+# program it accepts validates, and that the program's text parses back
+# with the same instruction count.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
 	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
@@ -58,6 +64,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCarriesAgainstBigInt -fuzztime=5s ./internal/bitmath
 	$(GO) test -run='^$$' -fuzz=FuzzApproxSum -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzDesignWarp -fuzztime=5s ./internal/speculate
+	$(GO) test -run='^$$' -fuzz=FuzzPlanes -fuzztime=5s ./internal/speculate
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/isa
 
 # The scale-4 simulate pass checked against perfbench's pinned output
 # digests: the one bit-identity check at a scale where blocks retire and

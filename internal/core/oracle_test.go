@@ -115,13 +115,16 @@ type laneCRF struct {
 }
 
 func (c *laneCRF) predictWarp(pc, _ uint32, lanes *[WarpSize]laneOp, eff *[WarpSize]effOperands) [WarpSize]speculate.Prediction {
-	row := c.crf.ReadRow(pc, make([]uint64, WarpSize))
+	row := c.crf.ReadRow(pc, make([]uint32, c.geom.Boundaries()))
 	var out [WarpSize]speculate.Prediction
 	for l := 0; l < WarpSize; l++ {
 		if !lanes[l].active {
 			continue
 		}
-		hist := row[l] & c.geom.BoundaryMask()
+		var hist uint64
+		for b, p := range row {
+			hist |= uint64(p>>l&1) << b
+		}
 		if c.disablePeek {
 			out[l] = speculate.Prediction{Carries: hist}
 			continue
@@ -133,9 +136,16 @@ func (c *laneCRF) predictWarp(pc, _ uint32, lanes *[WarpSize]laneOp, eff *[WarpS
 }
 
 func (c *laneCRF) updateWarp(pc, _ uint32, _, mispred uint32, actual *[WarpSize]uint64) {
-	if mispred != 0 {
-		_ = c.crf.WriteBack(pc, mispred, actual[:])
+	if mispred == 0 {
+		return
 	}
+	planes := make([]uint32, c.geom.Boundaries())
+	for l, v := range actual {
+		for b := range planes {
+			planes[b] |= uint32(v>>b&1) << l
+		}
+	}
+	c.crf.WriteBack(pc, mispred, planes)
 }
 
 // lanePredictor drives a trace-level design through per-lane Predict and

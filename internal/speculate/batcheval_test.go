@@ -53,28 +53,32 @@ func TestPeekBitsMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPeekBitsWarpMatchesScalar checks the warp-batched Peek fills every
-// lane exactly as the scalar call would.
+// TestPeekBitsWarpMatchesScalar checks the Peek planes of a warp, full
+// or partial, against the scalar PeekBits of every active lane.
 func TestPeekBitsWarpMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := Geometry{Width: 64, SliceBits: 8}
-	n := 32
-	ea, eb := make([]uint64, n), make([]uint64, n)
-	for j := range ea {
-		ea[j], eb[j] = rng.Uint64(), rng.Uint64()
-	}
-	static, values := make([]uint64, n), make([]uint64, n)
-	PeekBitsWarp(g, ea, eb, static, values)
-	for j := range ea {
-		wantS, wantV := PeekBits(g, ea[j], eb[j])
-		if static[j] != wantS || values[j] != wantV {
-			t.Fatalf("lane %d: PeekBitsWarp = (%#x, %#x), scalar = (%#x, %#x)",
-				j, static[j], values[j], wantS, wantV)
+	nb := int(g.Boundaries())
+	for _, active := range []uint32{^uint32(0), 0x0000FFFF, 0x80000001, rng.Uint32()} {
+		n := bits.OnesCount32(active)
+		ea, eb := make([]uint64, n), make([]uint64, n)
+		for j := range ea {
+			ea[j], eb[j] = rng.Uint64(), rng.Uint64()
+		}
+		static, values := make([]uint32, nb), make([]uint32, nb)
+		PeekPlanes(g, active, ea, eb, static, values)
+		gotS, gotV := naiveLanes(active, static), naiveLanes(active, values)
+		for j := range ea {
+			wantS, wantV := PeekBits(g, ea[j], eb[j])
+			if gotS[j] != wantS || gotV[j] != wantV {
+				t.Fatalf("active %#x lane %d: PeekPlanes = (%#x, %#x), scalar = (%#x, %#x)",
+					active, j, gotS[j], gotV[j], wantS, wantV)
+			}
 		}
 	}
 }
 
-// TestOverlayPeekMatchesPeekPredictor pins OverlayPeek to the
+// TestOverlayPeekMatchesPeekPredictor pins the plane OverlayPeek to the
 // peekPredictor composition formula.
 func TestOverlayPeekMatchesPeekPredictor(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
@@ -82,12 +86,13 @@ func TestOverlayPeekMatchesPeekPredictor(t *testing.T) {
 		dyn, dynStatic := rng.Uint64()&0x7f, rng.Uint64()&0x7f
 		pkS, pkV := rng.Uint64()&0x7f, rng.Uint64()&0x7f
 		pkV &= pkS // values only exist on resolved boundaries
-		carries, static := []uint64{dyn}, []uint64{dynStatic}
-		OverlayPeek(carries, static, []uint64{pkS}, []uint64{pkV})
+		plane := func(v uint64) []uint32 { return naivePlanes(1, []uint64{v}, 7) }
+		pred, static := plane(dyn), plane(dynStatic)
+		OverlayPeek(pred, static, plane(pkS), plane(pkV))
 		wantC := (dyn &^ pkS) | pkV
 		wantS := dynStatic | pkS
-		if carries[0] != wantC || static[0] != wantS {
-			t.Fatalf("OverlayPeek = (%#x, %#x), want (%#x, %#x)", carries[0], static[0], wantC, wantS)
+		if got, gotS := naiveLanes(1, pred)[0], naiveLanes(1, static)[0]; got != wantC || gotS != wantS {
+			t.Fatalf("OverlayPeek = (%#x, %#x), want (%#x, %#x)", got, gotS, wantC, wantS)
 		}
 	}
 }
@@ -109,62 +114,55 @@ func TestSplitPeek(t *testing.T) {
 	}
 }
 
-// TestJudgeMissWarpMatchesScalar checks the branchless warp judge (both
-// the dense full-warp path and the sparse mask walk) against a direct
-// per-lane reference.
+// TestJudgeMissWarpMatchesScalar checks the plane miss judge, on full
+// and partial warps, against a direct per-lane reference.
 func TestJudgeMissWarpMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 2000; trial++ {
 		active := rng.Uint32()
 		if trial%4 == 0 {
-			active = ^uint32(0) // exercise the dense path
+			active = ^uint32(0)
 		}
 		if active == 0 {
 			active = 1
 		}
-		mask := bitmath.Mask(uint(1 + rng.Intn(7)))
+		nj := 1 + rng.Intn(7)
+		mask := bitmath.Mask(uint(nj))
 		n := bits.OnesCount32(active)
-		carries, static, actual := make([]uint64, n), make([]uint64, n), make([]uint64, n)
-		for j := 0; j < n; j++ {
-			carries[j] = rng.Uint64() & mask
-			static[j] = rng.Uint64() & mask
-			actual[j] = rng.Uint64() & mask
-		}
+		carries, static, actual := randomLanes(rng, n, 7), randomLanes(rng, n, 7), randomLanes(rng, n, 7)
 		var wantMispred uint32
-		var wantMissed uint64
 		j := 0
 		for m := active; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
 			if (carries[j]^actual[j])&mask&^static[j] != 0 {
 				wantMispred |= 1 << l
-				wantMissed++
 			}
 			j++
 		}
-		mispred, missed := JudgeMissWarp(active, mask, carries, static, actual)
-		if mispred != wantMispred || missed != wantMissed {
-			t.Fatalf("JudgeMissWarp(active=%#x) = (%#x, %d), want (%#x, %d)",
-				active, mispred, missed, wantMispred, wantMissed)
+		act := naivePlanes(active, actual, 7)
+		mispred := JudgeMiss(active, naivePlanes(active, carries, 7), naivePlanes(active, static, 7), act[:nj])
+		if mispred != wantMispred {
+			t.Fatalf("JudgeMiss(active=%#x) = %#x, want %#x", active, mispred, wantMispred)
 		}
 	}
 }
 
-// TestJudgeCorrWarpMatchesScalar checks the matched-boundary counter.
+// TestJudgeCorrWarpMatchesScalar checks the plane matched-boundary
+// counter against a direct per-lane reference.
 func TestJudgeCorrWarpMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 1000; trial++ {
-		nb := uint(1 + rng.Intn(7))
-		mask := bitmath.Mask(nb)
-		n := 1 + rng.Intn(32)
-		carries, actual := make([]uint64, n), make([]uint64, n)
+		nb := 1 + rng.Intn(7)
+		active := rng.Uint32() | 1
+		n := bits.OnesCount32(active)
+		carries, actual := randomLanes(rng, n, 7), randomLanes(rng, n, 7)
 		var want uint64
 		for j := 0; j < n; j++ {
-			carries[j] = rng.Uint64() & mask
-			actual[j] = rng.Uint64() & mask
-			want += uint64(nb) - uint64(bits.OnesCount64(carries[j]^actual[j]))
+			want += uint64(nb) - uint64(bits.OnesCount64((carries[j]^actual[j])&bitmath.Mask(uint(nb))))
 		}
-		if got := JudgeCorrWarp(nb, mask, carries, actual); got != want {
-			t.Fatalf("JudgeCorrWarp = %d, want %d", got, want)
+		act := naivePlanes(active, actual, 7)
+		if got := JudgeCorr(active, naivePlanes(active, carries, 7), act[:nb]); got != want {
+			t.Fatalf("JudgeCorr = %d, want %d", got, want)
 		}
 	}
 }

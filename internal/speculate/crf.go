@@ -2,6 +2,7 @@ package speculate
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"st2gpu/internal/bitmath"
@@ -51,8 +52,10 @@ func (s *CRFStats) Merge(o CRFStats) {
 
 // CRF models the per-SM Carry Register File of Section IV-C: a small
 // register file of Entries rows (indexed by the low PC bits), each holding
-// the packed boundary-carry history of all 32 warp lanes. The default
-// geometry is the paper's 16 × 224 bits (16 entries × 32 lanes × 7 bits).
+// the boundary-carry history of all 32 warp lanes as bit planes — one
+// lanes-wide word per boundary, bit l for lane l (planes.go). The default
+// geometry is the paper's 16 × 224 bits (16 entries × 7 boundaries × 32
+// lanes).
 //
 // Writes are staged per cycle: warps in the write-back stage of the same
 // cycle that target the same row contend for its single write port, and a
@@ -60,21 +63,21 @@ func (s *CRFStats) Merge(o CRFStats) {
 // paper's "random arbitration" with everyone else's update dropped.
 type CRF struct {
 	entries int
-	lanes   int
-	nb      uint // boundary bits per lane
+	lanes   uint32 // mask of the lanes a row holds
+	nb      int    // boundary planes per row
 
-	rows [][]uint64 // [entry][lane] → packed carries
+	rows []uint32 // row r's planes at rows[r·nb : (r+1)·nb]
 
 	cycle uint64
-	// staged[row] holds this cycle's candidate writes to row; their lane
-	// carries sit back to back in stagedCarries (lanes words each). Commit
+	// staged[row] holds this cycle's candidate writes to row; their
+	// planes sit back to back in stagedPlanes (nb words each). Commit
 	// truncates both instead of reallocating them, so once they have grown
 	// to a cycle's peak traffic, staging a write allocates nothing.
-	staged        [][]crfWrite
-	nStaged       int
-	stagedCarries []uint64
-	rng           *rand.Rand
-	stats         CRFStats
+	staged       [][]crfWrite
+	nStaged      int
+	stagedPlanes []uint32
+	rng          *rand.Rand
+	stats        CRFStats
 
 	rowReads    []uint64 // per-row read counts
 	rowDistinct []uint64 // per-row count of distinct PCs observed reading it
@@ -83,33 +86,30 @@ type CRF struct {
 
 type crfWrite struct {
 	laneMask uint32 // which lanes this warp updates (mispredicted threads)
-	off      int    // per-lane packed boundary carries at stagedCarries[off:off+lanes]
+	off      int    // its boundary planes at stagedPlanes[off:off+nb]
 }
 
 // NewCRF builds a CRF with the given geometry, read only at PCs below
 // pcs (the program length). Entries must be a power of two: Index
 // selects a row by masking the low PC bits, so any other row count would
-// silently alias rows instead of using them all. Seed fixes the
-// arbitration order so simulations are reproducible.
+// silently alias rows instead of using them all. A row holds at most 32
+// lanes and MaxBoundaries boundaries. Seed fixes the arbitration order so
+// simulations are reproducible.
 func NewCRF(entries, lanes int, boundaries uint, pcs int, seed int64) (*CRF, error) {
 	if entries <= 0 || entries&(entries-1) != 0 {
 		return nil, fmt.Errorf("speculate: CRF entry count %d not a power of two", entries)
 	}
-	if lanes <= 0 || boundaries == 0 || boundaries > 63 {
+	if lanes <= 0 || lanes > 32 || boundaries == 0 || boundaries > MaxBoundaries {
 		return nil, fmt.Errorf("speculate: bad CRF geometry %d×%d×%d", entries, lanes, boundaries)
 	}
 	if pcs <= 0 {
 		return nil, fmt.Errorf("speculate: CRF program length %d not positive", pcs)
 	}
-	rows := make([][]uint64, entries)
-	for i := range rows {
-		rows[i] = make([]uint64, lanes)
-	}
 	return &CRF{
 		entries:     entries,
-		lanes:       lanes,
-		nb:          boundaries,
-		rows:        rows,
+		lanes:       uint32(bitmath.Mask(uint(lanes))),
+		nb:          int(boundaries),
+		rows:        make([]uint32, entries*int(boundaries)),
 		staged:      make([][]crfWrite, entries),
 		rng:         rand.New(rand.NewSource(seed)),
 		rowReads:    make([]uint64, entries),
@@ -135,12 +135,15 @@ func (c *CRF) Entries() int { return c.entries }
 // exact because NewCRF rejects non-power-of-two entry counts.
 func (c *CRF) Index(pc uint32) int { return int(pc) & (c.entries - 1) }
 
-// ReadRow copies the committed history of the row holding pc into dst,
-// one word per lane up to len(dst), and returns the filled prefix of dst.
-// It counts as one 224-bit read port access and allocates nothing. Each
-// PC maps to exactly one row, so a PC's first read is one more distinct
-// PC for its row.
-func (c *CRF) ReadRow(pc uint32, dst []uint64) []uint64 {
+// row returns the planes of row idx.
+func (c *CRF) row(idx int) []uint32 { return c.rows[idx*c.nb : (idx+1)*c.nb] }
+
+// ReadRow copies the committed planes of the row holding pc into dst,
+// one word per boundary up to len(dst), and returns the filled prefix of
+// dst. It counts as one 224-bit read port access and allocates nothing.
+// Each PC maps to exactly one row, so a PC's first read is one more
+// distinct PC for its row.
+func (c *CRF) ReadRow(pc uint32, dst []uint32) []uint32 {
 	c.stats.Reads++
 	idx := c.Index(pc)
 	c.rowReads[idx]++
@@ -148,13 +151,17 @@ func (c *CRF) ReadRow(pc uint32, dst []uint64) []uint64 {
 		c.pcSeen[pc] = true
 		c.rowDistinct[idx]++
 	}
-	return dst[:copy(dst, c.rows[idx])]
+	return dst[:copy(dst, c.row(idx))]
 }
 
-// ReadLane returns one lane's committed history without charging a read
-// (helper for tests and trace tools).
+// ReadLane returns one lane's committed history, packed one bit per
+// boundary, without charging a read (helper for tests and trace tools).
 func (c *CRF) ReadLane(pc uint32, lane int) uint64 {
-	return c.rows[c.Index(pc)][lane] & bitmath.Mask(c.nb)
+	var v uint64
+	for b, p := range c.row(c.Index(pc)) {
+		v |= uint64(p>>lane&1) << b
+	}
+	return v
 }
 
 // BeginCycle advances the CRF clock, committing the previous cycle's
@@ -169,22 +176,24 @@ func (c *CRF) BeginCycle(cycle uint64) {
 }
 
 // WriteBack stages a warp's CRF update for the current cycle: for every
-// lane in laneMask, the lane's boundary-carry history becomes
-// carries[lane]. Lanes not in the mask are untouched (per-lane write
-// enables). Arbitration happens when the cycle advances (or Flush runs).
-func (c *CRF) WriteBack(pc uint32, laneMask uint32, carries []uint64) error {
+// lane in laneMask, the lane's boundary-carry history becomes its bits of
+// planes. Lanes not in the mask are untouched (per-lane write enables).
+// Boundaries past len(planes) are written zero, and planes past the
+// row's boundaries are dropped. Arbitration happens when the cycle
+// advances (or Flush runs).
+func (c *CRF) WriteBack(pc uint32, laneMask uint32, planes []uint32) {
 	if laneMask == 0 {
-		return nil // nothing mispredicted; hardware performs no write
-	}
-	if len(carries) != c.lanes {
-		return fmt.Errorf("speculate: write-back with %d lanes, CRF has %d", len(carries), c.lanes)
+		return // nothing mispredicted; hardware performs no write
 	}
 	row := c.Index(pc)
-	c.staged[row] = append(c.staged[row], crfWrite{laneMask: laneMask, off: len(c.stagedCarries)})
-	c.stagedCarries = append(c.stagedCarries, carries...)
+	off := len(c.stagedPlanes)
+	c.staged[row] = append(c.staged[row], crfWrite{laneMask: laneMask & c.lanes, off: off})
+	c.stagedPlanes = append(c.stagedPlanes, planes[:min(len(planes), c.nb)]...)
+	for len(c.stagedPlanes) < off+c.nb {
+		c.stagedPlanes = append(c.stagedPlanes, 0)
+	}
 	c.nStaged++
 	c.stats.WriteRequests++
-	return nil
 }
 
 // Flush commits all staged writes immediately (end of kernel).
@@ -207,17 +216,12 @@ func (c *CRF) commit() {
 			c.stats.Conflicts += uint64(len(cands) - 1)
 		}
 		w := cands[winner]
-		carries := c.stagedCarries[w.off : w.off+c.lanes]
 		c.stats.WritesCommitted++
-		for lane := 0; lane < c.lanes; lane++ {
-			if w.laneMask&(1<<lane) != 0 {
-				c.rows[row][lane] = carries[lane] & bitmath.Mask(c.nb)
-				c.stats.LaneBitsWritten += uint64(c.nb)
-			}
-		}
+		mergePlanes(c.row(row), c.stagedPlanes[w.off:w.off+c.nb], w.laneMask)
+		c.stats.LaneBitsWritten += uint64(c.nb) * uint64(bits.OnesCount32(w.laneMask))
 		c.staged[row] = cands[:0]
 	}
-	c.stagedCarries = c.stagedCarries[:0]
+	c.stagedPlanes = c.stagedPlanes[:0]
 	c.nStaged = 0
 }
 
@@ -234,15 +238,11 @@ func (c *CRF) Stats() CRFStats {
 
 // Reset clears history, staging, and statistics (kernel relaunch).
 func (c *CRF) Reset() {
-	for i := range c.rows {
-		for j := range c.rows[i] {
-			c.rows[i][j] = 0
-		}
-	}
+	clear(c.rows)
 	for i := range c.staged {
 		c.staged[i] = c.staged[i][:0]
 	}
-	c.stagedCarries = c.stagedCarries[:0]
+	c.stagedPlanes = c.stagedPlanes[:0]
 	c.nStaged = 0
 	c.stats = CRFStats{}
 	c.cycle = 0

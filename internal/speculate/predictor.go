@@ -111,26 +111,11 @@ func (s *staticPredictor) Reset()                       {}
 // PeekBits computes the statically-resolvable boundaries for the given
 // effective operands: boundary i (the carry out of slice i) is 0 when both
 // MSBs of slice i's operands are 0, and 1 when both are 1. Returns the
-// resolved mask and the resolved values. The per-boundary gather is
-// branchless (a boundary resolves exactly when the two MSBs agree, and
-// resolves to their AND), keeping the hot sweep path free of
-// data-dependent branches.
+// resolved mask and the resolved values. A boundary resolves exactly when
+// the two MSBs agree, and resolves to their AND, so both are one gather
+// of slice MSBs, with no data-dependent branch.
 func PeekBits(g Geometry, ea, eb uint64) (static, values uint64) {
-	agree := ^(ea ^ eb) // bit set where the operands' bits match
-	both := ea & eb     // bit set where they match at 1
-	if g.SliceBits == 8 {
-		// Boundary i's MSB sits at bit 8i+7 — exactly the byte MSBs,
-		// which one multiply-gather collects for all boundaries at once.
-		m := g.BoundaryMask()
-		return bitmath.GatherMSB8(agree) & m, bitmath.GatherMSB8(both) & m
-	}
-	nb := g.Boundaries()
-	for i := uint(0); i < nb; i++ {
-		msbPos := (i+1)*g.SliceBits - 1
-		static |= (agree >> msbPos & 1) << i
-		values |= (both >> msbPos & 1) << i
-	}
-	return static, values
+	return g.sliceMSBs(^(ea ^ eb)), g.sliceMSBs(ea & eb)
 }
 
 // peekPredictor wraps an inner predictor with the Peek filter: boundaries
@@ -140,6 +125,7 @@ type peekPredictor struct {
 	g     Geometry
 	inner Predictor
 	warp  WarpPredictor // AsWarp(inner)
+	pk    peekScratch
 }
 
 // WithPeek adds the Peek mechanism in front of inner.

@@ -1,11 +1,5 @@
 package speculate
 
-import (
-	"math/bits"
-
-	"st2gpu/internal/bitmath"
-)
-
 // Related-work baselines (Section VII of the paper).
 
 // CASA models "CASA: Correlation-aware speculative adders" (Liu, Tao,
@@ -29,17 +23,7 @@ func (c *CASA) Name() string { return "CASA" }
 // impossible when neither is, and CASA bets on propagation completing
 // when exactly one is) — which is the MSB gather of EA|EB.
 func (c *CASA) Predict(ctx Context) Prediction {
-	if c.G.SliceBits == 8 {
-		return Prediction{Carries: bitmath.GatherMSB8(ctx.EA|ctx.EB) & c.G.BoundaryMask()}
-	}
-	nb := c.G.Boundaries()
-	var carries uint64
-	or := ctx.EA | ctx.EB
-	for i := uint(0); i < nb; i++ {
-		msbPos := (i+1)*c.G.SliceBits - 1
-		carries |= (or >> msbPos & 1) << i
-	}
-	return Prediction{Carries: carries}
+	return Prediction{Carries: c.G.sliceMSBs(ctx.EA | ctx.EB)}
 }
 
 // Update implements Predictor (CASA is stateless).
@@ -48,26 +32,19 @@ func (c *CASA) Update(Context, uint64, bool) {}
 // Reset implements Predictor.
 func (c *CASA) Reset() {}
 
-// PredictWarp implements WarpPredictor: one gather per lane.
-func (c *CASA) PredictWarp(_, _, active, _ uint32, ea, eb, carries, static []uint64) {
-	if c.G.SliceBits == 8 {
-		mask := c.G.BoundaryMask()
-		n := bits.OnesCount32(active)
-		for j := 0; j < n; j++ {
-			carries[j] = bitmath.GatherMSB8(ea[j]|eb[j]) & mask
-			static[j] = 0
-		}
-		return
+// PredictWarp implements WarpPredictor: one gather per lane, then one
+// transpose into planes.
+func (c *CASA) PredictWarp(_, _, active, _ uint32, ea, eb []uint64, pred, static []uint32) {
+	var lanes [32]uint64
+	for j := range ea {
+		lanes[j] = c.G.sliceMSBs(ea[j] | eb[j])
 	}
-	n := bits.OnesCount32(active)
-	for j := 0; j < n; j++ {
-		pr := c.Predict(Context{EA: ea[j], EB: eb[j]})
-		carries[j], static[j] = pr.Carries, 0
-	}
+	LanesToPlanes(active, lanes[:len(ea)], pred)
+	clear(static)
 }
 
 // UpdateWarp implements WarpPredictor (CASA is stateless).
-func (c *CASA) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}
+func (c *CASA) UpdateWarp(_, _, _, _, _ uint32, _, _ []uint64, _ []uint32) {}
 
 // VLSA models "Variable latency speculative addition" (Verma, Brisk,
 // Ienne — DATE 2008): the original variable-latency adder. Its carry
@@ -95,12 +72,10 @@ func (v *VLSA) Update(Context, uint64, bool) {}
 func (v *VLSA) Reset() {}
 
 // PredictWarp implements WarpPredictor: all carries speculated zero.
-func (v *VLSA) PredictWarp(_, _, active, _ uint32, _, _, carries, static []uint64) {
-	n := bits.OnesCount32(active)
-	for j := 0; j < n; j++ {
-		carries[j], static[j] = 0, 0
-	}
+func (v *VLSA) PredictWarp(_, _, _, _ uint32, _, _ []uint64, pred, static []uint32) {
+	clear(pred)
+	clear(static)
 }
 
 // UpdateWarp implements WarpPredictor (VLSA is stateless).
-func (v *VLSA) UpdateWarp(_, _, _, _, _ uint32, _, _, _ []uint64) {}
+func (v *VLSA) UpdateWarp(_, _, _, _, _ uint32, _, _ []uint64, _ []uint32) {}

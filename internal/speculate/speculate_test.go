@@ -374,9 +374,32 @@ func TestCRFGeometryAndErrors(t *testing.T) {
 	if c.Index(0x123) != 3 {
 		t.Errorf("Index(0x123) = %d, want 3", c.Index(0x123))
 	}
-	if err := c.WriteBack(0, 1, make([]uint64, 5)); err == nil {
-		t.Error("lane-count mismatch should error")
+	for _, geo := range [][2]int{{33, 7}, {32, 64}} {
+		if _, err := NewCRF(16, geo[0], uint(geo[1]), 16, 1); err == nil {
+			t.Errorf("%d lanes × %d boundaries should error: a row is at most 32 lanes × %d planes",
+				geo[0], geo[1], MaxBoundaries)
+		}
 	}
+	// A write-back's planes past the row's boundaries are dropped, and
+	// missing ones write zero.
+	c.BeginCycle(1)
+	c.WriteBack(2, 1, []uint32{1, 0, 1, 1, 1, 1, 1, 1, 1})
+	c.BeginCycle(2)
+	if got := c.ReadLane(2, 0); got != 0x7D {
+		t.Errorf("9-plane write-back left %#x, want 0x7D", got)
+	}
+	c.WriteBack(2, 1, []uint32{0, 1})
+	c.BeginCycle(3)
+	if got := c.ReadLane(2, 0); got != 0x2 {
+		t.Errorf("2-plane write-back left %#x, want 0x2", got)
+	}
+}
+
+// lanePlanes packs lane values, from lane 0 up, into the CRF's 7 planes.
+func lanePlanes(lanes []uint64) []uint32 {
+	dense := make([]uint64, 32)
+	copy(dense, lanes)
+	return naivePlanes(^uint32(0), dense, 7)
 }
 
 func TestCRFReadWriteCycle(t *testing.T) {
@@ -385,9 +408,7 @@ func TestCRFReadWriteCycle(t *testing.T) {
 	carries[3] = 0x55
 	carries[7] = 0x2A
 	c.BeginCycle(1)
-	if err := c.WriteBack(5, 1<<3|1<<7, carries); err != nil {
-		t.Fatal(err)
-	}
+	c.WriteBack(5, 1<<3|1<<7, lanePlanes(carries))
 	// Write not yet committed within the same cycle.
 	if c.ReadLane(5, 3) != 0 {
 		t.Error("staged write visible before commit")
@@ -403,8 +424,8 @@ func TestCRFReadWriteCycle(t *testing.T) {
 	if c.ReadLane(21, 3) != 0x55 {
 		t.Error("PC aliasing into the same row failed")
 	}
-	row := c.ReadRow(5, make([]uint64, 32))
-	if row[3] != 0x55 || row[7] != 0x2A {
+	row := c.ReadRow(5, make([]uint32, 7))
+	if lanes := naiveLanes(^uint32(0), row); lanes[3] != 0x55 || lanes[7] != 0x2A {
 		t.Error("ReadRow wrong")
 	}
 	c.ReadRow(21, row)
@@ -423,9 +444,7 @@ func TestCRFReadWriteCycle(t *testing.T) {
 
 func TestCRFZeroMaskWriteIsFree(t *testing.T) {
 	c := NewDefaultCRF(testPCs, 1)
-	if err := c.WriteBack(0, 0, make([]uint64, 32)); err != nil {
-		t.Fatal(err)
-	}
+	c.WriteBack(0, 0, make([]uint32, 7))
 	if c.Stats().WriteRequests != 0 {
 		t.Error("zero-mask write should not count as a request")
 	}
@@ -435,13 +454,11 @@ func TestCRFZeroMaskWriteIsFree(t *testing.T) {
 // conflict is counted, and the loser's lanes are untouched.
 func TestCRFArbitration(t *testing.T) {
 	c := NewDefaultCRF(testPCs, 7)
-	w1 := make([]uint64, 32)
-	w2 := make([]uint64, 32)
-	w1[0] = 0x11
-	w2[0] = 0x22
+	w1 := lanePlanes([]uint64{0x11})
+	w2 := lanePlanes([]uint64{0x22})
 	c.BeginCycle(1)
-	_ = c.WriteBack(4, 1, w1)
-	_ = c.WriteBack(4, 1, w2)
+	c.WriteBack(4, 1, w1)
+	c.WriteBack(4, 1, w2)
 	c.BeginCycle(2)
 	got := c.ReadLane(4, 0)
 	if got != 0x11 && got != 0x22 {
@@ -454,8 +471,8 @@ func TestCRFArbitration(t *testing.T) {
 	// Different rows do not conflict.
 	c.Reset()
 	c.BeginCycle(1)
-	_ = c.WriteBack(1, 1, w1)
-	_ = c.WriteBack(2, 1, w2)
+	c.WriteBack(1, 1, w1)
+	c.WriteBack(2, 1, w2)
 	c.BeginCycle(2)
 	if c.Stats().Conflicts != 0 {
 		t.Error("writes to distinct rows should not conflict")
@@ -476,7 +493,7 @@ func TestCRFArbitrationDeterministic(t *testing.T) {
 				for l := range carries {
 					carries[l] = rng.Uint64() & 0x7F
 				}
-				_ = c.WriteBack(uint32(rng.Intn(16)), rng.Uint32(), carries)
+				c.WriteBack(uint32(rng.Intn(16)), rng.Uint32(), lanePlanes(carries))
 			}
 		}
 		c.Flush()
@@ -573,6 +590,27 @@ func TestHistory2AlternationHeuristic(t *testing.T) {
 	}
 }
 
+// Prev2 predicts the carries written two updates earlier, whatever the
+// last update wrote: on every boundary where the two histories agree
+// that is the agreed bit, and where they disagree it is the older one.
+func TestHistory2PredictsTwoUpdatesBack(t *testing.T) {
+	h, err := NewHistory2(HistoryConfig{Geometry: g64, Threads: ByLtid, AlwaysUpdate: true}, testBounds(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	ctx := Context{PC: 2, Ltid: 9}
+	written := []uint64{0, 0}
+	for i := 0; i < 200; i++ {
+		if got, want := h.Predict(ctx).Carries, written[len(written)-2]; got != want {
+			t.Fatalf("after %d updates: predicted %#x, want %#x written two updates earlier", i, got, want)
+		}
+		v := rng.Uint64() & g64.BoundaryMask()
+		h.Update(ctx, v, true)
+		written = append(written, v)
+	}
+}
+
 func TestHistory2InRegistry(t *testing.T) {
 	p, err := NewDesign("Ltid+Prev2+ModPC4+Peek", g64, testBounds(t))
 	if err != nil {
@@ -587,14 +625,13 @@ func TestHistory2InRegistry(t *testing.T) {
 // same CRF row, both win a non-trivial share of the commits.
 func TestCRFArbitrationFairness(t *testing.T) {
 	c := NewDefaultCRF(testPCs, 123)
-	w1 := make([]uint64, 32)
-	w2 := make([]uint64, 32)
-	w1[0], w2[0] = 0x11, 0x22
+	w1 := lanePlanes([]uint64{0x11})
+	w2 := lanePlanes([]uint64{0x22})
 	wins1, wins2 := 0, 0
 	for cyc := uint64(1); cyc <= 400; cyc++ {
 		c.BeginCycle(cyc)
-		_ = c.WriteBack(4, 1, w1)
-		_ = c.WriteBack(4, 1, w2)
+		c.WriteBack(4, 1, w1)
+		c.WriteBack(4, 1, w2)
 		c.BeginCycle(cyc + 1) // commit
 		switch c.ReadLane(4, 0) {
 		case 0x11:

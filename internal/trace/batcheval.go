@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"st2gpu/internal/bitmath"
 	"st2gpu/internal/core"
 	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
@@ -12,9 +11,11 @@ import (
 
 // This file is the design-batched evaluation path: one pass over a
 // decoded kernel's flat arrays scores every design of a batch, so each
-// warp record's operands, true boundary carries and Peek masks are
-// loaded/computed once and amortized across the design dimension.
-// Correctness rests on two invariants:
+// warp record's true boundary carries and Peek planes are transposed
+// once and shared across the design dimension. Carries travel as bit
+// planes (speculate's planes.go): one uint32 per boundary, bit l for
+// lane l, so a design's predict, judge and update cost a few word
+// operations per boundary. Correctness rests on two invariants:
 //
 //   - Per-design predictor state is fully independent, so iterating
 //     record-major (all designs per record) produces bit-identical
@@ -23,10 +24,13 @@ import (
 //     TestDecodedEvalMatchesMeterReplay holds these evaluators to) —
 //     each design still observes the records in stream order with its
 //     own pre-update state.
-//   - The Peek overlay is hoisted: PeekBitsWarp computes each lane's
-//     statically-resolved boundaries once per record, and OverlayPeek
-//     applies exactly the peekPredictor composition per design, so
-//     stripping the Peek wrapper (SplitPeek) changes nothing bit-wise.
+//   - The Peek overlay is hoisted: PeekPlanes computes each record's
+//     statically-resolved boundaries once, and each Peek design applies
+//     them exactly as the peekPredictor composes them, so stripping the
+//     Peek wrapper (SplitPeek) changes nothing bit-wise. Peek's values
+//     planes matter only to the correlation judge: a static boundary is
+//     never judged for a miss, and the approximate sum takes the true
+//     carry there.
 
 // warpRec is the canonical flat form of one warp-synchronous record: the
 // lane masks plus per-active-lane operands, exact sums and (unmasked)
@@ -41,19 +45,40 @@ type warpRec struct {
 	carries     []uint64 // 7-boundary carry-outs, kind mask applied at eval
 }
 
-// evalScratch is the per-evaluator lane scratch reused across records.
-type evalScratch struct {
-	carries, static, actual [32]uint64
+// nbMax is the boundary count of the evaluators' 64-bit geometry.
+const nbMax = 7
+
+// batchScratch is one evaluator's per-record planes, reused across
+// records: the record's true carries and Peek planes, and one design's
+// prediction.
+type batchScratch struct {
+	actual, pkStatic, pkValues [nbMax]uint32
+	pred, static               [nbMax]uint32
 }
 
-// nonZeroBit returns 1 when x != 0 and 0 otherwise, without a branch.
-func nonZeroBit(x uint64) uint64 { return (x | -x) >> 63 }
+// record transposes r's true carries, and with peek its Peek static
+// planes (and with values its values planes), into s.
+func (s *batchScratch) record(r *warpRec, peek, values bool) {
+	speculate.LanesToPlanes(r.active, r.carries, s.actual[:])
+	if !peek {
+		return
+	}
+	var pkV []uint32
+	if values {
+		pkV = s.pkValues[:]
+	}
+	speculate.PeekPlanes(g64, r.active, r.ea, r.eb, s.pkStatic[:], pkV)
+}
 
-// batchScratch is reused across records; all slices index by compacted
-// lane position j (the j-th set bit of active).
-type batchScratch struct {
-	eval               evalScratch
-	pkStatic, pkValues [32]uint64
+// predict runs design p on r into s.pred and s.static, adding the
+// record's Peek static planes when the design is Peek-filtered.
+func (s *batchScratch) predict(p speculate.WarpPredictor, peeked bool, r *warpRec) {
+	p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, s.pred[:], s.static[:])
+	if peeked {
+		for b, m := range s.pkStatic {
+			s.static[b] |= m
+		}
+	}
 }
 
 // bounds returns the PCs and the global thread count k's records
@@ -103,24 +128,13 @@ func (k *DecodedKernel) EvalMissBatch(designs []string) ([]stats.Rate, error) {
 	miss := make([]stats.Rate, len(designs))
 	var s batchScratch
 	k.each(func(r *warpRec) {
-		mask := bitmath.Mask(boundariesOf(r.kind))
-		n := len(r.ea)
-		actual := s.eval.actual[:n]
-		for j := 0; j < n; j++ {
-			actual[j] = r.carries[j] & mask
-		}
-		pkS, pkV := s.pkStatic[:n], s.pkValues[:n]
-		if anyPeek {
-			speculate.PeekBitsWarp(g64, r.ea, r.eb, pkS, pkV)
-		}
-		carries, static := s.eval.carries[:n], s.eval.static[:n]
+		s.record(r, anyPeek, false)
+		actual := s.actual[:boundariesOf(r.kind)]
+		n := uint64(len(r.ea))
 		for d, p := range inner {
-			p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-			if peeked[d] {
-				speculate.OverlayPeek(carries, static, pkS, pkV)
-			}
-			mispred, missed := speculate.JudgeMissWarp(r.active, mask, carries, static, actual)
-			miss[d].Add(missed, uint64(n))
+			s.predict(p, peeked[d], r)
+			mispred := speculate.JudgeMiss(r.active, s.pred[:], s.static[:], actual)
+			miss[d].Add(uint64(bits.OnesCount32(mispred)), n)
 			p.UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, actual)
 		}
 	})
@@ -138,25 +152,16 @@ func (k *DecodedKernel) EvalCorrBatch(designs []string) ([]stats.Rate, error) {
 	match := make([]stats.Rate, len(designs))
 	var s batchScratch
 	k.each(func(r *warpRec) {
+		s.record(r, anyPeek, true)
 		nb := boundariesOf(r.kind)
-		mask := bitmath.Mask(nb)
-		n := len(r.ea)
-		actual := s.eval.actual[:n]
-		for j := 0; j < n; j++ {
-			actual[j] = r.carries[j] & mask
-		}
-		pkS, pkV := s.pkStatic[:n], s.pkValues[:n]
-		if anyPeek {
-			speculate.PeekBitsWarp(g64, r.ea, r.eb, pkS, pkV)
-		}
-		carries, static := s.eval.carries[:n], s.eval.static[:n]
+		actual := s.actual[:nb]
+		n := uint64(len(r.ea))
 		for d, p := range inner {
-			p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+			p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, s.pred[:], s.static[:])
 			if peeked[d] {
-				speculate.OverlayPeek(carries, static, pkS, pkV)
+				speculate.OverlayPeek(s.pred[:], s.static[:], s.pkStatic[:], s.pkValues[:])
 			}
-			matched := speculate.JudgeCorrWarp(nb, mask, carries, actual)
-			match[d].Add(matched, uint64(nb)*uint64(n))
+			match[d].Add(speculate.JudgeCorr(r.active, s.pred[:], actual), uint64(nb)*n)
 			p.UpdateWarp(r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, actual)
 		}
 	})
@@ -175,33 +180,28 @@ func (k *DecodedKernel) EvalApproxBatch(designs []string) ([]ApproxResult, error
 	wrong := make([]stats.Rate, len(designs))
 	relErr := make([]runningMean, len(designs))
 	var s batchScratch
+	var usedPlanes [nbMax]uint32
+	var used [32]uint64
 	k.each(func(r *warpRec) {
+		s.record(r, anyPeek, false)
 		width := widthOf(r.kind)
-		mask := bitmath.Mask(bitmath.NumSlices(width, 8) - 1)
+		actual := s.actual[:boundariesOf(r.kind)]
 		n := len(r.ea)
-		actual := s.eval.actual[:n]
-		for j := 0; j < n; j++ {
-			actual[j] = r.carries[j] & mask
-		}
-		pkS, pkV := s.pkStatic[:n], s.pkValues[:n]
-		if anyPeek {
-			speculate.PeekBitsWarp(g64, r.ea, r.eb, pkS, pkV)
-		}
-		carries, static := s.eval.carries[:n], s.eval.static[:n]
 		for d, p := range inner {
-			p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-			if peeked[d] {
-				speculate.OverlayPeek(carries, static, pkS, pkV)
+			s.predict(p, peeked[d], r)
+			mispred := speculate.JudgeMiss(r.active, s.pred[:], s.static[:], actual)
+			// Each slice adds with its predicted carry-in, or the true
+			// one where the boundary is static; boundaries past the
+			// kind's slices fall outside the width.
+			for b, a := range actual {
+				usedPlanes[b] = s.pred[b]&^s.static[b] | a&s.static[b]
 			}
-			var mispred uint32
+			speculate.PlanesToLanes(r.active, usedPlanes[:len(actual)], used[:n])
 			var wrongResults uint64
 			j := 0
 			for m := r.active; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros32(m)
-				used := (carries[j] &^ static[j]) | (actual[j] & static[j])
-				got := approxSum(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used)
-				mispred |= uint32(nonZeroBit((carries[j]^actual[j])&mask&^static[j])) << l
-				if got != r.sum[j] {
+				if got := approxSum(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used[j]); got != r.sum[j] {
 					wrongResults++
 					relErr[d].addRelative(got, r.sum[j])
 				}

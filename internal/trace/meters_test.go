@@ -106,7 +106,6 @@ func (b *kernelBuilder) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, o
 type warpScratch struct {
 	rec                  warpRec
 	ea, eb, sum, carries [32]uint64
-	eval                 evalScratch
 }
 
 func (w *warpScratch) compact(kind core.UnitKind, pc, base uint32, ops *[32]laneOp) *warpRec {
@@ -130,41 +129,79 @@ func (w *warpScratch) compact(kind core.UnitKind, pc, base uint32, ops *[32]lane
 	return &w.rec
 }
 
+// predictLanes runs one design's plane PredictWarp on r and unpacks
+// each active lane's prediction and static mask, a bit at a time, into
+// ascending-lane order.
+func predictLanes(p speculate.Predictor, r *warpRec) (carries, static [32]uint64) {
+	var pred, st [nbMax]uint32
+	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, pred[:], st[:])
+	j := 0
+	for m := r.active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		for b := range pred {
+			carries[j] |= uint64(pred[b]>>l&1) << b
+			static[j] |= uint64(st[b]>>l&1) << b
+		}
+		j++
+	}
+	return carries, static
+}
+
+// updateLanes packs each active lane's (kind-masked) true carries into
+// all seven planes, a bit at a time, and delivers them to one design.
+func updateLanes(p speculate.Predictor, r *warpRec, mispred uint32, actual []uint64) {
+	var planes [nbMax]uint32
+	j := 0
+	for m := r.active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		for b := range planes {
+			planes[b] |= uint32(actual[j]>>b&1) << l
+		}
+		j++
+	}
+	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, planes[:])
+}
+
 // dseStep evaluates one design on one warp record with Figure 5
 // semantics: predictions for every lane come from the pre-update state,
 // a lane mispredicts when any non-Peek boundary was speculated wrong,
-// and mispredicting lanes write back. The judge loop is branchless.
-func dseStep(p speculate.Predictor, miss *stats.Rate, r *warpRec, s *evalScratch) {
+// and mispredicting lanes write back.
+func dseStep(p speculate.Predictor, miss *stats.Rate, r *warpRec) {
 	mask := bitmath.Mask(boundariesOf(r.kind))
-	n := len(r.ea)
-	carries, static := s.carries[:n], s.static[:n]
-	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-	actual := s.actual[:n]
-	for j := 0; j < n; j++ {
+	carries, static := predictLanes(p, r)
+	var actual [32]uint64
+	var mispred uint32
+	var missed uint64
+	j := 0
+	for m := r.active; m != 0; m &= m - 1 {
 		actual[j] = r.carries[j] & mask
+		if (carries[j]^actual[j])&mask&^static[j] != 0 {
+			mispred |= 1 << bits.TrailingZeros32(m)
+			missed++
+		}
+		j++
 	}
-	mispred, missed := speculate.JudgeMissWarp(r.active, mask, carries, static, actual)
-	miss.Add(missed, uint64(n))
-	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
+	miss.Add(missed, uint64(j))
+	updateLanes(p, r, mispred, actual[:j])
 }
 
 // corrStep evaluates one Figure 3 scheme on one warp record: per-boundary
 // match tallies against the pre-update history, then every active lane
 // writes back (the correlation analysis compares with the immediately
 // preceding operation, so history updates unconditionally).
-func corrStep(p speculate.Predictor, match *stats.Rate, r *warpRec, s *evalScratch) {
+func corrStep(p speculate.Predictor, match *stats.Rate, r *warpRec) {
 	nb := boundariesOf(r.kind)
 	mask := bitmath.Mask(nb)
-	n := len(r.ea)
-	carries, static := s.carries[:n], s.static[:n]
-	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
-	actual := s.actual[:n]
-	for j := 0; j < n; j++ {
+	carries, _ := predictLanes(p, r)
+	var actual [32]uint64
+	var matched uint64
+	for j := range r.carries {
 		actual[j] = r.carries[j] & mask
+		matched += uint64(nb) - uint64(bits.OnesCount64((carries[j]^actual[j])&mask))
 	}
-	matched := speculate.JudgeCorrWarp(nb, mask, carries, actual)
+	n := len(r.carries)
 	match.Add(matched, uint64(nb)*uint64(n))
-	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, r.active, r.cin, r.ea, r.eb, s.actual[:n])
+	updateLanes(p, r, r.active, actual[:n])
 }
 
 // approxStep evaluates one design on one warp record with the
@@ -173,30 +210,30 @@ func corrStep(p speculate.Predictor, match *stats.Rate, r *warpRec, s *evalScrat
 // uncorrected result is compared against the exact sum. relErr
 // accumulates in ascending lane order (floating-point sums are
 // order-sensitive).
-func approxStep(p speculate.Predictor, wrong *stats.Rate, relErr *runningMean, r *warpRec, s *evalScratch) {
+func approxStep(p speculate.Predictor, wrong *stats.Rate, relErr *runningMean, r *warpRec) {
 	width := widthOf(r.kind)
 	mask := bitmath.Mask(bitmath.NumSlices(width, 8) - 1)
-	n := len(r.ea)
-	carries, static := s.carries[:n], s.static[:n]
-	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, carries, static)
+	carries, static := predictLanes(p, r)
+	var actual [32]uint64
 	var mispred uint32
 	var wrongResults uint64
 	j := 0
 	for m := r.active; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
-		actual := r.carries[j] & mask
-		s.actual[j] = actual
-		used := (carries[j] &^ static[j]) | (actual & static[j] & mask)
+		actual[j] = r.carries[j] & mask
+		used := (carries[j] &^ static[j]) | (actual[j] & static[j] & mask)
 		got := approxSumSlices(r.ea[j], r.eb[j], uint(r.cin>>l&1), width, used)
-		mispred |= uint32(nonZeroBit((carries[j]^actual)&mask&^static[j])) << l
+		if (carries[j]^actual[j])&mask&^static[j] != 0 {
+			mispred |= 1 << l
+		}
 		if got != r.sum[j] {
 			wrongResults++
 			relErr.addRelative(got, r.sum[j])
 		}
 		j++
 	}
-	wrong.Add(wrongResults, uint64(n))
-	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, s.actual[:n])
+	wrong.Add(wrongResults, uint64(j))
+	updateLanes(p, r, mispred, actual[:j])
 }
 
 // CorrMeter measures, for each Figure 3 scheme, the fraction of boundary
@@ -230,7 +267,7 @@ func NewCorrMeter(b speculate.Bounds) (*CorrMeter, error) {
 func (m *CorrMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]laneOp) {
 	r := m.scratch.compact(kind, pc, gtidBase, ops)
 	for _, d := range Fig3Designs {
-		corrStep(m.preds[d], m.match[d], r, &m.scratch.eval)
+		corrStep(m.preds[d], m.match[d], r)
 	}
 }
 
@@ -300,7 +337,7 @@ func NewDSEMeter(designs []string, b speculate.Bounds) (*DSEMeter, error) {
 func (m *DSEMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]laneOp) {
 	r := m.scratch.compact(kind, pc, gtidBase, ops)
 	for _, d := range m.Designs {
-		dseStep(m.preds[d], m.miss[d], r, &m.scratch.eval)
+		dseStep(m.preds[d], m.miss[d], r)
 	}
 }
 
@@ -363,7 +400,7 @@ func NewApproxMeter(designs []string, b speculate.Bounds) (*ApproxMeter, error) 
 func (m *ApproxMeter) TraceWarpAdds(kind core.UnitKind, pc, gtidBase uint32, ops *[32]laneOp) {
 	r := m.scratch.compact(kind, pc, gtidBase, ops)
 	for _, d := range m.Designs {
-		approxStep(m.preds[d], m.wrong[d], m.relErr[d], r, &m.scratch.eval)
+		approxStep(m.preds[d], m.wrong[d], m.relErr[d], r)
 	}
 }
 
