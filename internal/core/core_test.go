@@ -271,6 +271,39 @@ func TestCRFSharingAcrossWarps(t *testing.T) {
 	}
 }
 
+// A unit with 4-bit slices has 15 boundaries but the CRF row keeps 7
+// planes: the CRF speculator predicts its history for the first 7 and
+// zero for the rest, and a write-back keeps only the first 7.
+func TestCRFSpeculatorNarrowSlices(t *testing.T) {
+	geom := speculate.Geometry{Width: 64, SliceBits: 4}
+	crf := speculate.NewDefaultCRF(1, 6)
+	spec := &CRFSpeculator{CRF: crf, Geom: geom, DisablePeek: true}
+	nb := int(geom.Boundaries())
+	pred, static := make([]uint32, nb), make([]uint32, nb)
+	ones := make([]uint32, nb)
+	for b := range ones {
+		pred[b], static[b], ones[b] = ^uint32(0), ^uint32(0), ^uint32(0)
+	}
+	spec.PredictWarp(0, 0, ^uint32(0), 0, nil, nil, pred, static)
+	for b := range pred {
+		if pred[b] != 0 || static[b] != 0 {
+			t.Fatalf("cold plane %d: pred %#x static %#x, want 0", b, pred[b], static[b])
+		}
+	}
+	spec.UpdateWarp(0, 0, ^uint32(0), ^uint32(0), 0, nil, nil, ones)
+	crf.Flush()
+	spec.PredictWarp(0, 0, ^uint32(0), 0, nil, nil, pred, static)
+	for b, p := range pred {
+		want := uint32(0)
+		if b < 7 {
+			want = ^uint32(0)
+		}
+		if p != want {
+			t.Errorf("trained plane %d = %#x, want %#x", b, p, want)
+		}
+	}
+}
+
 func TestUnitStatsAggregation(t *testing.T) {
 	u := newTestUnit(t, ALU)
 	spec := speculate.AsWarp(speculate.NewStaticZero(u.Geometry()))
