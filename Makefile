@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint lint-clean race fuzz-smoke pinned examples check bench
+.PHONY: build test vet lint lint-clean race fuzz-smoke pinned examples check bench loc
 
 build:
 	$(GO) build ./...
@@ -34,9 +34,9 @@ race:
 	$(GO) test -race ./...
 
 # Short fuzz pass over the binary readers (one -fuzz pattern per `go
-# test` invocation): the columnar decoded-store reader (the one on-disk
-# trace format) and the shard workers' partial reader, OpenStore plus
-# LoadKernels on a file. Seed corpora (valid, truncated, and
+# test` invocation): the full columnar decoded-store file reader (the
+# one on-disk trace format) and the shard workers' partial reader,
+# OpenStore plus LoadKernels on a file. Seed corpora (valid, truncated, and
 # oversized-declaration inputs) plus a few seconds of mutation must never
 # panic, over-allocate, round-trip unstably, or load a kernel that differs
 # from the full read's. The paged-memory pass replays random op streams
@@ -57,7 +57,7 @@ race:
 # with the same instruction count.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzMemory -fuzztime=5s ./internal/gpusim
-	$(GO) test -run='^$$' -fuzz=FuzzReadDecoded -fuzztime=5s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzReadStoreFile -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzOpenStore -fuzztime=5s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzSlicedAdderExecute -fuzztime=5s ./internal/adder
 	$(GO) test -run='^$$' -fuzz=FuzzUnitExecuteWarp -fuzztime=5s ./internal/core
@@ -106,3 +106,10 @@ check: vet lint race fuzz-smoke pinned examples
 
 bench:
 	$(GO) test -bench=. -benchmem
+
+# The size of the program, as one number: non-test .go lines outside
+# perfbench/ (its own module), testdata/ (analyzer fixtures) and the
+# dot-directories (.git/ and the build caches).
+loc:
+	@find . \( -path './.?*' -o -path ./perfbench -o -name testdata \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l

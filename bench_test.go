@@ -338,7 +338,7 @@ func BenchmarkCRFWarpOp(b *testing.B) {
 		b.Fatal(err)
 	}
 	crf := speculate.NewDefaultCRF(16, 1)
-	spec := &core.CRFSpeculator{CRF: crf, Geom: unit.Geometry()}
+	spec := speculate.WithPeek(unit.Geometry(), crf)
 	ea, eb := make([]uint64, core.WarpSize), make([]uint64, core.WarpSize)
 	for l := range ea {
 		ea[l], eb[l] = uint64(l)*37, 11

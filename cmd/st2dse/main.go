@@ -11,19 +11,13 @@
 // simulates and decodes the suite once and saves the decoded form as a
 // columnar st2gpu.decoded store; later runs load the flat arrays with no
 // simulation and no varint decoding at all — both are paid once, ever.
-//
-// -shards distributes the sweep: the coordinator spawns N worker
-// subprocesses (this same binary with -shard-worker), each of which
-// opens the -store file and partially loads ONLY the kernel sections
-// its cells name, and folds their integer cell counters in the fixed
-// suite × design order — rows stay bit-identical to the in-process
-// sweep at any (shards × sweep-workers) combination.
+// To distribute the sweep over worker processes, run st2shard on the
+// same store.
 //
 // Usage:
 //
 //	st2dse [-scale N] [-sms N] [-sweep-workers N]  # Figure 5 sweep
 //	st2dse -store suite.decoded            # decode once, load thereafter
-//	st2dse -store suite.decoded -shards 4  # distribute over 4 worker processes
 //	st2dse -widths                         # slice-width characterization
 package main
 
@@ -31,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 
 	"st2gpu/internal/experiments"
 	"st2gpu/internal/metrics"
@@ -53,17 +46,8 @@ func main() {
 		recCap   = flag.Uint64("record-max-bytes", 0, "per-kernel recording byte cap (0 = default 1 GiB)")
 		workers  = flag.Int("sweep-workers", 0, "worker pool for the (kernel × design) sweep grid (0 = GOMAXPROCS, 1 = sequential; results identical at any count)")
 		traceOut = flag.String("trace-out", "", "write a Chrome trace-event JSON timeline of the run to this file")
-		shards   = flag.Int("shards", 0, "distribute the sweep over this many worker subprocesses (requires -store; results identical to in-process)")
-		shardW   = flag.Bool("shard-worker", false, "serve as a sweep shard worker on stdin/stdout (spawned by -shards; not for interactive use)")
 	)
 	flag.Parse()
-
-	if *shardW {
-		if err := experiments.ServeShardWorker(os.Stdin, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	// One process-wide registry: the debug endpoint and the experiment
 	// pipeline share it, so /metrics sees sweep-cell histograms accumulate.
@@ -121,18 +105,12 @@ func main() {
 
 	var rows []experiments.Fig5Row
 	var err error
-	switch {
-	case *shards > 0:
-		if *store == "" {
-			fatal(fmt.Errorf("-shards needs -store: shard workers load their kernel sections from the store file"))
-		}
-		rows, err = sweepSharded(cfg, *store, *shards)
-	case *store != "":
+	if *store != "" {
 		var dec *trace.Decoded
 		if dec, err = experiments.SuiteStore(cfg, *store, trace.StoreOptions{}, true); err == nil {
 			rows, err = experiments.Fig5FromDecoded(cfg, dec, nil)
 		}
-	default:
+	} else {
 		rows, err = experiments.Fig5(cfg, nil)
 	}
 	if err != nil {
@@ -147,28 +125,6 @@ func main() {
 		tbl.SortBy(1)
 	}
 	printTable(tbl, *format)
-}
-
-// sweepSharded distributes the Figure 5 sweep over shard worker
-// subprocesses (this same binary re-run with -shard-worker), each
-// loading only its assigned kernels' sections from the store. Rows are
-// bit-identical to the in-process sweep.
-func sweepSharded(cfg experiments.Config, storePath string, shards int) ([]experiments.Fig5Row, error) {
-	if _, err := experiments.SuiteStore(cfg, storePath, trace.StoreOptions{}, false); err != nil {
-		return nil, err
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	conns, err := experiments.SpawnWorkers(shards, func() *exec.Cmd {
-		return exec.Command(exe, "-shard-worker")
-	})
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(os.Stderr, "st2dse: sweeping over %d shard workers from %s\n", shards, storePath)
-	return experiments.Fig5Sharded(cfg, storePath, nil, conns, experiments.ShardOptions{})
 }
 
 func printTable(t *report.Table, format string) {

@@ -48,7 +48,7 @@ func main() {
 	// bits index the CRF row.
 	const pc = 3
 	crf := speculate.NewDefaultCRF(pc+1, 42)
-	spec := &core.CRFSpeculator{CRF: crf, Geom: unit.Geometry()}
+	spec := speculate.WithPeek(unit.Geometry(), crf)
 
 	// 3. Execute a warp-wide loop: every lane accumulates a stride —
 	// the "consecutive operations from the same code location are highly

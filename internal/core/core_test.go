@@ -125,7 +125,7 @@ func fullWarp(u *Unit, op adder.Op, f func(l int) (uint64, uint64)) (active, cin
 
 // mispredicts runs one warp add and returns its stall flag and how many
 // of its lanes mispredicted.
-func mispredicts(u *Unit, spec Speculator, pc, gtidBase, active, cin uint32, ea, eb []uint64) (bool, uint64) {
+func mispredicts(u *Unit, spec speculate.Predictor, pc, gtidBase, active, cin uint32, ea, eb []uint64) (bool, uint64) {
 	before := u.Stats().ThreadMispredicts
 	_, stall := u.ExecuteWarp(spec, pc, gtidBase, active, cin, ea, eb)
 	return stall, u.Stats().ThreadMispredicts - before
@@ -136,7 +136,7 @@ func mispredicts(u *Unit, spec Speculator, pc, gtidBase, active, cin uint32, ea,
 func TestExecuteWarpExact(t *testing.T) {
 	u := newTestUnit(t, ALU)
 	crf := speculate.NewDefaultCRF(64, 1)
-	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
+	spec := speculate.WithPeek(u.Geometry(), crf)
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		op := adder.Add
@@ -170,7 +170,7 @@ func TestExecuteWarpExact(t *testing.T) {
 
 func TestExecuteWarpInactiveLanes(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	spec := speculate.AsWarp(speculate.NewStaticZero(u.Geometry()))
+	spec := speculate.NewStaticZero(u.Geometry())
 	sums, _ := u.ExecuteWarp(spec, 0, 0, 1<<3, 0, []uint64{5}, []uint64{7})
 	if len(sums) != 1 || sums[0] != 12 || u.Stats().ThreadOps != 1 {
 		t.Errorf("partial warp wrong: sums %v, stats %+v", sums, u.Stats())
@@ -186,7 +186,7 @@ func TestExecuteWarpInactiveLanes(t *testing.T) {
 // take 2 cycles; zero mispredictions take 1.
 func TestWarpStallSemantics(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	spec := speculate.AsWarp(speculate.NewStaticZero(u.Geometry()))
+	spec := speculate.NewStaticZero(u.Geometry())
 	// Operands with no boundary carries and MSBs clear: staticZero never
 	// wrong → 1 cycle. (Low slice-MSBs avoid carries entirely.)
 	active, cin, ea, eb := fullWarp(u, adder.Add, func(l int) (uint64, uint64) { return 0x01, 0x02 })
@@ -218,13 +218,12 @@ func TestPeekAccounting(t *testing.T) {
 	// boundary carries 1 and Peek resolves it to 1.
 	const x = 0x8080808080808080
 	active, cin, ea, eb := fullWarp(u, adder.Add, func(int) (uint64, uint64) { return x, x })
-	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
+	spec := speculate.WithPeek(u.Geometry(), crf)
 	if stall, mis := mispredicts(u, spec, 0, 0, active, cin, ea, eb); stall || mis != 0 {
 		t.Errorf("peek-resolved boundaries mispredicted: stall %v, %d lanes", stall, mis)
 	}
 	u.ResetStats()
-	specNoPeek := &CRFSpeculator{CRF: crf, Geom: u.Geometry(), DisablePeek: true}
-	if stall, mis := mispredicts(u, specNoPeek, 0, 0, active, cin, ea, eb); !stall || mis != 32 {
+	if stall, mis := mispredicts(u, crf, 0, 0, active, cin, ea, eb); !stall || mis != 32 {
 		t.Errorf("cold CRF without Peek: stall %v, %d lanes mispredicted, want 32", stall, mis)
 	}
 	if got := u.Stats().RecomputedSlices; got != 32*7 {
@@ -232,12 +231,12 @@ func TestPeekAccounting(t *testing.T) {
 	}
 }
 
-// The CRF speculator learns: repeating the same (PC, operands) pattern
+// The CRF behind Peek learns: repeating the same (PC, operands) pattern
 // after a write-back commits eliminates the misprediction.
 func TestCRFSpeculatorLearns(t *testing.T) {
 	u := newTestUnit(t, ALU)
 	crf := speculate.NewDefaultCRF(10, 4)
-	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
+	spec := speculate.WithPeek(u.Geometry(), crf)
 	// Operands whose boundary carry exists but whose slice-0 MSBs
 	// disagree, so Peek cannot resolve it: 0xC0 + 0x40 = 0x100 (slice0
 	// MSBs 1,0 → dynamic; carry into slice 1 is 1).
@@ -261,7 +260,7 @@ func TestCRFSpeculatorLearns(t *testing.T) {
 func TestCRFSharingAcrossWarps(t *testing.T) {
 	u := newTestUnit(t, ALU)
 	crf := speculate.NewDefaultCRF(4, 5)
-	spec := &CRFSpeculator{CRF: crf, Geom: u.Geometry()}
+	spec := speculate.WithPeek(u.Geometry(), crf)
 	active, cin, ea, eb := fullWarp(u, adder.Add, func(l int) (uint64, uint64) { return 0xC0, 0x40 })
 	crf.BeginCycle(1)
 	u.ExecuteWarp(spec, 3, 0, active, cin, ea, eb) // warp 0 trains
@@ -272,27 +271,27 @@ func TestCRFSharingAcrossWarps(t *testing.T) {
 }
 
 // A unit with 4-bit slices has 15 boundaries but the CRF row keeps 7
-// planes: the CRF speculator predicts its history for the first 7 and
-// zero for the rest, and a write-back keeps only the first 7.
+// planes: the CRF predicts its history for the first 7 and zero for the
+// rest, and a write-back keeps only the first 7. Peek in front of it
+// still resolves all 15.
 func TestCRFSpeculatorNarrowSlices(t *testing.T) {
 	geom := speculate.Geometry{Width: 64, SliceBits: 4}
 	crf := speculate.NewDefaultCRF(1, 6)
-	spec := &CRFSpeculator{CRF: crf, Geom: geom, DisablePeek: true}
 	nb := int(geom.Boundaries())
 	pred, static := make([]uint32, nb), make([]uint32, nb)
 	ones := make([]uint32, nb)
 	for b := range ones {
 		pred[b], static[b], ones[b] = ^uint32(0), ^uint32(0), ^uint32(0)
 	}
-	spec.PredictWarp(0, 0, ^uint32(0), 0, nil, nil, pred, static)
+	crf.PredictWarp(0, 0, ^uint32(0), 0, nil, nil, pred, static)
 	for b := range pred {
 		if pred[b] != 0 || static[b] != 0 {
 			t.Fatalf("cold plane %d: pred %#x static %#x, want 0", b, pred[b], static[b])
 		}
 	}
-	spec.UpdateWarp(0, 0, ^uint32(0), ^uint32(0), 0, nil, nil, ones)
+	crf.UpdateWarp(0, 0, ^uint32(0), ^uint32(0), 0, nil, nil, ones)
 	crf.Flush()
-	spec.PredictWarp(0, 0, ^uint32(0), 0, nil, nil, pred, static)
+	crf.PredictWarp(0, 0, ^uint32(0), 0, nil, nil, pred, static)
 	for b, p := range pred {
 		want := uint32(0)
 		if b < 7 {
@@ -302,11 +301,20 @@ func TestCRFSpeculatorNarrowSlices(t *testing.T) {
 			t.Errorf("trained plane %d = %#x, want %#x", b, p, want)
 		}
 	}
+	// Zero operands have every slice MSB clear, so Peek resolves all 15
+	// boundaries to 0 over the trained history's ones.
+	zeros := make([]uint64, WarpSize)
+	speculate.WithPeek(geom, crf).PredictWarp(0, 0, ^uint32(0), 0, zeros, zeros, pred, static)
+	for b := range pred {
+		if pred[b] != 0 || static[b] != ^uint32(0) {
+			t.Errorf("Peek plane %d: pred %#x static %#x, want 0 and every lane static", b, pred[b], static[b])
+		}
+	}
 }
 
 func TestUnitStatsAggregation(t *testing.T) {
 	u := newTestUnit(t, ALU)
-	spec := speculate.AsWarp(speculate.NewStaticZero(u.Geometry()))
+	spec := speculate.NewStaticZero(u.Geometry())
 	active, cin, ea, eb := fullWarp(u, adder.Add, func(l int) (uint64, uint64) { return 0xFF, 0x01 })
 	u.ExecuteWarp(spec, 0, 0, active, cin, ea, eb)
 	st := u.Stats()
@@ -421,7 +429,6 @@ func TestFPUSpeculationOnCorrelatedStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := speculate.AsWarp(p)
 	rng := rand.New(rand.NewSource(8))
 	var mis, tot uint64
 	for iter := 0; iter < 400; iter++ {
@@ -437,7 +444,7 @@ func TestFPUSpeculationOnCorrelatedStream(t *testing.T) {
 				ea, eb = append(ea, a), append(eb, b)
 			}
 		}
-		_, m := mispredicts(u, spec, 4, 0, active, cin, ea, eb)
+		_, m := mispredicts(u, p, 4, 0, active, cin, ea, eb)
 		if iter >= 50 { // after warm-up
 			mis += m
 			tot += uint64(len(ea))

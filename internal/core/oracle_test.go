@@ -25,10 +25,10 @@ type effOperands struct {
 }
 
 // laneSpeculator is the per-lane speculator interface of the oracle: 32-lane
-// arrays indexed by lane, inactive lanes zero.
+// arrays of packed boundary carries indexed by lane, inactive lanes zero.
 type laneSpeculator interface {
-	predictWarp(pc, gtidBase uint32, lanes *[WarpSize]laneOp, eff *[WarpSize]effOperands) [WarpSize]speculate.Prediction
-	updateWarp(pc, gtidBase uint32, active, mispred uint32, actual *[WarpSize]uint64)
+	predictWarp(pc uint32, lanes *[WarpSize]laneOp, eff *[WarpSize]effOperands) [WarpSize]uint64
+	updateWarp(pc uint32, mispred uint32, actual *[WarpSize]uint64)
 }
 
 // oracleUnit is the per-lane ExecuteWarp loop the columnar unit replaced:
@@ -50,7 +50,7 @@ func newOracleUnit(t *testing.T, kind UnitKind) *oracleUnit {
 
 // executeWarp returns every lane's sum and the warp's cycle count (0 for a
 // warp with no active lane).
-func (u *oracleUnit) executeWarp(spec laneSpeculator, pc, gtidBase uint32, lanes *[WarpSize]laneOp) (sums [WarpSize]uint64, cycles uint) {
+func (u *oracleUnit) executeWarp(spec laneSpeculator, pc uint32, lanes *[WarpSize]laneOp) (sums [WarpSize]uint64, cycles uint) {
 	var eff [WarpSize]effOperands
 	var actual [WarpSize]uint64
 	var activeMask uint32
@@ -66,7 +66,7 @@ func (u *oracleUnit) executeWarp(spec laneSpeculator, pc, gtidBase uint32, lanes
 		return sums, 0
 	}
 
-	preds := spec.predictWarp(pc, gtidBase, lanes, &eff)
+	preds := spec.predictWarp(pc, lanes, &eff)
 
 	var mispred uint32
 	activeLanes, threadMispredicts, recomputed, sliceComps := 0, 0, 0, 0
@@ -75,7 +75,7 @@ func (u *oracleUnit) executeWarp(spec laneSpeculator, pc, gtidBase uint32, lanes
 			continue
 		}
 		activeLanes++
-		r := u.ad.ExecuteEffective(eff[l].ea, eff[l].eb, eff[l].cin0, preds[l].Carries)
+		r := u.ad.ExecuteEffective(eff[l].ea, eff[l].eb, eff[l].cin0, preds[l])
 		sums[l] = r.Sum
 		actual[l] = r.ActualCarries
 		sliceComps += int(u.price.NumSlices) + r.Recomputed
@@ -90,7 +90,7 @@ func (u *oracleUnit) executeWarp(spec laneSpeculator, pc, gtidBase uint32, lanes
 	if mispred != 0 {
 		cycles = 2
 	}
-	spec.updateWarp(pc, gtidBase, activeMask, mispred, &actual)
+	spec.updateWarp(pc, mispred, &actual)
 
 	u.agg.MispredLanesHistogram.Observe(threadMispredicts)
 	u.agg.WarpOps++
@@ -106,6 +106,25 @@ func (u *oracleUnit) executeWarp(spec laneSpeculator, pc, gtidBase uint32, lanes
 	return sums, cycles
 }
 
+// peekRef is Peek for one lane: boundary i (the carry out of slice i)
+// resolves when the operands' MSBs of slice i agree, to their AND.
+func peekRef(g speculate.Geometry, ea, eb uint64) (static, values uint64) {
+	for i := uint(0); i < g.Boundaries(); i++ {
+		msb := (i+1)*g.SliceBits - 1
+		if ea>>msb&1 == eb>>msb&1 {
+			static |= 1 << i
+			values |= (ea >> msb & 1) << i
+		}
+	}
+	return static, values
+}
+
+// peekLane overlays Peek on one lane's history.
+func peekLane(g speculate.Geometry, hist uint64, eff effOperands) uint64 {
+	static, values := peekRef(g, eff.ea, eff.eb)
+	return hist&^static | values
+}
+
 // laneCRF is the per-lane CRF speculator: one row read per warp, Peek per
 // lane, and a write-back of the mispredicted lanes from a lane-indexed row.
 type laneCRF struct {
@@ -114,28 +133,24 @@ type laneCRF struct {
 	disablePeek bool
 }
 
-func (c *laneCRF) predictWarp(pc, _ uint32, lanes *[WarpSize]laneOp, eff *[WarpSize]effOperands) [WarpSize]speculate.Prediction {
+func (c *laneCRF) predictWarp(pc uint32, lanes *[WarpSize]laneOp, eff *[WarpSize]effOperands) [WarpSize]uint64 {
 	row := c.crf.ReadRow(pc, make([]uint32, c.geom.Boundaries()))
-	var out [WarpSize]speculate.Prediction
+	var out [WarpSize]uint64
 	for l := 0; l < WarpSize; l++ {
 		if !lanes[l].active {
 			continue
 		}
-		var hist uint64
 		for b, p := range row {
-			hist |= uint64(p>>l&1) << b
+			out[l] |= uint64(p>>l&1) << b
 		}
-		if c.disablePeek {
-			out[l] = speculate.Prediction{Carries: hist}
-			continue
+		if !c.disablePeek {
+			out[l] = peekLane(c.geom, out[l], eff[l])
 		}
-		static, values := speculate.PeekBits(c.geom, eff[l].ea, eff[l].eb)
-		out[l] = speculate.Prediction{Carries: (hist &^ static) | values, Static: static}
 	}
 	return out
 }
 
-func (c *laneCRF) updateWarp(pc, _ uint32, _, mispred uint32, actual *[WarpSize]uint64) {
+func (c *laneCRF) updateWarp(pc uint32, mispred uint32, actual *[WarpSize]uint64) {
 	if mispred == 0 {
 		return
 	}
@@ -148,30 +163,28 @@ func (c *laneCRF) updateWarp(pc, _ uint32, _, mispred uint32, actual *[WarpSize]
 	c.crf.WriteBack(pc, mispred, planes)
 }
 
-// lanePredictor drives a trace-level design through per-lane Predict and
-// Update calls: every lane predicts from the pre-update state, then the
-// lanes update in ascending order.
-type lanePredictor struct{ p speculate.Predictor }
+// laneHistory is the final design, Ltid+Prev+ModPC4+Peek, one lane at a
+// time: an entry of carries per (PC[3:0], lane), predicted behind Peek
+// and rewritten by each mispredicting lane.
+type laneHistory struct {
+	geom    speculate.Geometry
+	entries [16][WarpSize]uint64
+}
 
-func (p *lanePredictor) predictWarp(pc, gtidBase uint32, lanes *[WarpSize]laneOp, eff *[WarpSize]effOperands) [WarpSize]speculate.Prediction {
-	var out [WarpSize]speculate.Prediction
+func (h *laneHistory) predictWarp(pc uint32, lanes *[WarpSize]laneOp, eff *[WarpSize]effOperands) [WarpSize]uint64 {
+	var out [WarpSize]uint64
 	for l := 0; l < WarpSize; l++ {
 		if lanes[l].active {
-			out[l] = p.p.Predict(speculate.Context{
-				PC: pc, Gtid: gtidBase + uint32(l), Ltid: uint8(l),
-				EA: eff[l].ea, EB: eff[l].eb, Cin0: eff[l].cin0,
-			})
+			out[l] = peekLane(h.geom, h.entries[pc&15][l], eff[l])
 		}
 	}
 	return out
 }
 
-func (p *lanePredictor) updateWarp(pc, gtidBase uint32, active, mispred uint32, actual *[WarpSize]uint64) {
-	for l := 0; l < WarpSize; l++ {
-		if active&(1<<l) != 0 {
-			p.p.Update(speculate.Context{PC: pc, Gtid: gtidBase + uint32(l), Ltid: uint8(l)},
-				actual[l], mispred&(1<<l) != 0)
-		}
+func (h *laneHistory) updateWarp(pc uint32, mispred uint32, actual *[WarpSize]uint64) {
+	for m := mispred; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		h.entries[pc&15][l] = actual[l]
 	}
 }
 
@@ -220,7 +233,7 @@ func FuzzUnitExecuteWarp(f *testing.F) {
 			geom = newTestUnit(t, ALU).Geometry()
 		}
 
-		var spec Speculator
+		var spec speculate.Predictor
 		var ospec laneSpeculator
 		var crf, ocrf *speculate.CRF
 		// Bits 0-1 of specB pick the speculator: the CRF with Peek (0) or
@@ -235,7 +248,10 @@ func FuzzUnitExecuteWarp(f *testing.F) {
 				t.Fatal(err)
 			}
 			noPeek := specB&3 == 1
-			spec = &CRFSpeculator{CRF: crf, Geom: geom, DisablePeek: noPeek}
+			spec = speculate.WithPeek(geom, crf)
+			if noPeek {
+				spec = crf
+			}
 			ospec = &laneCRF{crf: ocrf, geom: geom, disablePeek: noPeek}
 		default:
 			// The stream below draws PCs below 32 and 8 warps' gtids.
@@ -251,11 +267,7 @@ func FuzzUnitExecuteWarp(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := speculate.NewDesign(speculate.FinalDesign, geom, b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec, ospec = speculate.AsWarp(p), &lanePredictor{p: op}
+			spec, ospec = p, &laneHistory{geom: geom}
 		}
 
 		s := &fuzzStream{data: data, state: uint64(len(data))}
@@ -303,7 +315,7 @@ func FuzzUnitExecuteWarp(f *testing.F) {
 			}
 
 			sums, stall := u.ExecuteWarp(spec, pc, gtidBase, active, cin, ea, eb)
-			want, cycles := o.executeWarp(ospec, pc, gtidBase, &lanes)
+			want, cycles := o.executeWarp(ospec, pc, &lanes)
 			if stall != (cycles == 2) {
 				t.Fatalf("step %d: stall %v, oracle took %d cycles", step, stall, cycles)
 			}

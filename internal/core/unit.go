@@ -69,21 +69,6 @@ func (k UnitKind) AdderConfig(sliceBits uint) (adder.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// Speculator supplies one warp add's carry predictions and consumes its
-// write-back. It is speculate.WarpPredictor, the shape the trace
-// evaluators already use: the operands arrive as packed ascending-lane
-// columns (the j-th set bit of active owns ea[j] and eb[j]), bit l of cin
-// is lane l's injected slice-0 carry, predictions and true carries travel
-// as bit planes (bit l of plane b is lane l's carry into slice b+1),
-// every prediction reads the pre-update state, and bit l of mispred
-// marks the lanes whose speculation failed (the only ones the hardware
-// writes back). Implementations: CRFSpeculator (the hardware path) and
-// speculate.AsWarp of any trace-level design.
-//
-// Every slice is the unit's per-warp scratch, reused by the next warp add:
-// valid only for the duration of the call and copied if kept.
-type Speculator = speculate.WarpPredictor
-
 // Unit is one ST²-equipped adder unit family within an SM sub-core.
 type Unit struct {
 	Kind  UnitKind
@@ -93,7 +78,7 @@ type Unit struct {
 
 	agg UnitStats
 
-	// ExecuteWarp's per-warp scratch. The Speculator fills the pred and
+	// ExecuteWarp's per-warp scratch. The predictor fills the pred and
 	// static planes (static holds its Peek-resolved boundaries, which the
 	// unit does not read) and receives the actual planes; carries and
 	// actualLanes are the packed per-lane forms either side of the adder,
@@ -173,8 +158,10 @@ func (u *Unit) ResetStats() {
 // effective (post subtraction-transform) operands, and bit l of cin is
 // lane l's injected slice-0 carry. It returns the exact Width-bit sums in
 // the same packed order, valid until the unit's next call, and whether
-// any lane mispredicted, which stalls the whole warp one cycle.
-func (u *Unit) ExecuteWarp(spec Speculator, pc, gtidBase, active, cin uint32, ea, eb []uint64) (sums []uint64, stall bool) {
+// any lane mispredicted, which stalls the whole warp one cycle. spec
+// predicts the warp's carries and takes its write-back: the SM's CRF
+// behind Peek on the hardware path, or any trace-level design.
+func (u *Unit) ExecuteWarp(spec speculate.Predictor, pc, gtidBase, active, cin uint32, ea, eb []uint64) (sums []uint64, stall bool) {
 	n := bits.OnesCount32(active)
 	if n == 0 {
 		return nil, false
@@ -260,38 +247,4 @@ func (s *UnitStats) Merge(o UnitStats) {
 			_ = s.MispredLanesHistogram.Merge(o.MispredLanesHistogram)
 		}
 	}
-}
-
-// CRFSpeculator is the hardware speculation path: Peek in the slices, the
-// SM's Carry Register File for dynamic history, write-back of mispredicted
-// lanes with per-row arbitration (the CRF handles staging). The CRF must
-// hold WarpSize lanes.
-type CRFSpeculator struct {
-	CRF  *speculate.CRF
-	Geom speculate.Geometry
-	// DisablePeek turns off the static resolution filter (ablation).
-	DisablePeek bool
-
-	// PredictWarp's scratch for Peek's static and values planes.
-	pkStatic, pkValues [speculate.MaxBoundaries]uint32
-}
-
-// PredictWarp implements Speculator with one CRF row read per warp: the
-// row's planes are the prediction, overlaid with Peek's planes. A unit
-// with slices narrower than 8 bits has more boundaries than the CRF
-// row's planes; those predict zero.
-func (c *CRFSpeculator) PredictWarp(pc, _, active, _ uint32, ea, eb []uint64, pred, static []uint32) {
-	clear(pred[len(c.CRF.ReadRow(pc, pred)):])
-	clear(static)
-	if c.DisablePeek {
-		return
-	}
-	n := len(pred)
-	speculate.PeekPlanes(c.Geom, active, ea, eb, c.pkStatic[:n], c.pkValues[:n])
-	speculate.OverlayPeek(pred, static, c.pkStatic[:n], c.pkValues[:n])
-}
-
-// UpdateWarp implements Speculator: only mispredicted lanes write back.
-func (c *CRFSpeculator) UpdateWarp(pc, _, _, mispred, _ uint32, _, _ []uint64, actual []uint32) {
-	c.CRF.WriteBack(pc, mispred, actual)
 }

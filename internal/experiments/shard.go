@@ -148,8 +148,8 @@ func (s *spawnedWorker) Close() error {
 // SpawnWorkers launches n worker subprocesses from the command factory
 // and wires each as a ShardConn over its stdin/stdout (stderr passes
 // through). The spawned command must run ServeShardWorker on its own
-// stdin/stdout — `st2dse -shard-worker` and `st2shard -worker` do. On
-// any launch failure the already-spawned workers are closed.
+// stdin/stdout, as `st2shard -worker` does. On any launch failure the
+// already-spawned workers are closed.
 func SpawnWorkers(n int, newCmd func() *exec.Cmd) ([]*ShardConn, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("experiments: SpawnWorkers needs n ≥ 1, got %d", n)

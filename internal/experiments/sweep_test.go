@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -64,12 +64,16 @@ func TestSweepBitIdenticalAcrossWorkers(t *testing.T) {
 	// loaded back from its columnar store form produces the same Fig5
 	// rows, at several load and sweep worker counts.
 	for _, opts := range []trace.StoreOptions{{}, {OmitDerived: true}} {
-		var buf bytes.Buffer
-		if _, err := trace.WriteDecoded(&buf, dec, opts); err != nil {
+		path := filepath.Join(t.TempDir(), "suite.decoded")
+		if err := dec.WriteStoreFile(path, opts); err != nil {
+			t.Fatal(err)
+		}
+		h, err := trace.OpenStore(path, 0)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, loadWorkers := range []int{1, 2, 8} {
-			loaded, err := trace.ReadDecoded(bytes.NewReader(buf.Bytes()), trace.ReadOptions{Workers: loadWorkers})
+			loaded, err := h.LoadKernels(h.Names(), loadWorkers)
 			if err != nil {
 				t.Fatal(err)
 			}

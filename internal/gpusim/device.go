@@ -492,22 +492,19 @@ func (d *Device) newSM(id int, k *Kernel, params []byte, code []decodedInstr) (*
 			if err != nil {
 				return nil, err
 			}
-			sm.crf = crf
-			sm.spec = &core.CRFSpeculator{
-				CRF:         sm.crf,
-				Geom:        sm.alu64.Geometry(),
-				DisablePeek: d.cfg.DisablePeek,
+			// Peek sits in the slices, in front of the CRF's history.
+			sm.crf, sm.spec = crf, crf
+			if !d.cfg.DisablePeek {
+				sm.spec = speculate.WithPeek(sm.alu64.Geometry(), crf)
 			}
 		} else {
 			b, err := speculate.NewBounds(programPCs(len(code)), uint64(k.GridDim)*uint64(k.BlockDim))
 			if err != nil {
 				return nil, err
 			}
-			p, err := speculate.NewDesign(d.cfg.Speculation, sm.alu64.Geometry(), b)
-			if err != nil {
+			if sm.spec, err = speculate.NewDesign(d.cfg.Speculation, sm.alu64.Geometry(), b); err != nil {
 				return nil, err
 			}
-			sm.spec = speculate.AsWarp(p)
 		}
 	}
 	return sm, nil

@@ -131,7 +131,7 @@ type smState struct {
 	// ST² execution units and speculation source.
 	alu32, alu64, fpu, dpu *core.Unit
 	crf                    *speculate.CRF
-	spec                   core.Speculator
+	spec                   speculate.Predictor
 	baselineAdderOps       map[core.UnitKind]uint64
 
 	// Execution state.

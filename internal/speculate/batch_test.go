@@ -43,23 +43,19 @@ func randomWarps(rng *rand.Rand, n int) []warpCase {
 	return out
 }
 
-// TestWarpDispatchMatchesScalar drives two instances of every design —
-// one through per-lane Predict/Update, one through the batched
-// PredictWarp/UpdateWarp dispatch in plane form — over the same random
-// warp stream and requires identical predictions at every step. The
-// update stream mirrors the DSE meter: predictions from pre-update
-// state, actuals judged on a narrow kind mask, mispredicting lanes
-// written back.
+// TestWarpDispatchMatchesScalar drives every design through its plane
+// path and its per-lane oracle (mapOracle) over the same random warp
+// stream and requires identical predictions at every step. The update
+// stream mirrors the DSE meter: predictions from pre-update state,
+// actuals judged on a narrow kind mask, mispredicting lanes written
+// back.
 func TestWarpDispatchMatchesScalar(t *testing.T) {
 	g := Geometry{Width: 64, SliceBits: 8}
 	const nj = 3 // judge on a narrow kind mask to exercise masking
 	mask := bitmath.Mask(nj)
 	for _, name := range batchTestDesigns {
 		t.Run(name, func(t *testing.T) {
-			scalar, err := NewDesign(name, g, testBounds(t))
-			if err != nil {
-				t.Fatal(err)
-			}
+			scalar := mapOracle(t, name, g, testBounds(t))
 			batched, err := NewDesign(name, g, testBounds(t))
 			if err != nil {
 				t.Fatal(err)
@@ -67,7 +63,7 @@ func TestWarpDispatchMatchesScalar(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
 			for step, w := range randomWarps(rng, 200) {
 				ea, eb := w.packed()
-				carries, static := predictLanes(t, AsWarp(batched), 7, 7, w.pc, w.base, w.active, w.cin, ea, eb)
+				carries, static := predictLanes(t, batched, 7, 7, w.pc, w.base, w.active, w.cin, ea, eb)
 
 				var mispred uint32
 				actual := make([]uint64, len(ea))
@@ -75,7 +71,7 @@ func TestWarpDispatchMatchesScalar(t *testing.T) {
 				for j, ctx := range ctxs {
 					want := scalar.Predict(ctx)
 					if want.Carries != carries[j] || want.Static != static[j] {
-						t.Fatalf("step %d lane %d: batched Prediction{%#x,%#x} != scalar Prediction{%#x,%#x}",
+						t.Fatalf("step %d lane %d: planes predict {%#x,%#x}, oracle {%#x,%#x}",
 							step, ctx.Ltid, carries[j], static[j], want.Carries, want.Static)
 					}
 					actual[j] = bitmath.BoundaryCarriesPacked(ctx.EA, ctx.EB, ctx.Cin0, 64, 8) & mask
@@ -86,25 +82,29 @@ func TestWarpDispatchMatchesScalar(t *testing.T) {
 				for j, ctx := range ctxs {
 					scalar.Update(ctx, actual[j], mispred&(1<<ctx.Ltid) != 0)
 				}
-				updateLanes(AsWarp(batched), nj, w.pc, w.base, w.active, mispred, w.cin, ea, eb, actual)
+				updateLanes(batched, nj, w.pc, w.base, w.active, mispred, w.cin, ea, eb, actual)
 			}
 		})
 	}
 }
 
 // TestWarpDispatchAlwaysUpdate pins the CorrMeter-style flow (history
-// written for every active lane) onto the batched path for the
-// AlwaysUpdate designs, where a missed write would silently diverge.
+// written for every active lane) onto the plane path for the
+// AlwaysUpdate designs, where a missed write would silently diverge
+// from the per-lane oracle.
 func TestWarpDispatchAlwaysUpdate(t *testing.T) {
 	g := Geometry{Width: 64, SliceBits: 8}
 	for _, name := range []string{"Gtid+Prev", "Gtid+Prev+FullPC", "Ltid+Prev+FullPC"} {
 		t.Run(name, func(t *testing.T) {
-			scalar, _ := NewDesign(name, g, testBounds(t))
-			batched, _ := NewDesign(name, g, testBounds(t))
+			scalar := mapOracle(t, name, g, testBounds(t))
+			batched, err := NewDesign(name, g, testBounds(t))
+			if err != nil {
+				t.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(7))
 			for step, w := range randomWarps(rng, 120) {
 				ea, eb := w.packed()
-				carries, static := predictLanes(t, AsWarp(batched), 7, 7, w.pc, w.base, w.active, w.cin, ea, eb)
+				carries, static := predictLanes(t, batched, 7, 7, w.pc, w.base, w.active, w.cin, ea, eb)
 				actual := make([]uint64, len(ea))
 				for j, ctx := range w.contexts(ea, eb) {
 					want := scalar.Predict(ctx)
@@ -115,7 +115,7 @@ func TestWarpDispatchAlwaysUpdate(t *testing.T) {
 					scalar.Update(ctx, actual[j], true)
 				}
 				// CorrMeter semantics: every active lane updates.
-				updateLanes(AsWarp(batched), 7, w.pc, w.base, w.active, w.active, w.cin, ea, eb, actual)
+				updateLanes(batched, 7, w.pc, w.base, w.active, w.active, w.cin, ea, eb, actual)
 			}
 		})
 	}
@@ -130,13 +130,13 @@ func (w *warpCase) packed() (ea, eb []uint64) {
 	return ea, eb
 }
 
-// contexts returns the per-lane Context of every active lane.
-func (w *warpCase) contexts(ea, eb []uint64) []Context {
-	ctxs := make([]Context, 0, len(ea))
+// contexts returns the per-lane view of every active lane.
+func (w *warpCase) contexts(ea, eb []uint64) []laneCtx {
+	ctxs := make([]laneCtx, 0, len(ea))
 	j := 0
 	for m := w.active; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
-		ctxs = append(ctxs, Context{PC: w.pc, Gtid: w.base + uint32(l), Ltid: uint8(l),
+		ctxs = append(ctxs, laneCtx{PC: w.pc, Gtid: w.base + uint32(l), Ltid: uint8(l),
 			EA: ea[j], EB: eb[j], Cin0: uint(w.cin >> l & 1)})
 		j++
 	}
@@ -146,8 +146,8 @@ func (w *warpCase) contexts(ea, eb []uint64) []Context {
 // FuzzDesignWarp drives every registry design through a random warp
 // stream within random bounds (a sparse PC set, so folded PCs intern to
 // few rows, and up to 16 warps of threads) on the batched plane path,
-// and holds every prediction to the design's map-backed oracle on the
-// per-lane path. The geometry is drawn from slice widths {2, 4, 8, 16}
+// and holds every prediction to the design's per-lane oracle
+// (mapOracle). The geometry is drawn from slice widths {2, 4, 8, 16}
 // and unit widths {24, 32, 52, 64}, a warp's lane 0 may be any thread of
 // the bounds (so a Gtid row is read across two words), and the caller's
 // plane count, the judged boundaries and the actual planes vary around
@@ -198,14 +198,14 @@ func FuzzDesignWarp(f *testing.F) {
 			np := nj + rng.Intn(nb+1-nj)
 			na := nj + rng.Intn(nb+1-nj)
 			mask := bitmath.Mask(uint(nj))
-			carries, static := predictLanes(t, AsWarp(p), nb, np, pc, base, active, cin, ea, eb)
+			carries, static := predictLanes(t, p, nb, np, pc, base, active, cin, ea, eb)
 			var mispred uint32
 			ctxs := w.contexts(ea, eb)
 			actual := make([]uint64, len(ea))
 			for j, ctx := range ctxs {
 				want := o.Predict(ctx)
 				if seen := bitmath.Mask(uint(np)); want.Carries&seen != carries[j] || want.Static&seen != static[j] {
-					t.Fatalf("%s %+v step %d lane %d: Prediction{%#x,%#x}, oracle Prediction{%#x,%#x}",
+					t.Fatalf("%s %+v step %d lane %d: planes predict {%#x,%#x}, oracle {%#x,%#x}",
 						name, g, step, ctx.Ltid, carries[j], static[j], want.Carries, want.Static)
 				}
 				actual[j] = bitmath.BoundaryCarriesPacked(ctx.EA, ctx.EB, ctx.Cin0, g.Width, g.SliceBits) & bitmath.Mask(uint(na))
@@ -219,7 +219,7 @@ func FuzzDesignWarp(f *testing.F) {
 			for j, ctx := range ctxs {
 				o.Update(ctx, actual[j], mispred&(1<<ctx.Ltid) != 0)
 			}
-			updateLanes(AsWarp(p), na, pc, base, active, mispred, cin, ea, eb, actual)
+			updateLanes(p, na, pc, base, active, mispred, cin, ea, eb, actual)
 		}
 	})
 }
@@ -244,7 +244,7 @@ func TestHistoryWarpThreadModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			preds := []Predictor{h, h2}
-			oracles := []Predictor{newMapHistory(cfg), &mapHistory2{cfg: cfg, last: make(map[uint64]uint64), prev2: make(map[uint64]uint64)}}
+			oracles := []laneOracle{newMapHistory(cfg), &mapHistory2{cfg: cfg, last: make(map[uint64]uint64), prev2: make(map[uint64]uint64)}}
 			rng := rand.New(rand.NewSource(int64(threads)*2 + 1))
 			for step := 0; step < 400; step++ {
 				w := warpCase{pc: uint32(rng.Intn(testPCs)), base: uint32(rng.Intn(testThreads - 31))}
@@ -256,11 +256,11 @@ func TestHistoryWarpThreadModes(t *testing.T) {
 				ea, eb := w.packed()
 				ctxs := w.contexts(ea, eb)
 				for i, p := range preds {
-					carries, _ := predictLanes(t, AsWarp(p), 7, 7, w.pc, w.base, w.active, w.cin, ea, eb)
+					carries, _ := predictLanes(t, p, 7, 7, w.pc, w.base, w.active, w.cin, ea, eb)
 					actual := make([]uint64, len(ea))
 					for j, ctx := range ctxs {
 						if want := oracles[i].Predict(ctx).Carries; carries[j] != want {
-							t.Fatalf("%s %v step %d lane %d: predicted %#x, oracle %#x", p.Name(), threads, step, ctx.Ltid, carries[j], want)
+							t.Fatalf("depth %d %v step %d lane %d: predicted %#x, oracle %#x", i+1, threads, step, ctx.Ltid, carries[j], want)
 						}
 						actual[j] = rng.Uint64() & g.BoundaryMask()
 					}
@@ -268,7 +268,7 @@ func TestHistoryWarpThreadModes(t *testing.T) {
 					for j, ctx := range ctxs {
 						oracles[i].Update(ctx, actual[j], mispred&(1<<ctx.Ltid) != 0)
 					}
-					updateLanes(AsWarp(p), 7, w.pc, w.base, w.active, mispred, w.cin, ea, eb, actual)
+					updateLanes(p, 7, w.pc, w.base, w.active, mispred, w.cin, ea, eb, actual)
 				}
 			}
 		}

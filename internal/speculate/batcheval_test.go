@@ -8,7 +8,9 @@ import (
 	"st2gpu/internal/bitmath"
 )
 
-// peekBitsRef is the pre-gather reference implementation of PeekBits.
+// peekBitsRef is the per-boundary reference of Peek: boundary i (the
+// carry out of slice i) resolves when the two operands' MSBs of slice i
+// agree, and resolves to their AND.
 func peekBitsRef(g Geometry, ea, eb uint64) (static, values uint64) {
 	nb := g.Boundaries()
 	agree := ^(ea ^ eb)
@@ -21,8 +23,18 @@ func peekBitsRef(g Geometry, ea, eb uint64) (static, values uint64) {
 	return static, values
 }
 
+// peekOne returns PeekPlanes' static and values bits, over every
+// boundary of g, for a one-lane warp with operands ea and eb.
+func peekOne(g Geometry, ea, eb uint64) (static, values uint64) {
+	nb := int(g.Boundaries())
+	s, v := make([]uint32, nb), make([]uint32, nb)
+	PeekPlanes(g, 1, []uint64{ea}, []uint64{eb}, s, v)
+	return naiveLanes(1, s)[0], naiveLanes(1, v)[0]
+}
+
 // TestPeekBitsMatchesReference pins the GatherMSB8 fast path (and the
-// loop fallback for non-8-bit slices) against the per-boundary walk.
+// loop fallback for non-8-bit slices) of PeekPlanes against the
+// per-boundary walk, one lane at a time.
 func TestPeekBitsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	geoms := []Geometry{
@@ -44,9 +56,9 @@ func TestPeekBitsMatchesReference(t *testing.T) {
 				ea, eb = ^uint64(0), 0
 			}
 			wantS, wantV := peekBitsRef(g, ea, eb)
-			gotS, gotV := PeekBits(g, ea, eb)
+			gotS, gotV := peekOne(g, ea, eb)
 			if gotS != wantS || gotV != wantV {
-				t.Fatalf("PeekBits(%+v, %#x, %#x) = (%#x, %#x), want (%#x, %#x)",
+				t.Fatalf("Peek(%+v, %#x, %#x) = (%#x, %#x), want (%#x, %#x)",
 					g, ea, eb, gotS, gotV, wantS, wantV)
 			}
 		}
@@ -54,7 +66,7 @@ func TestPeekBitsMatchesReference(t *testing.T) {
 }
 
 // TestPeekBitsWarpMatchesScalar checks the Peek planes of a warp, full
-// or partial, against the scalar PeekBits of every active lane.
+// or partial, against the per-lane reference of every active lane.
 func TestPeekBitsWarpMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := Geometry{Width: 64, SliceBits: 8}
@@ -69,9 +81,9 @@ func TestPeekBitsWarpMatchesScalar(t *testing.T) {
 		PeekPlanes(g, active, ea, eb, static, values)
 		gotS, gotV := naiveLanes(active, static), naiveLanes(active, values)
 		for j := range ea {
-			wantS, wantV := PeekBits(g, ea[j], eb[j])
+			wantS, wantV := peekBitsRef(g, ea[j], eb[j])
 			if gotS[j] != wantS || gotV[j] != wantV {
-				t.Fatalf("active %#x lane %d: PeekPlanes = (%#x, %#x), scalar = (%#x, %#x)",
+				t.Fatalf("active %#x lane %d: PeekPlanes = (%#x, %#x), reference = (%#x, %#x)",
 					active, j, gotS[j], gotV[j], wantS, wantV)
 			}
 		}
@@ -79,7 +91,7 @@ func TestPeekBitsWarpMatchesScalar(t *testing.T) {
 }
 
 // TestOverlayPeekMatchesPeekPredictor pins the plane OverlayPeek to the
-// peekPredictor composition formula.
+// per-lane Peek composition formula.
 func TestOverlayPeekMatchesPeekPredictor(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 1000; i++ {
@@ -169,63 +181,59 @@ func TestJudgeCorrWarpMatchesScalar(t *testing.T) {
 
 // TestHistoryDenseMatchesMap drives every PC and thread mode through a
 // flat History and the map-backed oracle with one random request stream
-// over a sparse set of 16-bit PCs, and requires identical predictions,
-// before and after a Reset.
+// of one-lane warps over a sparse set of 16-bit PCs, and requires
+// identical predictions.
 func TestHistoryDenseMatchesMap(t *testing.T) {
 	g := Geometry{Width: 64, SliceBits: 8}
-	cfgs := []HistoryConfig{
-		{Geometry: g, PCMode: NoPC, Threads: SharedThreads},
-		{Geometry: g, PCMode: NoPC, Threads: ByLtid},
-		{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByLtid},
-		{Geometry: g, PCMode: ModPC, PCBits: 8, Threads: SharedThreads},
-		{Geometry: g, PCMode: XorPC, PCBits: 6, Threads: ByLtid, AlwaysUpdate: true},
-		{Geometry: g, PCMode: NoPC, Threads: ByGtid},
-		{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByGtid},
-		{Geometry: g, PCMode: XorPC, PCBits: 5, Threads: ByGtid, AlwaysUpdate: true},
-		{Geometry: g, PCMode: FullPC, Threads: ByGtid, AlwaysUpdate: true},
-		{Geometry: g, PCMode: FullPC, Threads: ByLtid},
+	cfgs := []struct {
+		name string
+		cfg  HistoryConfig
+	}{
+		{"Prev", HistoryConfig{Geometry: g, PCMode: NoPC, Threads: SharedThreads}},
+		{"Ltid+Prev", HistoryConfig{Geometry: g, PCMode: NoPC, Threads: ByLtid}},
+		{"Ltid+Prev+ModPC4", HistoryConfig{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByLtid}},
+		{"Prev+ModPC8", HistoryConfig{Geometry: g, PCMode: ModPC, PCBits: 8, Threads: SharedThreads}},
+		{"Ltid+Prev+XorPC6", HistoryConfig{Geometry: g, PCMode: XorPC, PCBits: 6, Threads: ByLtid, AlwaysUpdate: true}},
+		{"Gtid+Prev", HistoryConfig{Geometry: g, PCMode: NoPC, Threads: ByGtid}},
+		{"Gtid+Prev+ModPC4", HistoryConfig{Geometry: g, PCMode: ModPC, PCBits: 4, Threads: ByGtid}},
+		{"Gtid+Prev+XorPC5", HistoryConfig{Geometry: g, PCMode: XorPC, PCBits: 5, Threads: ByGtid, AlwaysUpdate: true}},
+		{"Gtid+Prev+FullPC", HistoryConfig{Geometry: g, PCMode: FullPC, Threads: ByGtid, AlwaysUpdate: true}},
+		{"Ltid+Prev+FullPC", HistoryConfig{Geometry: g, PCMode: FullPC, Threads: ByLtid}},
 	}
 	rng := rand.New(rand.NewSource(11))
 	pcs := make([]uint32, 512)
 	for i := range pcs {
 		pcs[i] = rng.Uint32() & 0xffff
 	}
-	b, err := NewBounds(pcs, 1<<10)
+	const threads = 1 << 10
+	b, err := NewBounds(pcs, threads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range cfgs {
-		t.Run(cfg.Name(), func(t *testing.T) {
-			flat, err := NewHistory(cfg, b)
+	for _, c := range cfgs {
+		t.Run(c.name, func(t *testing.T) {
+			flat, err := NewHistory(c.cfg, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sparse := newMapHistory(cfg)
+			sparse := newMapHistory(c.cfg)
 			rng := rand.New(rand.NewSource(12))
-			ctx := func() Context {
-				return Context{
+			for i := 0; i < 5000; i++ {
+				ltid := rng.Intn(32)
+				ctx := laneCtx{
 					PC:   pcs[rng.Intn(len(pcs))],
-					Gtid: rng.Uint32() & 0x3ff,
-					Ltid: uint8(rng.Intn(32)),
+					Gtid: uint32(ltid + rng.Intn(threads-ltid)),
+					Ltid: uint8(ltid),
 					EA:   rng.Uint64(), EB: rng.Uint64(),
 					Cin0: uint(rng.Intn(2)),
 				}
-			}
-			for i := 0; i < 5000; i++ {
-				c := ctx()
-				if pf, ps := flat.Predict(c), sparse.Predict(c); pf != ps {
-					t.Fatalf("op %d: flat Predict %+v, map Predict %+v", i, pf, ps)
+				if pf, ps := predictOne(t, flat, ctx), sparse.Predict(ctx); pf != ps {
+					t.Fatalf("op %d: flat table predicts %+v, map %+v", i, pf, ps)
 				}
 				actual := rng.Uint64()
 				mis := rng.Intn(3) != 0
-				flat.Update(c, actual, mis)
-				sparse.Update(c, actual, mis)
-			}
-			flat.Reset()
-			for i := 0; i < 100; i++ {
-				if p := flat.Predict(ctx()); p.Carries != 0 {
-					t.Fatalf("post-Reset prediction %+v not cold", p)
-				}
+				updateOne(flat, ctx, actual, mis)
+				sparse.Update(ctx, actual, mis)
 			}
 		})
 	}

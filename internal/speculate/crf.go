@@ -154,6 +154,19 @@ func (c *CRF) ReadRow(pc uint32, dst []uint32) []uint32 {
 	return dst[:copy(dst, c.row(idx))]
 }
 
+// PredictWarp implements Predictor with one row read per warp: the
+// row's planes are the prediction. A geometry with more boundaries than
+// the row's planes (slices narrower than 8 bits) predicts zero past them.
+func (c *CRF) PredictWarp(pc, _, _, _ uint32, _, _ []uint64, pred, static []uint32) {
+	clear(pred[len(c.ReadRow(pc, pred)):])
+	clear(static)
+}
+
+// UpdateWarp implements Predictor: only mispredicted lanes write back.
+func (c *CRF) UpdateWarp(pc, _, _, mispred, _ uint32, _, _ []uint64, actual []uint32) {
+	c.WriteBack(pc, mispred, actual)
+}
+
 // ReadLane returns one lane's committed history, packed one bit per
 // boundary, without charging a read (helper for tests and trace tools).
 func (c *CRF) ReadLane(pc uint32, lane int) uint64 {

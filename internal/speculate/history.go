@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"st2gpu/internal/bitmath"
 )
@@ -103,27 +102,6 @@ func (c HistoryConfig) Validate() error {
 		return fmt.Errorf("speculate: unknown thread mode %v", c.Threads)
 	}
 	return nil
-}
-
-// Name renders the paper's design-space label for this configuration.
-func (c HistoryConfig) Name() string {
-	var b strings.Builder
-	switch c.Threads {
-	case ByLtid:
-		b.WriteString("Ltid+")
-	case ByGtid:
-		b.WriteString("Gtid+")
-	}
-	b.WriteString("Prev")
-	switch c.PCMode {
-	case ModPC:
-		fmt.Fprintf(&b, "+ModPC%d", c.PCBits)
-	case FullPC:
-		b.WriteString("+FullPC")
-	case XorPC:
-		fmt.Fprintf(&b, "+XorPC%d", c.PCBits)
-	}
-	return b.String()
 }
 
 // fold maps a PC to its table index under the PC mode: the low PCBits
@@ -285,21 +263,6 @@ func newSlots(cfg HistoryConfig, b Bounds) (slots, error) {
 	return s, nil
 }
 
-// entry returns the offset of the word holding ctx's thread at ctx's PC
-// and the thread's bit in it (the word's planes sit at off..off+nb).
-func (s *slots) entry(ctx Context) (off int, bit uint) {
-	off = int(s.pcSlot[ctx.PC])
-	switch s.mode {
-	case ByLtid:
-		bit = uint(ctx.Ltid & 31)
-	case ByGtid:
-		checkThreads(ctx.Gtid, 1, s.threads)
-		off += int(ctx.Gtid/32) * s.nb
-		bit = uint(ctx.Gtid % 32)
-	}
-	return off, bit
-}
-
 // warp returns the offset of the first word holding the active lanes of
 // a warp at pc whose lane 0 is thread gtidBase, and the bit of that word
 // lane 0 sits at (nonzero only for a Gtid row and a gtidBase that is not
@@ -312,27 +275,6 @@ func (s *slots) warp(pc, gtidBase, active uint32) (lo int, sh uint) {
 		sh = uint(gtidBase % 32)
 	}
 	return lo, sh
-}
-
-// read returns the packed carries of the thread at (off, bit) of t.
-func (s *slots) read(t []uint32, off int, bit uint) uint64 {
-	var v uint64
-	for b, p := range t[off : off+s.nb] {
-		v |= uint64(p>>bit&1) << b
-	}
-	return v
-}
-
-// write stores v as the carries of the thread at (off, bit) of t; a
-// shared row takes v in every lane.
-func (s *slots) write(t []uint32, off int, bit uint, v uint64) {
-	m := uint32(1) << bit
-	if s.mode == SharedThreads {
-		m = ^uint32(0)
-	}
-	for b := range t[off : off+s.nb] {
-		t[off+b] = t[off+b]&^m | -uint32(v>>b&1)&m
-	}
 }
 
 // load copies the first len(dst) (at most nb) planes of the warp at
@@ -394,28 +336,27 @@ func NewHistory(cfg HistoryConfig, b Bounds) (*History, error) {
 	return &History{cfg: cfg, slots: s, table: make([]uint32, s.size)}, nil
 }
 
-// Config returns the design point.
-func (h *History) Config() HistoryConfig { return h.cfg }
-
-// Name implements Predictor.
-func (h *History) Name() string { return h.cfg.Name() }
-
-// Predict implements Predictor: the previous carries stored for this
-// (PC, thread) bucket, defaulting to all-zero when cold.
-func (h *History) Predict(ctx Context) Prediction {
-	off, bit := h.slots.entry(ctx)
-	return Prediction{Carries: h.slots.read(h.table, off, bit)}
+// PredictWarp implements Predictor: the warp's planes of its row, one
+// word per boundary, defaulting to all-zero when cold.
+func (h *History) PredictWarp(pc, gtidBase, active, _ uint32, _, _ []uint64, pred, static []uint32) {
+	lo, sh := h.slots.warp(pc, gtidBase, active)
+	h.slots.load(h.table, lo, sh, pred)
+	clear(static)
 }
 
-// Update implements Predictor. Matching the hardware, history is written
-// only when the thread mispredicted (unless AlwaysUpdate is set).
-func (h *History) Update(ctx Context, actual uint64, mispredicted bool) {
-	if !mispredicted && !h.cfg.AlwaysUpdate {
+// UpdateWarp implements Predictor. Matching the hardware, history is
+// written only for mispredicting lanes (every active lane under
+// AlwaysUpdate): a masked merge of their planes, or, when every lane
+// shares the row, the highest writing lane's carries, as the last
+// writer of the sequential lane loop.
+func (h *History) UpdateWarp(pc, gtidBase uint32, active, mispred, _ uint32, _, _ []uint64, actual []uint32) {
+	write := mispred
+	if h.cfg.AlwaysUpdate {
+		write = active
+	}
+	if write == 0 {
 		return
 	}
-	off, bit := h.slots.entry(ctx)
-	h.slots.write(h.table, off, bit, actual)
+	lo, sh := h.slots.warp(pc, gtidBase, active)
+	h.slots.store(h.table, lo, sh, actual, write)
 }
-
-// Reset implements Predictor.
-func (h *History) Reset() { clear(h.table) }

@@ -1,9 +1,6 @@
 package speculate
 
-import (
-	"math/bits"
-	"strings"
-)
+import "math/bits"
 
 // History2 explores the *temporal axis* of the paper's design space
 // (Section I: "…along the spatial axis (PC correlation), temporal axis
@@ -45,35 +42,7 @@ func NewHistory2(cfg HistoryConfig, b Bounds) (*History2, error) {
 	}, nil
 }
 
-// Name implements Predictor: the depth-1 name with "Prev" → "Prev2".
-func (h *History2) Name() string {
-	return strings.Replace(h.cfg.Name(), "Prev", "Prev2", 1)
-}
-
-// Predict implements Predictor: the carries of the operation two
-// updates back.
-func (h *History2) Predict(ctx Context) Prediction {
-	off, bit := h.slots.entry(ctx)
-	return Prediction{Carries: h.slots.read(h.prev2, off, bit)}
-}
-
-// Update implements Predictor.
-func (h *History2) Update(ctx Context, actual uint64, mispredicted bool) {
-	if !mispredicted && !h.cfg.AlwaysUpdate {
-		return
-	}
-	off, bit := h.slots.entry(ctx)
-	h.slots.write(h.prev2, off, bit, h.slots.read(h.last, off, bit))
-	h.slots.write(h.last, off, bit, actual)
-}
-
-// Reset implements Predictor.
-func (h *History2) Reset() {
-	clear(h.last)
-	clear(h.prev2)
-}
-
-// PredictWarp implements WarpPredictor: the warp's planes of the older
+// PredictWarp implements Predictor: the warp's planes of the older
 // table.
 func (h *History2) PredictWarp(pc, gtidBase, active, _ uint32, _, _ []uint64, pred, static []uint32) {
 	lo, sh := h.slots.warp(pc, gtidBase, active)
@@ -81,7 +50,7 @@ func (h *History2) PredictWarp(pc, gtidBase, active, _ uint32, _, _ []uint64, pr
 	clear(static)
 }
 
-// UpdateWarp implements WarpPredictor: each writing lane's last carries
+// UpdateWarp implements Predictor: each writing lane's last carries
 // move to the older table and its true carries become the last ones. A
 // shared row ends as the sequential lane loop leaves it: the highest
 // writer's carries last, and before them the second-highest writer's,

@@ -198,8 +198,8 @@ func PeekPlanes(g Geometry, active uint32, ea, eb []uint64, static, values []uin
 }
 
 // OverlayPeek applies the Peek filter to a dynamic prediction in plane
-// form, exactly as the peekPredictor composes it per lane: boundaries
-// Peek resolves take their known values and join the static set.
+// form: boundaries Peek resolves take their known values and join the
+// static set.
 func OverlayPeek(pred, static, pkStatic, pkValues []uint32) {
 	pkStatic, pkValues = pkStatic[:len(pred)], pkValues[:len(pred)]
 	static = static[:len(pred)]

@@ -13,15 +13,15 @@ import (
 // owning index j — as the oracles the planes are held to, and the naive
 // bit-at-a-time transposes the tests move between the two forms with.
 
-// peekBitsWarp computes PeekBits for every active lane.
+// peekBitsWarp computes peekBitsRef for every active lane.
 func peekBitsWarp(g Geometry, ea, eb, static, values []uint64) {
 	for j := range ea {
-		static[j], values[j] = PeekBits(g, ea[j], eb[j])
+		static[j], values[j] = peekBitsRef(g, ea[j], eb[j])
 	}
 }
 
 // overlayPeek applies the Peek filter to each lane's dynamic prediction,
-// exactly as peekPredictor.Predict composes it.
+// exactly as peekOracle composes it.
 func overlayPeek(carries, static, pkStatic, pkValues []uint64) {
 	for j := range carries {
 		carries[j] = (carries[j] &^ pkStatic[j]) | pkValues[j]
@@ -85,7 +85,7 @@ func naiveLanes(active uint32, planes []uint32) []uint64 {
 // predictLanes runs p's PredictWarp with np planes and returns each
 // active lane's packed prediction. It fails when a plane at or past the
 // geometry's nb boundaries is not zero.
-func predictLanes(t testing.TB, p WarpPredictor, nb, np int, pc, base, active, cin uint32, ea, eb []uint64) (carries, static []uint64) {
+func predictLanes(t testing.TB, p Predictor, nb, np int, pc, base, active, cin uint32, ea, eb []uint64) (carries, static []uint64) {
 	t.Helper()
 	pred, st := make([]uint32, np), make([]uint32, np)
 	for b := range pred {
@@ -102,12 +102,33 @@ func predictLanes(t testing.TB, p WarpPredictor, nb, np int, pc, base, active, c
 
 // updateLanes delivers packed lane actuals to p's UpdateWarp as planes,
 // with inactive lanes' bits set to show they are ignored.
-func updateLanes(p WarpPredictor, nb int, pc, base, active, mispred, cin uint32, ea, eb, actual []uint64) {
+func updateLanes(p Predictor, nb int, pc, base, active, mispred, cin uint32, ea, eb, actual []uint64) {
 	planes := naivePlanes(active, actual, nb)
 	for b := range planes {
 		planes[b] |= ^active
 	}
 	p.UpdateWarp(pc, base, active, mispred, cin, ea, eb, planes)
+}
+
+// predictOne runs p's PredictWarp, over g64's 7 boundaries, on a warp
+// whose only active lane is ctx's: lane ctx.Ltid of the warp whose lane
+// 0 is thread ctx.Gtid−ctx.Ltid.
+func predictOne(t testing.TB, p Predictor, ctx laneCtx) lanePred {
+	t.Helper()
+	carries, static := predictLanes(t, p, 7, 7, ctx.PC, ctx.Gtid-uint32(ctx.Ltid), 1<<ctx.Ltid,
+		uint32(ctx.Cin0)<<ctx.Ltid, []uint64{ctx.EA}, []uint64{ctx.EB})
+	return lanePred{Carries: carries[0], Static: static[0]}
+}
+
+// updateOne delivers one lane's actual carries to p's UpdateWarp, on the
+// warp predictOne runs.
+func updateOne(p Predictor, ctx laneCtx, actual uint64, mispredicted bool) {
+	var mispred uint32
+	if mispredicted {
+		mispred = 1 << ctx.Ltid
+	}
+	updateLanes(p, 7, ctx.PC, ctx.Gtid-uint32(ctx.Ltid), 1<<ctx.Ltid, mispred,
+		uint32(ctx.Cin0)<<ctx.Ltid, []uint64{ctx.EA}, []uint64{ctx.EB}, []uint64{actual})
 }
 
 // randomLanes draws n packed values of nb bits.

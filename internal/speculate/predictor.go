@@ -4,51 +4,51 @@
 // Ltid indexing, the Peek static-resolution filter, and the hardware Carry
 // Register File (CRF) with write-back contention and random arbitration.
 //
-// A Predictor produces, for one dynamic add/sub, the packed per-boundary
-// carry predictions that internal/adder consumes, and learns from the
-// operation's actual carry-outs afterwards.
+// A Predictor speculates for one warp add/sub at a time, as the hardware
+// does: it fills the boundary-carry predictions of every active lane as
+// bit planes (planes.go), one 32-lane word per boundary, that
+// internal/core's unit consumes, and learns from the warp's true carries
+// afterwards. The CRF is itself a Predictor, so the simulator's hardware
+// path and the trace-level designs share one interface and one Peek
+// wrapper.
 package speculate
 
 import (
 	"fmt"
+	"math/bits"
 
 	"st2gpu/internal/adder"
 	"st2gpu/internal/bitmath"
 )
 
-// Context identifies one dynamic operation to the predictor: where it is
-// in the program (PC), who executes it (thread ids) and what flows through
-// the datapath (the *effective* operands after the subtraction transform —
-// exactly what the hardware slice input registers hold).
-type Context struct {
-	PC   uint32 // static instruction index
-	Gtid uint32 // global thread id
-	Ltid uint8  // lane within the warp, 0..31
-	EA   uint64 // effective operand 1
-	EB   uint64 // effective operand 2 (ones'-complemented for subtraction)
-	Cin0 uint   // injected carry into slice 0 (1 for subtraction)
-}
-
-// Prediction carries the packed boundary predictions plus the mask of
-// boundaries that were resolved statically (by Peek) and are therefore
-// guaranteed correct — the hardware performs no dynamic speculation there.
-type Prediction struct {
-	Carries uint64 // bit i = predicted carry into slice i+1
-	Static  uint64 // bit i set: boundary i was statically resolved (Peek)
-}
-
-// Predictor is one point in the carry-speculation design space.
+// Predictor is one point in the carry-speculation design space. One call
+// covers every active lane of a warp-synchronous operation. The lanes'
+// operands arrive packed (the j-th set bit of active owns ea[j] and
+// eb[j], the effective operands after the subtraction transform);
+// predictions and true carries travel as bit planes: bit l of plane b is
+// lane l's carry into slice b+1.
+//
+// The caller picks how many planes it exchanges, at most the predictor's
+// boundary count. PredictWarp fills every plane of pred and static;
+// UpdateWarp reads actual's planes and takes any further boundary of the
+// predictor as zero. Bits of inactive lanes are unspecified in pred and
+// static and ignored in actual. Every slice is the caller's scratch,
+// valid only for the duration of the call.
+//
+// All predictions read the pre-update state (the hardware reads the CRF
+// row once per warp), and updates land as if in ascending lane order
+// (the highest writing lane is the last writer of a shared entry).
 type Predictor interface {
-	// Name returns the design-space label (e.g. "Ltid+Prev+ModPC4+Peek").
-	Name() string
-	// Predict produces the boundary carries to speculate for this operation.
-	Predict(ctx Context) Prediction
-	// Update learns from the operation's true boundary carries. Following
-	// the paper, implementations only write history when the thread
-	// mispredicted (that is when the hardware performs a CRF write-back).
-	Update(ctx Context, actual uint64, mispredicted bool)
-	// Reset clears all history (new kernel launch).
-	Reset()
+	// PredictWarp fills the prediction planes, and in static the
+	// boundaries resolved statically (by Peek) and therefore guaranteed
+	// correct. cin bit l is lane l's injected slice-0 carry.
+	PredictWarp(pc, gtidBase, active, cin uint32, ea, eb []uint64, pred, static []uint32)
+	// UpdateWarp delivers the true boundary carries of every active
+	// lane; bit l of mispred marks lane l as having mispredicted (the
+	// condition under which the hardware performs a CRF write-back).
+	// Following the paper, history is written only for mispredicting
+	// lanes unless a design says otherwise.
+	UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb []uint64, actual []uint32)
 }
 
 // Geometry fixes the adder shape a predictor speculates for.
@@ -83,90 +83,73 @@ func (g Geometry) Validate() error {
 func (g Geometry) BoundaryMask() uint64 { return bitmath.Mask(g.Boundaries()) }
 
 // staticPredictor predicts the same constant for every boundary.
-type staticPredictor struct {
-	g     Geometry
-	value uint64
-	name  string
-}
+type staticPredictor struct{ plane uint32 }
 
 // NewStaticZero returns the "staticZero" design: always predict carry 0.
-func NewStaticZero(g Geometry) Predictor {
-	return &staticPredictor{g: g, value: 0, name: "staticZero"}
-}
+func NewStaticZero(Geometry) Predictor { return &staticPredictor{} }
 
 // NewStaticOne returns the "staticOne" design: always predict carry 1.
-func NewStaticOne(g Geometry) Predictor {
-	return &staticPredictor{g: g, value: ^uint64(0), name: "staticOne"}
+func NewStaticOne(Geometry) Predictor { return &staticPredictor{plane: ^uint32(0)} }
+
+// PredictWarp implements Predictor: a constant plane per boundary.
+func (s *staticPredictor) PredictWarp(_, _, _, _ uint32, _, _ []uint64, pred, static []uint32) {
+	for b := range pred {
+		pred[b] = s.plane
+	}
+	clear(static)
 }
 
-func (s *staticPredictor) Name() string { return s.name }
-
-func (s *staticPredictor) Predict(Context) Prediction {
-	return Prediction{Carries: s.value & s.g.BoundaryMask()}
-}
-
-func (s *staticPredictor) Update(Context, uint64, bool) {}
-func (s *staticPredictor) Reset()                       {}
-
-// PeekBits computes the statically-resolvable boundaries for the given
-// effective operands: boundary i (the carry out of slice i) is 0 when both
-// MSBs of slice i's operands are 0, and 1 when both are 1. Returns the
-// resolved mask and the resolved values. A boundary resolves exactly when
-// the two MSBs agree, and resolves to their AND, so both are one gather
-// of slice MSBs, with no data-dependent branch.
-func PeekBits(g Geometry, ea, eb uint64) (static, values uint64) {
-	return g.sliceMSBs(^(ea ^ eb)), g.sliceMSBs(ea & eb)
-}
+// UpdateWarp implements Predictor: static predictors never learn.
+func (s *staticPredictor) UpdateWarp(_, _, _, _, _ uint32, _, _ []uint64, _ []uint32) {}
 
 // peekPredictor wraps an inner predictor with the Peek filter: boundaries
 // whose previous-slice operand MSBs agree are resolved statically
-// (guaranteed correct); only the rest consult the inner predictor.
+// (guaranteed correct); only the rest keep the inner prediction.
 type peekPredictor struct {
 	g     Geometry
 	inner Predictor
-	warp  WarpPredictor // AsWarp(inner)
-	pk    peekScratch
+	// The Peek planes of the warp in flight.
+	pkStatic, pkValues [MaxBoundaries]uint32
 }
 
 // WithPeek adds the Peek mechanism in front of inner.
 func WithPeek(g Geometry, inner Predictor) Predictor {
-	return &peekPredictor{g: g, inner: inner, warp: AsWarp(inner)}
+	return &peekPredictor{g: g, inner: inner}
 }
 
-func (p *peekPredictor) Name() string { return p.inner.Name() + "+Peek" }
-
-func (p *peekPredictor) Predict(ctx Context) Prediction {
-	static, values := PeekBits(p.g, ctx.EA, ctx.EB)
-	dyn := p.inner.Predict(ctx)
-	return Prediction{
-		Carries: (dyn.Carries &^ static) | values,
-		Static:  static | dyn.Static,
-	}
+// PredictWarp implements Predictor: the inner prediction, overlaid with
+// the warp's Peek planes.
+func (p *peekPredictor) PredictWarp(pc, gtidBase, active, cin uint32, ea, eb []uint64, pred, static []uint32) {
+	p.inner.PredictWarp(pc, gtidBase, active, cin, ea, eb, pred, static)
+	n := len(pred)
+	PeekPlanes(p.g, active, ea, eb, p.pkStatic[:n], p.pkValues[:n])
+	OverlayPeek(pred, static, p.pkStatic[:n], p.pkValues[:n])
 }
 
-func (p *peekPredictor) Update(ctx Context, actual uint64, mispredicted bool) {
-	p.inner.Update(ctx, actual, mispredicted)
+// UpdateWarp implements Predictor: Peek keeps no state of its own.
+func (p *peekPredictor) UpdateWarp(pc, gtidBase, active, mispred, cin uint32, ea, eb []uint64, actual []uint32) {
+	p.inner.UpdateWarp(pc, gtidBase, active, mispred, cin, ea, eb, actual)
 }
-
-func (p *peekPredictor) Reset() { p.inner.Reset() }
 
 // Oracle returns perfect predictions; used to bound achievable accuracy in
 // tests and ablations.
 type Oracle struct{ G Geometry }
 
-// Name implements Predictor.
-func (o *Oracle) Name() string { return "oracle" }
-
-// Predict returns the exact boundary carries.
-func (o *Oracle) Predict(ctx Context) Prediction {
-	return Prediction{
-		Carries: bitmath.BoundaryCarriesPacked(ctx.EA, ctx.EB, ctx.Cin0, o.G.Width, o.G.SliceBits),
-		Static:  o.G.BoundaryMask(),
+// PredictWarp implements Predictor: every active lane's exact boundary
+// carries, each boundary marked static.
+func (o *Oracle) PredictWarp(_, _, active, cin uint32, ea, eb []uint64, pred, static []uint32) {
+	var lanes [32]uint64
+	j := 0
+	for m := active; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros32(m)
+		lanes[j] = bitmath.BoundaryCarriesPacked(ea[j], eb[j], uint(cin>>l&1), o.G.Width, o.G.SliceBits)
+		j++
+	}
+	LanesToPlanes(active, lanes[:j], pred)
+	for b := range static {
+		static[b] = active
 	}
 }
 
-// Update implements Predictor.
-func (o *Oracle) Update(Context, uint64, bool) {}
-
-// Reset implements Predictor.
-func (o *Oracle) Reset() {}
+// UpdateWarp implements Predictor: the oracle needs no history.
+func (o *Oracle) UpdateWarp(_, _, _, _, _ uint32, _, _ []uint64, _ []uint32) {}

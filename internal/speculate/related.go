@@ -15,24 +15,10 @@ type CASA struct {
 // NewCASA builds the baseline.
 func NewCASA(g Geometry) *CASA { return &CASA{G: g} }
 
-// Name implements Predictor.
-func (c *CASA) Name() string { return "CASA" }
-
-// Predict implements Predictor. Boundary i carries iff at least one of
-// the preceding slice's operand MSBs is set (certain when both are,
+// PredictWarp implements Predictor. Boundary i carries iff at least one
+// of the preceding slice's operand MSBs is set (certain when both are,
 // impossible when neither is, and CASA bets on propagation completing
-// when exactly one is) — which is the MSB gather of EA|EB.
-func (c *CASA) Predict(ctx Context) Prediction {
-	return Prediction{Carries: c.G.sliceMSBs(ctx.EA | ctx.EB)}
-}
-
-// Update implements Predictor (CASA is stateless).
-func (c *CASA) Update(Context, uint64, bool) {}
-
-// Reset implements Predictor.
-func (c *CASA) Reset() {}
-
-// PredictWarp implements WarpPredictor: one gather per lane, then one
+// when exactly one is): one MSB gather of ea|eb per lane, then one
 // transpose into planes.
 func (c *CASA) PredictWarp(_, _, active, _ uint32, ea, eb []uint64, pred, static []uint32) {
 	var lanes [32]uint64
@@ -43,7 +29,7 @@ func (c *CASA) PredictWarp(_, _, active, _ uint32, ea, eb []uint64, pred, static
 	clear(static)
 }
 
-// UpdateWarp implements WarpPredictor (CASA is stateless).
+// UpdateWarp implements Predictor (CASA is stateless).
 func (c *CASA) UpdateWarp(_, _, _, _, _ uint32, _, _ []uint64, _ []uint32) {}
 
 // VLSA models "Variable latency speculative addition" (Verma, Brisk,
@@ -59,23 +45,11 @@ type VLSA struct {
 // NewVLSA builds the baseline.
 func NewVLSA(g Geometry) *VLSA { return &VLSA{G: g} }
 
-// Name implements Predictor.
-func (v *VLSA) Name() string { return "VLSA" }
-
-// Predict implements Predictor: all carries speculated zero.
-func (v *VLSA) Predict(Context) Prediction { return Prediction{} }
-
-// Update implements Predictor.
-func (v *VLSA) Update(Context, uint64, bool) {}
-
-// Reset implements Predictor.
-func (v *VLSA) Reset() {}
-
-// PredictWarp implements WarpPredictor: all carries speculated zero.
+// PredictWarp implements Predictor: all carries speculated zero.
 func (v *VLSA) PredictWarp(_, _, _, _ uint32, _, _ []uint64, pred, static []uint32) {
 	clear(pred)
 	clear(static)
 }
 
-// UpdateWarp implements WarpPredictor (VLSA is stateless).
+// UpdateWarp implements Predictor (VLSA is stateless).
 func (v *VLSA) UpdateWarp(_, _, _, _, _ uint32, _, _ []uint64, _ []uint32) {}

@@ -2,6 +2,7 @@ package speculate
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -10,35 +11,34 @@ import (
 
 func TestCASAKnownCases(t *testing.T) {
 	c := NewCASA(g64)
-	if c.Name() != "CASA" {
-		t.Error("name")
-	}
 	// Both slice-0 MSBs set → boundary 0 predicted 1.
-	p := c.Predict(Context{EA: 0x80, EB: 0x80})
+	p := predictOne(t, c, laneCtx{EA: 0x80, EB: 0x80})
 	if p.Carries&1 != 1 {
 		t.Error("both MSBs set should predict carry")
 	}
 	// Neither set → 0.
-	p = c.Predict(Context{EA: 0x7F, EB: 0x7F})
+	p = predictOne(t, c, laneCtx{EA: 0x7F, EB: 0x7F})
 	if p.Carries&1 != 0 {
 		t.Error("no MSBs set should predict no carry")
 	}
 	// Exactly one set → CASA bets 1.
-	p = c.Predict(Context{EA: 0x80, EB: 0})
+	p = predictOne(t, c, laneCtx{EA: 0x80, EB: 0})
 	if p.Carries&1 != 1 {
 		t.Error("one MSB set: CASA predicts propagation")
 	}
-	c.Update(Context{}, 0x7F, true) // no-op
-	c.Reset()
+	updateOne(c, laneCtx{}, 0x7F, true) // no-op
+	if p = predictOne(t, c, laneCtx{EA: 0x80, EB: 0}); p.Carries&1 != 1 {
+		t.Error("CASA is stateless")
+	}
 }
 
 // CASA's guaranteed cases are never wrong (the Peek subset).
 func TestCASAGuaranteedSubset(t *testing.T) {
 	c := NewCASA(g64)
 	f := func(a, b uint64) bool {
-		pred := c.Predict(Context{EA: a, EB: b})
+		pred := predictOne(t, c, laneCtx{EA: a, EB: b})
 		truth := bitmath.BoundaryCarriesPacked(a, b, 0, 64, 8)
-		static, values := PeekBits(g64, a, b)
+		static, values := peekOne(g64, a, b)
 		// Where Peek can resolve, CASA must agree with the truth too.
 		return (pred.Carries^truth)&static == 0 && (values^truth)&static == 0
 	}
@@ -58,9 +58,9 @@ func TestCASABeatsStaticsOnRandom(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a, b := rng.Uint64(), rng.Uint64()
 		truth := bitmath.BoundaryCarriesPacked(a, b, 0, 64, 8)
-		ctx := Context{EA: a, EB: b}
-		casaWrong += bitmath.PopCount64((casa.Predict(ctx).Carries ^ truth) & 0x7F)
-		zeroWrong += bitmath.PopCount64((zero.Predict(ctx).Carries ^ truth) & 0x7F)
+		ctx := laneCtx{EA: a, EB: b}
+		casaWrong += bitmath.PopCount64((predictOne(t, casa, ctx).Carries ^ truth) & 0x7F)
+		zeroWrong += bitmath.PopCount64((predictOne(t, zero, ctx).Carries ^ truth) & 0x7F)
 	}
 	if casaWrong >= zeroWrong {
 		t.Errorf("CASA (%d wrong boundaries) should beat staticZero (%d) on random operands",
@@ -70,27 +70,23 @@ func TestCASABeatsStaticsOnRandom(t *testing.T) {
 
 func TestVLSA(t *testing.T) {
 	v := NewVLSA(g64)
-	if v.Name() != "VLSA" {
-		t.Error("name")
-	}
-	if p := v.Predict(Context{EA: ^uint64(0), EB: ^uint64(0)}); p.Carries != 0 || p.Static != 0 {
+	if p := predictOne(t, v, laneCtx{EA: ^uint64(0), EB: ^uint64(0)}); p.Carries != 0 || p.Static != 0 {
 		t.Error("VLSA always speculates zero")
 	}
-	v.Update(Context{}, 0x7F, true)
-	v.Reset()
-	if v.Predict(Context{}).Carries != 0 {
+	updateOne(v, laneCtx{}, 0x7F, true)
+	if predictOne(t, v, laneCtx{}).Carries != 0 {
 		t.Error("VLSA is stateless")
 	}
 }
 
 func TestRelatedWorkInRegistry(t *testing.T) {
-	for _, name := range []string{"CASA", "VLSA"} {
+	for name, want := range map[string]Predictor{"CASA": &CASA{}, "VLSA": &VLSA{}} {
 		p, err := NewDesign(name, g64, testBounds(t))
 		if err != nil {
 			t.Fatalf("NewDesign(%q): %v", name, err)
 		}
-		if p.Name() != name {
-			t.Errorf("name = %q", p.Name())
+		if got := reflect.TypeOf(p); got != reflect.TypeOf(want) {
+			t.Errorf("NewDesign(%q) is a %v, want %T", name, got, want)
 		}
 	}
 }

@@ -38,24 +38,20 @@ func TestGeometry(t *testing.T) {
 func TestStaticPredictors(t *testing.T) {
 	z := NewStaticZero(g64)
 	o := NewStaticOne(g64)
-	if z.Name() != "staticZero" || o.Name() != "staticOne" {
-		t.Error("names wrong")
-	}
-	ctx := Context{EA: 123, EB: 456}
-	if p := z.Predict(ctx); p.Carries != 0 || p.Static != 0 {
+	ctx := laneCtx{EA: 123, EB: 456}
+	if p := predictOne(t, z, ctx); p.Carries != 0 || p.Static != 0 {
 		t.Errorf("staticZero predicted %v", p)
 	}
-	if p := o.Predict(ctx); p.Carries != 0x7F {
-		t.Errorf("staticOne predicted %#x, want 0x7F", p.Carries)
+	if p := predictOne(t, o, ctx); p.Carries != 0x7F || p.Static != 0 {
+		t.Errorf("staticOne predicted %v, want carries 0x7F", p)
 	}
-	z.Update(ctx, 0x7F, true) // no-op
-	z.Reset()
-	if p := z.Predict(ctx); p.Carries != 0 {
+	updateOne(z, ctx, 0x7F, true) // no-op
+	if p := predictOne(t, z, ctx); p.Carries != 0 {
 		t.Error("static predictor must be stateless")
 	}
 }
 
-// Peek's static resolutions must never be wrong: whenever PeekBits claims
+// Peek's static resolutions must never be wrong: whenever PeekPlanes claims
 // a boundary, the claimed value equals the true boundary carry.
 func TestPeekGuaranteedCorrect(t *testing.T) {
 	f := func(a, b uint64, cinRaw bool) bool {
@@ -63,7 +59,7 @@ func TestPeekGuaranteedCorrect(t *testing.T) {
 		if cinRaw {
 			cin = 1
 		}
-		static, values := PeekBits(g64, a, b)
+		static, values := peekOne(g64, a, b)
 		truth := bitmath.BoundaryCarriesPacked(a, b, cin, 64, 8)
 		return (truth^values)&static == 0
 	}
@@ -74,18 +70,18 @@ func TestPeekGuaranteedCorrect(t *testing.T) {
 
 func TestPeekKnownCases(t *testing.T) {
 	// All slice MSBs zero → every boundary statically 0.
-	static, values := PeekBits(g64, 0, 0)
+	static, values := peekOne(g64, 0, 0)
 	if static != 0x7F || values != 0 {
 		t.Errorf("zeros: static=%07b values=%07b", static, values)
 	}
 	// All slice MSBs one → every boundary statically 1.
 	allMSB := uint64(0x8080808080808080)
-	static, values = PeekBits(g64, allMSB, allMSB)
+	static, values = peekOne(g64, allMSB, allMSB)
 	if static != 0x7F || values != 0x7F {
 		t.Errorf("ones: static=%07b values=%07b", static, values)
 	}
 	// Disagreeing MSBs → nothing resolvable.
-	static, _ = PeekBits(g64, allMSB, 0)
+	static, _ = peekOne(g64, allMSB, 0)
 	if static != 0 {
 		t.Errorf("mixed: static=%07b, want 0", static)
 	}
@@ -94,17 +90,14 @@ func TestPeekKnownCases(t *testing.T) {
 func TestWithPeekDelegation(t *testing.T) {
 	inner := NewStaticOne(g64)
 	p := WithPeek(g64, inner)
-	if p.Name() != "staticOne+Peek" {
-		t.Errorf("name = %q", p.Name())
-	}
 	// Operands with all slice MSBs 0: peek forces every boundary to 0
 	// even though the inner predictor says 1.
-	got := p.Predict(Context{EA: 0, EB: 0})
+	got := predictOne(t, p, laneCtx{EA: 0, EB: 0})
 	if got.Carries != 0 || got.Static != 0x7F {
 		t.Errorf("peek did not override: %+v", got)
 	}
 	// Mixed: unresolved boundaries fall through to the inner prediction.
-	got = p.Predict(Context{EA: 0x80, EB: 0}) // slice 0 MSBs disagree
+	got = predictOne(t, p, laneCtx{EA: 0x80, EB: 0}) // slice 0 MSBs disagree
 	if got.Static&1 != 0 {
 		t.Error("boundary 0 should be dynamic")
 	}
@@ -115,12 +108,14 @@ func TestWithPeekDelegation(t *testing.T) {
 
 func TestOracleAlwaysRight(t *testing.T) {
 	o := &Oracle{G: g64}
-	if o.Name() != "oracle" {
-		t.Error("name")
-	}
-	f := func(a, b uint64) bool {
-		p := o.Predict(Context{EA: a, EB: b, Cin0: 0})
-		return p.Carries == bitmath.BoundaryCarriesPacked(a, b, 0, 64, 8)
+	f := func(a, b uint64, cinRaw bool, ltid uint8) bool {
+		cin := uint(0)
+		if cinRaw {
+			cin = 1
+		}
+		ltid %= 32
+		p := predictOne(t, o, laneCtx{Gtid: uint32(ltid), Ltid: ltid, EA: a, EB: b, Cin0: cin})
+		return p.Carries == bitmath.BoundaryCarriesPacked(a, b, cin, 64, 8) && p.Static == g64.BoundaryMask()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
 		t.Error(err)
@@ -143,24 +138,33 @@ func TestHistoryConfigValidate(t *testing.T) {
 	}
 }
 
+// TestHistoryNames pins each Prev-family design label to the table it
+// builds: the thread mode, the PC fold and the update policy.
 func TestHistoryNames(t *testing.T) {
 	cases := []struct {
-		cfg  HistoryConfig
-		want string
+		name string
+		want HistoryConfig
 	}{
-		{HistoryConfig{Geometry: g64}, "Prev"},
-		{HistoryConfig{Geometry: g64, PCMode: ModPC, PCBits: 4}, "Prev+ModPC4"},
-		{HistoryConfig{Geometry: g64, PCMode: ModPC, PCBits: 4, Threads: ByLtid}, "Ltid+Prev+ModPC4"},
-		{HistoryConfig{Geometry: g64, PCMode: FullPC, Threads: ByGtid}, "Gtid+Prev+FullPC"},
-		{HistoryConfig{Geometry: g64, PCMode: XorPC, PCBits: 4, Threads: ByLtid}, "Ltid+Prev+XorPC4"},
+		{"Prev", HistoryConfig{Geometry: g64}},
+		{"Prev+ModPC4+Peek", HistoryConfig{Geometry: g64, PCMode: ModPC, PCBits: 4}},
+		{"Ltid+Prev+ModPC4+Peek", HistoryConfig{Geometry: g64, PCMode: ModPC, PCBits: 4, Threads: ByLtid}},
+		{"Gtid+Prev+ModPC4+Peek", HistoryConfig{Geometry: g64, PCMode: ModPC, PCBits: 4, Threads: ByGtid}},
+		{"Ltid+Prev+XorPC4+Peek", HistoryConfig{Geometry: g64, PCMode: XorPC, PCBits: 4, Threads: ByLtid}},
+		{"Gtid+Prev+FullPC", HistoryConfig{Geometry: g64, PCMode: FullPC, Threads: ByGtid, AlwaysUpdate: true}},
+		{"Gtid+Prev", HistoryConfig{Geometry: g64, Threads: ByGtid, AlwaysUpdate: true}},
 	}
 	for _, c := range cases {
-		h, err := NewHistory(c.cfg, testBounds(t))
+		p, err := NewDesign(c.name, g64, testBounds(t))
 		if err != nil {
-			t.Fatalf("%+v: %v", c.cfg, err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if h.Name() != c.want {
-			t.Errorf("name = %q, want %q", h.Name(), c.want)
+		inner, _ := SplitPeek(p)
+		h, ok := inner.(*History)
+		if !ok {
+			t.Fatalf("%s builds a %T, want *History", c.name, inner)
+		}
+		if h.cfg != c.want {
+			t.Errorf("%s builds %+v, want %+v", c.name, h.cfg, c.want)
 		}
 	}
 }
@@ -170,23 +174,23 @@ func TestHistoryLearnsPerPC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxA := Context{PC: 3}
-	ctxB := Context{PC: 5}
-	h.Update(ctxA, 0x15, true)
-	h.Update(ctxB, 0x2A, true)
-	if p := h.Predict(ctxA); p.Carries != 0x15 {
+	ctxA := laneCtx{PC: 3}
+	ctxB := laneCtx{PC: 5}
+	updateOne(h, ctxA, 0x15, true)
+	updateOne(h, ctxB, 0x2A, true)
+	if p := predictOne(t, h, ctxA); p.Carries != 0x15 {
 		t.Errorf("PC3 prediction %#x", p.Carries)
 	}
-	if p := h.Predict(ctxB); p.Carries != 0x2A {
+	if p := predictOne(t, h, ctxB); p.Carries != 0x2A {
 		t.Errorf("PC5 prediction %#x", p.Carries)
 	}
 	// PC 19 aliases PC 3 under ModPC4.
-	if p := h.Predict(Context{PC: 19}); p.Carries != 0x15 {
+	if p := predictOne(t, h, laneCtx{PC: 19}); p.Carries != 0x15 {
 		t.Errorf("aliased PC prediction %#x", p.Carries)
 	}
-	h.Reset()
-	if h.Predict(ctxA).Carries != 0 || h.Predict(ctxB).Carries != 0 {
-		t.Error("reset did not clear")
+	// PC 4 has its own, cold, entry.
+	if p := predictOne(t, h, laneCtx{PC: 4}); p.Carries != 0 {
+		t.Errorf("cold PC prediction %#x", p.Carries)
 	}
 }
 
@@ -196,31 +200,31 @@ func TestHistoryThreadModes(t *testing.T) {
 	lt, _ := NewHistory(HistoryConfig{Geometry: g64, Threads: ByLtid, AlwaysUpdate: true}, testBounds(t))
 
 	// Thread 5 (lane 5) learns; thread 37 (lane 5 of the next warp) asks.
-	learn := Context{Gtid: 5, Ltid: 5}
-	ask := Context{Gtid: 37, Ltid: 5}
-	gt.Update(learn, 0x3, true)
-	lt.Update(learn, 0x3, true)
-	if p := gt.Predict(ask); p.Carries != 0 {
+	learn := laneCtx{Gtid: 5, Ltid: 5}
+	ask := laneCtx{Gtid: 37, Ltid: 5}
+	updateOne(gt, learn, 0x3, true)
+	updateOne(lt, learn, 0x3, true)
+	if p := predictOne(t, gt, ask); p.Carries != 0 {
 		t.Errorf("Gtid mode leaked history across threads: %#x", p.Carries)
 	}
-	if p := lt.Predict(ask); p.Carries != 0x3 {
+	if p := predictOne(t, lt, ask); p.Carries != 0x3 {
 		t.Errorf("Ltid mode should share across warps: %#x", p.Carries)
 	}
 	// Different lane must not see it.
-	if p := lt.Predict(Context{Gtid: 38, Ltid: 6}); p.Carries != 0 {
+	if p := predictOne(t, lt, laneCtx{Gtid: 38, Ltid: 6}); p.Carries != 0 {
 		t.Errorf("Ltid mode leaked across lanes: %#x", p.Carries)
 	}
 }
 
 func TestHistoryUpdatePolicy(t *testing.T) {
 	h, _ := NewHistory(HistoryConfig{Geometry: g64}, testBounds(t))
-	ctx := Context{PC: 1}
-	h.Update(ctx, 0x7F, false) // correct prediction → no write-back
-	if h.Predict(ctx).Carries != 0 {
+	ctx := laneCtx{PC: 1}
+	updateOne(h, ctx, 0x7F, false) // correct prediction → no write-back
+	if predictOne(t, h, ctx).Carries != 0 {
 		t.Error("non-mispredicted op should not update history")
 	}
-	h.Update(ctx, 0x7F, true)
-	if h.Predict(ctx).Carries != 0x7F {
+	updateOne(h, ctx, 0x7F, true)
+	if predictOne(t, h, ctx).Carries != 0x7F {
 		t.Error("mispredicted op must update history")
 	}
 }
@@ -228,12 +232,12 @@ func TestHistoryUpdatePolicy(t *testing.T) {
 func TestXorPCFolding(t *testing.T) {
 	h, _ := NewHistory(HistoryConfig{Geometry: g64, PCMode: XorPC, PCBits: 4, AlwaysUpdate: true}, testBounds(t))
 	// PCs 0x13 and 0x31 fold to 1^3 = 2 and 3^1 = 2: they alias.
-	h.Update(Context{PC: 0x13}, 0x55, true)
-	if p := h.Predict(Context{PC: 0x31}); p.Carries != 0x55 {
+	updateOne(h, laneCtx{PC: 0x13}, 0x55, true)
+	if p := predictOne(t, h, laneCtx{PC: 0x31}); p.Carries != 0x55 {
 		t.Errorf("XOR-folded PCs should alias: %#x", p.Carries)
 	}
 	// PC 0x10 folds to 1: distinct.
-	if p := h.Predict(Context{PC: 0x10}); p.Carries != 0 {
+	if p := predictOne(t, h, laneCtx{PC: 0x10}); p.Carries != 0 {
 		t.Errorf("distinct fold leaked: %#x", p.Carries)
 	}
 }
@@ -243,31 +247,24 @@ func TestVaLHALLA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Name() != "VaLHALLA" {
-		t.Error("name")
-	}
-	ctx := Context{Gtid: 9}
-	if v.Predict(ctx).Carries != 0 {
+	ctx := laneCtx{Gtid: 9}
+	if predictOne(t, v, ctx).Carries != 0 {
 		t.Error("cold VaLHALLA should predict 0")
 	}
 	// Majority of boundaries carried → broadcast 1 everywhere.
-	v.Update(ctx, 0x7F, false)
-	if v.Predict(ctx).Carries != 0x7F {
+	updateOne(v, ctx, 0x7F, false)
+	if predictOne(t, v, ctx).Carries != 0x7F {
 		t.Error("after all-ones carries, should broadcast 1")
 	}
 	// Minority → broadcast 0.
-	v.Update(ctx, 0x03, false)
-	if v.Predict(ctx).Carries != 0 {
+	updateOne(v, ctx, 0x03, false)
+	if predictOne(t, v, ctx).Carries != 0 {
 		t.Error("after two-of-seven carries, should broadcast 0")
 	}
 	// Per-thread isolation.
-	if v.Predict(Context{Gtid: 10}).Carries != 0 {
+	updateOne(v, ctx, 0x7F, false)
+	if predictOne(t, v, laneCtx{Gtid: 10}).Carries != 0 {
 		t.Error("VaLHALLA state leaked across threads")
-	}
-	v.Update(ctx, 0x7F, false)
-	v.Reset()
-	if v.Predict(ctx).Carries != 0 {
-		t.Error("reset failed")
 	}
 }
 
@@ -278,19 +275,13 @@ func TestRegistryConstructsAllDesigns(t *testing.T) {
 			t.Errorf("NewDesign(%q): %v", name, err)
 			continue
 		}
-		if p.Name() != name {
-			t.Errorf("NewDesign(%q).Name() = %q", name, p.Name())
-		}
-		// Smoke: predict/update/reset cycle.
-		ctx := Context{PC: 7, Gtid: 33, Ltid: 1, EA: 100, EB: 200}
-		pr := p.Predict(ctx)
-		if pr.Carries&^g64.BoundaryMask() != 0 {
-			t.Errorf("%q predicted out-of-range bits %#x", name, pr.Carries)
-		}
-		p.Update(ctx, 0x7F, true)
-		p.Reset()
+		// Smoke: predict/update cycle.
+		ctx := laneCtx{PC: 7, Gtid: 33, Ltid: 1, EA: 100, EB: 200}
+		predictOne(t, p, ctx)
+		updateOne(p, ctx, 0x7F, true)
 	}
-	extra := []string{"oracle", "Ltid+Prev+XorPC4+Peek", "Gtid+Prev", "Gtid+Prev+FullPC", "Ltid+Prev+FullPC"}
+	extra := []string{"oracle", "CASA", "VLSA", "Ltid+Prev+XorPC4+Peek", "Ltid+Prev2+ModPC4+Peek",
+		"Gtid+Prev", "Gtid+Prev+FullPC", "Ltid+Prev+FullPC"}
 	for _, name := range extra {
 		if _, err := NewDesign(name, g64, testBounds(t)); err != nil {
 			t.Errorf("NewDesign(%q): %v", name, err)
@@ -530,13 +521,13 @@ func TestFinalDesignBeatsStaticOnLoopStream(t *testing.T) {
 				for pc := uint32(0); pc < 4; pc++ {
 					a := base + uint64(iter)*uint64(pc+1)
 					b := uint64(pc) * 37
-					ctx := Context{PC: pc, Gtid: uint32(lane), Ltid: lane, EA: a, EB: b}
-					pred := p.Predict(ctx)
+					ctx := laneCtx{PC: pc, Gtid: uint32(lane), Ltid: lane, EA: a, EB: b}
+					pred := predictOne(t, p, ctx)
 					r := ad.Execute(a, b, adder.Add, pred.Carries)
 					if r.Mispredicted {
 						mispredicts++
 					}
-					p.Update(ctx, r.ActualCarries, r.Mispredicted)
+					updateOne(p, ctx, r.ActualCarries, r.Mispredicted)
 					total++
 				}
 			}
@@ -558,31 +549,29 @@ func TestFinalDesignBeatsStaticOnLoopStream(t *testing.T) {
 }
 
 func TestHistory2AlternationHeuristic(t *testing.T) {
-	h, err := NewHistory2(HistoryConfig{Geometry: g64, AlwaysUpdate: true}, testBounds(t))
+	cfg := HistoryConfig{Geometry: g64, AlwaysUpdate: true}
+	h, err := NewHistory2(cfg, testBounds(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Name() != "Prev2" {
-		t.Errorf("name = %q", h.Name())
-	}
-	ctx := Context{PC: 1}
+	ctx := laneCtx{PC: 1}
 	// Steady stream: agreement → predict the agreed bits.
-	h.Update(ctx, 0x55, true)
-	h.Update(ctx, 0x55, true)
-	if p := h.Predict(ctx); p.Carries != 0x55 {
+	updateOne(h, ctx, 0x55, true)
+	updateOne(h, ctx, 0x55, true)
+	if p := predictOne(t, h, ctx); p.Carries != 0x55 {
 		t.Errorf("steady stream predicted %#x", p.Carries)
 	}
 	// Alternating stream on bit 0: ..., 1, 0 → predict toggle back to 1.
-	h.Reset()
-	h.Update(ctx, 0x01, true)
-	h.Update(ctx, 0x00, true)
-	if p := h.Predict(ctx); p.Carries&1 != 1 {
+	h, _ = NewHistory2(cfg, testBounds(t))
+	updateOne(h, ctx, 0x01, true)
+	updateOne(h, ctx, 0x00, true)
+	if p := predictOne(t, h, ctx); p.Carries&1 != 1 {
 		t.Errorf("alternating bit should be predicted to toggle: %#x", p.Carries)
 	}
 	// Update policy: no write without misprediction when AlwaysUpdate off.
 	h2, _ := NewHistory2(HistoryConfig{Geometry: g64}, testBounds(t))
-	h2.Update(ctx, 0x7F, false)
-	if h2.Predict(ctx).Carries != 0 {
+	updateOne(h2, ctx, 0x7F, false)
+	if predictOne(t, h2, ctx).Carries != 0 {
 		t.Error("non-mispredicted op should not update depth-2 history")
 	}
 	if _, err := NewHistory2(HistoryConfig{Geometry: Geometry{}}, testBounds(t)); err == nil {
@@ -599,14 +588,14 @@ func TestHistory2PredictsTwoUpdatesBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	ctx := Context{PC: 2, Ltid: 9}
+	ctx := laneCtx{PC: 2, Ltid: 9}
 	written := []uint64{0, 0}
 	for i := 0; i < 200; i++ {
-		if got, want := h.Predict(ctx).Carries, written[len(written)-2]; got != want {
+		if got, want := predictOne(t, h, ctx).Carries, written[len(written)-2]; got != want {
 			t.Fatalf("after %d updates: predicted %#x, want %#x written two updates earlier", i, got, want)
 		}
 		v := rng.Uint64() & g64.BoundaryMask()
-		h.Update(ctx, v, true)
+		updateOne(h, ctx, v, true)
 		written = append(written, v)
 	}
 }
@@ -616,8 +605,9 @@ func TestHistory2InRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "Ltid+Prev2+ModPC4+Peek" {
-		t.Errorf("name = %q", p.Name())
+	inner, peeked := SplitPeek(p)
+	if h, ok := inner.(*History2); !peeked || !ok || h.cfg != (HistoryConfig{Geometry: g64, PCMode: ModPC, PCBits: 4, Threads: ByLtid}) {
+		t.Errorf("Ltid+Prev2+ModPC4+Peek builds %T (Peek %v), want a Peek-wrapped Ltid ModPC4 *History2", inner, peeked)
 	}
 }
 
@@ -649,37 +639,32 @@ func TestCRFArbitrationFairness(t *testing.T) {
 	}
 }
 
-// Registry-wide safety properties: no design ever predicts bits outside
-// the boundary mask, claims a wrong static resolution, or panics across
-// the context space of its bounds.
+// Registry-wide safety properties: no design ever claims a wrong static
+// resolution, or panics, over random warps of its bounds at any plane
+// count up to its boundaries.
 func TestAllDesignsSafetyProperties(t *testing.T) {
 	names := append(append([]string{}, DesignSpace...),
 		"oracle", "CASA", "VLSA", "Ltid+Prev+XorPC4+Peek", "Ltid+Prev2+ModPC4+Peek",
 		"Gtid+Prev", "Gtid+Prev+FullPC", "Ltid+Prev+FullPC")
-	for _, name := range names {
+	for i, name := range names {
 		p, err := NewDesign(name, g64, testBounds(t))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		f := func(a, b uint64, pc, gtid uint32, ltid uint8, cinRaw, mispred bool) bool {
-			cin := uint(0)
-			if cinRaw {
-				cin = 1
+		rng := rand.New(rand.NewSource(int64(i)))
+		for step, w := range randomWarps(rng, 500) {
+			ea, eb := w.packed()
+			np := 1 + rng.Intn(7)
+			carries, static := predictLanes(t, p, 7, np, w.pc, w.base, w.active, w.cin, ea, eb)
+			actual := make([]uint64, len(ea))
+			for j, ctx := range w.contexts(ea, eb) {
+				actual[j] = bitmath.BoundaryCarriesPacked(ctx.EA, ctx.EB, ctx.Cin0, 64, 8)
+				if (carries[j]^actual[j])&static[j] != 0 {
+					t.Fatalf("%s step %d lane %d: static boundaries %#x of %#x wrong, truth %#x",
+						name, step, ctx.Ltid, static[j], carries[j], actual[j])
+				}
 			}
-			ctx := Context{PC: pc % testPCs, Gtid: gtid % testThreads, Ltid: ltid % 32, EA: a, EB: b, Cin0: cin}
-			pred := p.Predict(ctx)
-			if pred.Carries&^g64.BoundaryMask() != 0 || pred.Static&^g64.BoundaryMask() != 0 {
-				return false
-			}
-			truth := bitmath.BoundaryCarriesPacked(a, b, cin, 64, 8)
-			if (pred.Carries^truth)&pred.Static != 0 {
-				return false // a "static" (guaranteed) bit was wrong
-			}
-			p.Update(ctx, truth, mispred)
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-			t.Errorf("%s: %v", name, err)
+			updateLanes(p, 7, w.pc, w.base, w.active, rng.Uint32()&w.active, w.cin, ea, eb, actual)
 		}
 	}
 }

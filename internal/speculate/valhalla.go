@@ -1,7 +1,5 @@
 package speculate
 
-import "math/bits"
-
 // VaLHALLA models the prior state-of-the-art variable-latency adder the
 // paper compares against (Gok & Hardavellas, GLSVLSI 2017). Its defining
 // properties, per Section IV-B:
@@ -34,33 +32,7 @@ func NewVaLHALLA(g Geometry, b Bounds) (*VaLHALLA, error) {
 	return &VaLHALLA{g: g, threads: b.threads, bits: make([]uint32, threadWords(b.threads))}, nil
 }
 
-// Name implements Predictor.
-func (v *VaLHALLA) Name() string { return "VaLHALLA" }
-
-// Predict implements Predictor: broadcast the thread's single history bit
-// to all boundaries.
-func (v *VaLHALLA) Predict(ctx Context) Prediction {
-	checkThreads(ctx.Gtid, 1, v.threads)
-	return Prediction{Carries: uint64(v.bits[ctx.Gtid/32]>>(ctx.Gtid%32)&1) * v.g.BoundaryMask()}
-}
-
-// Update implements Predictor: the broadcast bit becomes the majority of
-// the boundary carries the operation actually produced — 1 when a strict
-// majority of the boundaries carried. VaLHALLA updates on every
-// operation (it has no notion of selective write-back).
-func (v *VaLHALLA) Update(ctx Context, actual uint64, _ bool) {
-	checkThreads(ctx.Gtid, 1, v.threads)
-	w, m := &v.bits[ctx.Gtid/32], uint32(1)<<(ctx.Gtid%32)
-	*w &^= m
-	if 2*bits.OnesCount64(actual&v.g.BoundaryMask()) >= int(v.g.Boundaries())+1 {
-		*w |= m
-	}
-}
-
-// Reset implements Predictor.
-func (v *VaLHALLA) Reset() { clear(v.bits) }
-
-// PredictWarp implements WarpPredictor: the warp's word of the bitset,
+// PredictWarp implements Predictor: the warp's word of the bitset,
 // broadcast to every boundary plane.
 func (v *VaLHALLA) PredictWarp(_, gtidBase, active, _ uint32, _, _ []uint64, pred, static []uint32) {
 	checkThreads(gtidBase, active, v.threads)
@@ -72,7 +44,7 @@ func (v *VaLHALLA) PredictWarp(_, gtidBase, active, _ uint32, _, _ []uint64, pre
 	clear(static)
 }
 
-// UpdateWarp implements WarpPredictor: every active lane writes its
+// UpdateWarp implements Predictor: every active lane writes its
 // majority bit (VaLHALLA ignores the mispredict mask), one bit-sliced
 // count over the planes for the whole warp.
 func (v *VaLHALLA) UpdateWarp(_, gtidBase, active, _, _ uint32, _, _ []uint64, actual []uint32) {

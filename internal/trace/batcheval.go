@@ -72,7 +72,7 @@ func (s *batchScratch) record(r *warpRec, peek, values bool) {
 
 // predict runs design p on r into s.pred and s.static, adding the
 // record's Peek static planes when the design is Peek-filtered.
-func (s *batchScratch) predict(p speculate.WarpPredictor, peeked bool, r *warpRec) {
+func (s *batchScratch) predict(p speculate.Predictor, peeked bool, r *warpRec) {
 	p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, s.pred[:], s.static[:])
 	if peeked {
 		for b, m := range s.pkStatic {
@@ -97,21 +97,19 @@ func (k *DecodedKernel) bounds() (speculate.Bounds, error) {
 
 // batchPreds builds the predictors for a design batch over k, stripping
 // Peek wrappers so the per-record Peek computation can be shared.
-func (k *DecodedKernel) batchPreds(designs []string) (inner []speculate.WarpPredictor, peeked []bool, anyPeek bool, err error) {
+func (k *DecodedKernel) batchPreds(designs []string) (inner []speculate.Predictor, peeked []bool, anyPeek bool, err error) {
 	b, err := k.bounds()
 	if err != nil {
 		return nil, nil, false, err
 	}
-	inner = make([]speculate.WarpPredictor, len(designs))
+	inner = make([]speculate.Predictor, len(designs))
 	peeked = make([]bool, len(designs))
 	for d, name := range designs {
 		p, err := speculate.NewDesign(name, g64, b)
 		if err != nil {
 			return nil, nil, false, fmt.Errorf("trace: design %q: %w", name, err)
 		}
-		var in speculate.Predictor
-		in, peeked[d] = speculate.SplitPeek(p)
-		inner[d] = speculate.AsWarp(in)
+		inner[d], peeked[d] = speculate.SplitPeek(p)
 		anyPeek = anyPeek || peeked[d]
 	}
 	return inner, peeked, anyPeek, nil

@@ -134,7 +134,7 @@ func (w *warpScratch) compact(kind core.UnitKind, pc, base uint32, ops *[32]lane
 // ascending-lane order.
 func predictLanes(p speculate.Predictor, r *warpRec) (carries, static [32]uint64) {
 	var pred, st [nbMax]uint32
-	speculate.AsWarp(p).PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, pred[:], st[:])
+	p.PredictWarp(r.pc, r.base, r.active, r.cin, r.ea, r.eb, pred[:], st[:])
 	j := 0
 	for m := r.active; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros32(m)
@@ -159,7 +159,7 @@ func updateLanes(p speculate.Predictor, r *warpRec, mispred uint32, actual []uin
 		}
 		j++
 	}
-	speculate.AsWarp(p).UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, planes[:])
+	p.UpdateWarp(r.pc, r.base, r.active, mispred, r.cin, r.ea, r.eb, planes[:])
 }
 
 // dseStep evaluates one design on one warp record with Figure 5

@@ -48,7 +48,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -111,22 +110,6 @@ type StoreOptions struct {
 	// Tracer, when non-nil, receives a store.encode span annotated with
 	// the kernel, record, lane, and byte totals. Observability only: the
 	// written bytes are identical without it.
-	Tracer *obs.Tracer
-}
-
-// ReadOptions parameterizes ReadDecoded.
-type ReadOptions struct {
-	// MaxBytes bounds the declared section table, the section payloads,
-	// and the decoded column footprint (0 means
-	// gpusim.DefaultRecordMaxBytes — the same budget the recording
-	// pipeline enforces); a store that declares more fails with
-	// ErrStoreTooBig before the allocation.
-	MaxBytes uint64
-	// Workers bounds the section-decode pool (0 = GOMAXPROCS). The
-	// loaded set is bit-identical at any count.
-	Workers int
-	// Tracer, when non-nil, receives a store.load span annotated with the
-	// kernel, record, lane, and byte totals (observability only).
 	Tracer *obs.Tracer
 }
 
@@ -624,28 +607,6 @@ type storeEntry struct {
 	sectLen uint64
 }
 
-// ReadDecoded loads a store written by WriteDecoded, holding it to
-// opts.MaxBytes (see ReadOptions).
-func ReadDecoded(r io.Reader, opts ReadOptions) (*Decoded, error) {
-	maxBytes := opts.MaxBytes
-	if maxBytes == 0 {
-		maxBytes = gpusim.DefaultRecordMaxBytes
-	}
-	span := opts.Tracer.Begin("store.load")
-	d, bytesRead, err := readDecoded(bufio.NewReaderSize(r, 1<<20), maxBytes, opts.Workers)
-	if err != nil {
-		span.End()
-		return nil, err
-	}
-	span.Add(
-		obs.Int("kernels", int64(len(d.names))),
-		obs.Int("bytes", bytesRead),
-		obs.Int("records", int64(d.NumOps())),
-		obs.Int("lanes", int64(d.NumLanes())))
-	span.End()
-	return d, nil
-}
-
 // storeInfo is the parsed header + section table of a store: everything
 // a reader needs to know before touching any section payload. headerLen
 // is the byte length of magic + fixed header + table — the file offset
@@ -834,67 +795,13 @@ func (info *storeInfo) decodeSections(entries []storeEntry, payload func(i int) 
 	return d, nil
 }
 
-func readDecoded(r io.Reader, maxBytes uint64, workers int) (*Decoded, int64, error) {
-	info, err := readStoreInfo(r, maxBytes, true)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	// Sequential payload read (chunked so a lying length fails at true
-	// EOF), then parallel section decode with results folded in table
-	// order. Each payload is dropped as its section decodes.
-	bufs := make([][]byte, len(info.entries))
-	for i, ent := range info.entries {
-		buf, err := readSection(r, ent.sectLen)
-		if err != nil {
-			return nil, 0, fmt.Errorf("trace: store kernel %q payload: %w", ent.name, err)
-		}
-		bufs[i] = buf
-	}
-	d, err := info.decodeSections(info.entries, func(i int) ([]byte, error) {
-		buf := bufs[i]
-		bufs[i] = nil
-		return buf, nil
-	}, workers)
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, info.headerLen + int64(info.payloadTotal), nil
-}
-
-// readSection reads a section payload incrementally so a lying length
-// burns at most one chunk of allocation, not the declared size. Real
-// suite sections fit one chunk, so the common case is a single
-// exact-size ReadFull with no growth copies.
-func readSection(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 8 << 20
-	buf := make([]byte, min64(n, chunk))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	for uint64(len(buf)) < n {
-		c := min64(n-uint64(len(buf)), chunk)
-		lo := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(r, buf[lo:]); err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ReadStoreFile loads a store saved by WriteStoreFile under the default
-// byte budget with GOMAXPROCS section-decode workers. It holds the store
-// to ReadDecoded's whole-file budget, and like LoadKernels it refuses a
-// file whose size differs from its section table, reads each section at
-// its offset and returns after a full collection.
+// byte budget with GOMAXPROCS section-decode workers: the one full-load
+// path. Its section table, its section payloads and its decoded column
+// footprint must each fit the budget, or it fails with ErrStoreTooBig
+// before allocating them. Like LoadKernels it refuses a file whose size
+// differs from its section table, reads each section at its offset and
+// returns after a full collection.
 func ReadStoreFile(path string) (*Decoded, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -905,7 +812,7 @@ func ReadStoreFile(path string) (*Decoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.readSections(f, h.info.entries, h.offsets, 0)
+	return collected(h.readSections(f, h.info.entries, h.offsets, 0))
 }
 
 // --- zigzag helpers (the recording encoder's delta transform) ---

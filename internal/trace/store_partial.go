@@ -26,7 +26,7 @@ type StoreHandle struct {
 // path without reading any section payload. maxBytes (0 means
 // gpusim.DefaultRecordMaxBytes) bounds the section table here and each
 // subsequent LoadKernels call's payload + decoded footprint; unlike
-// ReadDecoded, the whole-file payload total is NOT held to the budget —
+// ReadStoreFile, the whole-file payload total is NOT held to the budget —
 // a store bigger than one worker's budget is readable a slice at a
 // time.
 func OpenStore(path string, maxBytes uint64) (*StoreHandle, error) {
@@ -87,7 +87,7 @@ func (h *StoreHandle) Matches(scale, numSMs int, seed int64) error {
 
 // LoadKernels reads and decodes just the named kernels' sections,
 // returning a Decoded holding exactly those kernels — each DeepEqual
-// to the same kernel from a full ReadDecoded, in store insertion order
+// to the same kernel from a full ReadStoreFile, in store insertion order
 // regardless of the order names are given in. Duplicate names load
 // once; an unknown name fails naming it and the kernels the store
 // holds. The requested sections' payload bytes plus decoded column
@@ -130,7 +130,7 @@ func (h *StoreHandle) LoadKernels(names []string, workers int) (*Decoded, error)
 		return nil, fmt.Errorf("trace: open store: %w", err)
 	}
 	defer f.Close()
-	return h.readSections(f, selected, selectedOff, workers)
+	return collected(h.readSections(f, selected, selectedOff, workers))
 }
 
 // readSections reads and decodes the given sections of the store file f,
@@ -139,25 +139,27 @@ func (h *StoreHandle) LoadKernels(names []string, workers int) (*Decoded, error)
 // whole into one buffer of its exact size, on the worker that decodes it.
 // A load thus holds at most `workers` payloads at once and allocates no
 // buffer it then copies and throws away.
-//
-// It returns after a full collection. A load is a burst of allocation,
-// and without the collection the heap goal for the work that follows is
-// set by whichever collection the burst happened to trigger last: in a
-// scale-4 sweep, by whether one lands inside sgemm's 290 MB section,
-// which moved the peak resident set by ~450 MB from run to run. After
-// it, the goal is twice what the caller holds. The columns hold no
-// pointers, so the collection costs about a millisecond.
 func (h *StoreHandle) readSections(f *os.File, entries []storeEntry, offsets []int64, workers int) (*Decoded, error) {
-	d, err := h.info.decodeSections(entries, func(i int) ([]byte, error) {
+	return h.info.decodeSections(entries, func(i int) ([]byte, error) {
 		buf := make([]byte, entries[i].sectLen)
 		if _, err := f.ReadAt(buf, offsets[i]); err != nil {
 			return nil, err
 		}
 		return buf, nil
 	}, workers)
-	if err != nil {
-		return nil, err
+}
+
+// collected returns a successful load after a full collection. A load
+// is a burst of allocation, and without the collection the heap goal for
+// the work that follows is set by whichever collection the burst
+// happened to trigger last: in a scale-4 sweep, by whether one lands
+// inside sgemm's 290 MB section, which moved the peak resident set by
+// ~450 MB from run to run. After it, the goal is twice what the caller
+// holds. The columns hold no pointers, so the collection costs about a
+// millisecond.
+func collected(d *Decoded, err error) (*Decoded, error) {
+	if err == nil {
+		runtime.GC()
 	}
-	runtime.GC()
-	return d, nil
+	return d, err
 }

@@ -71,7 +71,7 @@ func writeMultiKernelStore(t *testing.T, opts StoreOptions) (string, *Decoded) {
 
 // TestPartialLoadMatchesFullRead pins the partial loader's contract:
 // LoadKernels returns kernels DeepEqual to the same kernels from a full
-// ReadDecoded, at 1/2/8 decode workers and both omit-derived modes, for
+// ReadStoreFile, at 1/2/8 decode workers and both omit-derived modes, for
 // subsets given in any order and with duplicates.
 func TestPartialLoadMatchesFullRead(t *testing.T) {
 	for _, omit := range []bool{false, true} {
@@ -224,7 +224,7 @@ func FuzzOpenStore(f *testing.F) {
 		if err != nil {
 			return
 		}
-		full, fullErr := ReadDecoded(bytes.NewReader(data), ReadOptions{MaxBytes: budget, Workers: 1})
+		full, fullErr := readStorePath(t, path, budget, 1)
 		for _, name := range h.Names() {
 			part, err := h.LoadKernels([]string{name}, 1)
 			if err != nil || fullErr != nil {
@@ -233,7 +233,7 @@ func FuzzOpenStore(f *testing.F) {
 			pk, _ := part.Kernel(name)
 			fk, _ := full.Kernel(name)
 			if !reflect.DeepEqual(pk, fk) {
-				t.Fatalf("kernel %q differs between LoadKernels and ReadDecoded", name)
+				t.Fatalf("kernel %q differs between LoadKernels and the full read", name)
 			}
 		}
 	})

@@ -35,6 +35,36 @@ func encodeStore(t *testing.T, d *Decoded, opts StoreOptions) []byte {
 	return buf.Bytes()
 }
 
+// readStoreBytes writes data to a file under t.TempDir() and loads it
+// with readStorePath.
+func readStoreBytes(t testing.TB, data []byte, budget uint64, workers int) (*Decoded, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "store.st2dec")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return readStorePath(t, path, budget, workers)
+}
+
+// readStorePath loads the store file at path as ReadStoreFile does — the
+// whole store held to budget (0 means the default), every section read
+// at its offset — on the given number of decode workers. It skips
+// ReadStoreFile's closing collection, which would dominate a fuzz
+// iteration.
+func readStorePath(t testing.TB, path string, budget uint64, workers int) (*Decoded, error) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h, err := newStoreHandle(f, budget, true)
+	if err != nil {
+		return nil, err
+	}
+	return h.readSections(f, h.info.entries, h.offsets, workers)
+}
+
 // TestStoreRoundTripBitIdentical pins the tentpole guarantee: a Decoded
 // loaded from the store is bit-identical (reflect.DeepEqual) to the one
 // DecodeSet produced, at any load worker count, whether the derived
@@ -47,7 +77,7 @@ func TestStoreRoundTripBitIdentical(t *testing.T) {
 	for _, omit := range []bool{false, true} {
 		raw := encodeStore(t, want, StoreOptions{OmitDerived: omit})
 		for _, workers := range []int{1, 2, 8} {
-			got, err := ReadDecoded(bytes.NewReader(raw), ReadOptions{Workers: workers})
+			got, err := readStoreBytes(t, raw, 0, workers)
 			if err != nil {
 				t.Fatalf("omit=%v workers=%d: %v", omit, workers, err)
 			}
@@ -248,7 +278,7 @@ func TestStoreRejectsCorruptInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadDecoded(bytes.NewReader(tc.data), ReadOptions{MaxBytes: tc.max})
+			_, err := readStoreBytes(t, tc.data, tc.max, 0)
 			if err == nil {
 				t.Fatal("corrupt store accepted")
 			}
@@ -286,7 +316,7 @@ func TestStoreFootprintBudget(t *testing.T) {
 	b = append(b, table...)
 	b = append(b, make([]byte, 1<<10)...)
 
-	_, err := ReadDecoded(bytes.NewReader(b), ReadOptions{MaxBytes: 1 << 20})
+	_, err := readStoreBytes(t, b, 1<<20, 0)
 	if !errors.Is(err, ErrStoreTooBig) {
 		t.Fatalf("error = %v, want ErrStoreTooBig for a width-0 decode bomb", err)
 	}
@@ -303,15 +333,16 @@ func TestStoreRejectsInconsistentSections(t *testing.T) {
 		names:   []string{"pathfinder", "pathfinder"},
 		kernels: map[string]*DecodedKernel{"pathfinder": k}}
 	raw := encodeStore(t, dup, StoreOptions{})
-	if _, err := ReadDecoded(bytes.NewReader(raw), ReadOptions{}); err == nil || !strings.Contains(err.Error(), "twice") {
+	if _, err := readStoreBytes(t, raw, 0, 0); err == nil || !strings.Contains(err.Error(), "twice") {
 		t.Errorf("duplicate kernel error = %v", err)
 	}
 }
 
-// FuzzReadDecoded drives the store reader with arbitrary bytes under a
-// small budget: it must never panic or over-allocate, and anything it
-// accepts must re-serialize and read back to a fixed point.
-func FuzzReadDecoded(f *testing.F) {
+// FuzzReadStoreFile drives the full store reader with arbitrary bytes,
+// written to a file, under a small budget: it must never panic or
+// over-allocate, and anything it accepts must re-serialize and read back
+// to a fixed point.
+func FuzzReadStoreFile(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(storeMagicStr))
 	// Seed from a valid store (and a truncation of it) so the fuzzer
@@ -335,7 +366,7 @@ func FuzzReadDecoded(f *testing.F) {
 		// Small, yet large enough for the valid seeds' pathfinder
 		// section (~2 MB decoded), so the fixed-point oracle runs on them.
 		const budget = 4 << 20
-		d, err := ReadDecoded(bytes.NewReader(data), ReadOptions{MaxBytes: budget, Workers: 1})
+		d, err := readStoreBytes(t, data, budget, 1)
 		if err != nil {
 			return
 		}
@@ -346,7 +377,7 @@ func FuzzReadDecoded(f *testing.F) {
 		// The rewrite always stores the derived columns, so it can be
 		// larger than a compact input that just squeezed under the
 		// budget — read it back under a proportionally larger one.
-		again, err := ReadDecoded(bytes.NewReader(out.Bytes()), ReadOptions{MaxBytes: 8 * budget, Workers: 1})
+		again, err := readStoreBytes(t, out.Bytes(), 8*budget, 1)
 		if err != nil {
 			t.Fatalf("accepted store failed to read back: %v", err)
 		}
