@@ -326,8 +326,8 @@ func BenchmarkAdderExecute(b *testing.B) {
 
 // BenchmarkCRFWarpOp measures one warp operation through the full ST²
 // unit: the CRF row read as seven 32-lane bit planes, the Peek planes,
-// the per-lane adder, and the mispredicted lanes' write-back staged as
-// planes.
+// the plane-form resolve, and the mispredicted lanes' write-back staged
+// as planes.
 func BenchmarkCRFWarpOp(b *testing.B) {
 	price, err := core.DeriveEnergyParams(circuit.SAED90(), 64, 8)
 	if err != nil {

@@ -99,7 +99,7 @@ type Result struct {
 type SlicedAdder struct {
 	cfg Config
 
-	// Geometry derived once from cfg for the Execute hot path.
+	// Geometry derived once from cfg.
 	n          uint   // slices
 	boundaries uint64 // mask of the n-1 speculated boundaries
 	sliceMask  uint64 // a full slice's bits, at bit 0
@@ -155,39 +155,9 @@ func (s *SlicedAdder) Execute(a, b uint64, op Op, predicted uint64) Result {
 }
 
 // ExecuteEffective is Execute on operands EffectiveOperands has already
-// transformed: Resolve's three outputs expanded into the full Result.
-func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
-	sum, actual, e := s.Resolve(ea, eb, cin0, predicted)
-	_, cout := bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
-	res := Result{
-		Sum:           sum,
-		CarryOut:      cout,
-		Cycles:        1,
-		ErrorSlices:   e,
-		ActualCarries: actual,
-		Predicted:     predicted & s.boundaries,
-	}
-	// --- Cycle 2 (only if needed): suspect slices recompute with the
-	// inverse carry-in, and each slice selects the computation matching its
-	// true carry-in. S[i] = OR of E[1..i]: once any lower slice erred,
-	// everything above is suspect — every boundary from the lowest error
-	// upward. ---
-	if e != 0 {
-		res.Mispredicted = true
-		res.Cycles = 2
-		res.SuspectSlices = s.boundaries &^ (e&-e - 1)
-		res.Recomputed = bitmath.PopCount64(res.SuspectSlices)
-	}
-	return res
-}
-
-// Resolve runs one operation on effective operands and returns only what
-// the warp unit consumes: the exact Width-bit sum, the true boundary
-// carries (bit i = carry into slice i+1, what the history stores for next
-// time) and the packed E signals (bit i-1 set: slice i's cycle-1 carry-in
-// differed from the carry slice i-1 produced). The suspect slices are
-// every boundary from the lowest E upward, so E alone fixes the recompute
-// count: NumBoundaries - TrailingZeros(E) when E is nonzero.
+// transformed. It is the per-lane reference model of the datapath; the
+// warp unit (internal/core) resolves all lanes at once in plane form and
+// is held to this model by its fuzz oracle.
 //
 // It derives every per-slice signal from one full-width addition instead
 // of simulating the slices one by one. With bit i of each mask standing
@@ -205,42 +175,48 @@ func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint6
 // = usedCin[i] ^ cout1[i-1] = wrong[i] ^ flip[i-1]. The final select takes
 // each slice's computation with its true carry-in, which together is the
 // exact full-width sum.
-func (s *SlicedAdder) Resolve(ea, eb uint64, cin0 uint, predicted uint64) (sum, actual, e uint64) {
-	n, boundaries := s.n, s.boundaries
-	sum, _ = bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
+func (s *SlicedAdder) ExecuteEffective(ea, eb uint64, cin0 uint, predicted uint64) Result {
+	sum, cout := bitmath.AddWithCarry(ea, eb, cin0, s.cfg.Width)
 	carries := ea ^ eb ^ sum // bit k: the carry into bit k
 	prop := ea ^ eb
 	var trueCin, allProp uint64
-	if s.cfg.SliceBits == 8 {
-		// Slice i starts at bit 8i: its carry-in is the bottom bit of byte
-		// i, and it propagates throughout when its byte of the in-width
-		// non-propagate mask is zero. A byte's MSB of (x&0x7F..)+0x7F.. | x
-		// is set exactly when the byte is nonzero (the addition cannot
-		// carry across bytes), so one gather yields every slice's bit.
-		const low7 = 0x7F7F7F7F7F7F7F7F
-		x := ^prop & bitmath.Mask(s.cfg.Width)
-		trueCin = bitmath.GatherMSB8(carries << 7)
-		allProp = bitmath.GatherMSB8(^((x&low7 + low7) | x))
-	} else {
-		for i, lo := uint(0), uint(0); i < n; i, lo = i+1, lo+s.cfg.SliceBits {
-			trueCin |= (carries >> lo & 1) << i
-			m := s.sliceMask
-			if i == n-1 {
-				m = s.lastMask
-			}
-			if prop>>lo&m == m {
-				allProp |= 1 << i
-			}
+	for i, lo := uint(0), uint(0); i < s.n; i, lo = i+1, lo+s.cfg.SliceBits {
+		trueCin |= (carries >> lo & 1) << i
+		m := s.sliceMask
+		if i == s.n-1 {
+			m = s.lastMask
+		}
+		if prop>>lo&m == m {
+			allProp |= 1 << i
 		}
 	}
 
 	// Cycle 1: every slice computes with its speculated carry-in (slice 0
 	// with the injected carry); misprediction detection (E signals) at its
 	// end.
-	usedCin := uint64(cin0) | (predicted&boundaries)<<1
+	usedCin := uint64(cin0) | (predicted&s.boundaries)<<1
 	wrong := usedCin ^ trueCin
-	e = (wrong>>1 ^ wrong&allProp) & boundaries
-	return sum, trueCin >> 1 & boundaries, e
+	e := (wrong>>1 ^ wrong&allProp) & s.boundaries
+	res := Result{
+		Sum:           sum,
+		CarryOut:      cout,
+		Cycles:        1,
+		ErrorSlices:   e,
+		ActualCarries: trueCin >> 1 & s.boundaries,
+		Predicted:     predicted & s.boundaries,
+	}
+	// --- Cycle 2 (only if needed): suspect slices recompute with the
+	// inverse carry-in, and each slice selects the computation matching its
+	// true carry-in. S[i] = OR of E[1..i]: once any lower slice erred,
+	// everything above is suspect — every boundary from the lowest error
+	// upward. ---
+	if e != 0 {
+		res.Mispredicted = true
+		res.Cycles = 2
+		res.SuspectSlices = s.boundaries &^ (e&-e - 1)
+		res.Recomputed = bitmath.PopCount64(res.SuspectSlices)
+	}
+	return res
 }
 
 // ExecuteApproximate models an *approximate* speculative adder (the

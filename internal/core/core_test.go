@@ -92,17 +92,22 @@ func TestST2WarpEnergyMonotonicity(t *testing.T) {
 	}
 }
 
-func newTestUnit(t *testing.T, kind UnitKind) *Unit {
+// newTestUnit builds a unit of the given kind with the paper's 8-bit
+// slices.
+func newTestUnit(t *testing.T, kind UnitKind) *Unit { return newSlicedUnit(t, kind, 8) }
+
+// newSlicedUnit builds a unit of the given kind and slice width.
+func newSlicedUnit(t *testing.T, kind UnitKind, sliceBits uint) *Unit {
 	t.Helper()
-	cfg, err := kind.AdderConfig(8)
+	cfg, err := kind.AdderConfig(sliceBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := DeriveEnergyParams(circuit.SAED90(), cfg.Width, 8)
+	p, err := DeriveEnergyParams(circuit.SAED90(), cfg.Width, sliceBits)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := NewUnit(kind, 8, p)
+	u, err := NewUnit(kind, sliceBits, p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,9 +40,9 @@ type oracleUnit struct {
 	agg   UnitStats
 }
 
-func newOracleUnit(t *testing.T, kind UnitKind) *oracleUnit {
+func newOracleUnit(t *testing.T, kind UnitKind, sliceBits uint) *oracleUnit {
 	t.Helper()
-	u := newTestUnit(t, kind)
+	u := newSlicedUnit(t, kind, sliceBits)
 	o := &oracleUnit{ad: u.ad, price: u.price}
 	o.agg = u.Stats()
 	return o
@@ -210,27 +210,38 @@ func (s *fuzzStream) u64() uint64 {
 }
 
 // FuzzUnitExecuteWarp drives the columnar unit and the per-lane oracle in
-// lock step with the same random warp adds — any unit kind, random active
-// and subtraction masks, operands that are random, small, correlated with
-// the lane's previous ones, or long carry chains — under the CRF
-// speculator with Peek on or off, or the final History design. After
-// every warp the sums and the stall must equal the oracle's; at the end
-// every UnitStats field, the CRF's statistics and every CRF row must.
+// lock step with the same random warp adds — any unit kind and slice
+// width, random active and subtraction masks, operands that are random,
+// small, correlated with the lane's previous ones, or long carry chains —
+// under the CRF speculator with Peek on or off, or the final History
+// design. After every warp the sums and the stall must equal the
+// oracle's; at the end every UnitStats field, the CRF's statistics and
+// every CRF row must.
 func FuzzUnitExecuteWarp(f *testing.F) {
 	for kind := uint8(0); kind < 4; kind++ {
 		for _, spec := range []uint8{0, 1, 2, 4, 5, 6} {
 			f.Add(kind, spec, []byte{kind, spec, 0x5A, 0xC3, 0x0F, 0xF0, 0x99, 0x66})
 		}
 	}
+	// One seed per narrower slice width, cycling through the unit kinds
+	// and speculator arms; 1-bit slices on the ALU give 63 boundaries.
+	arms := []uint8{0, 5, 2, 4, 6, 1, 2}
+	for w := uint8(1); w < 8; w++ {
+		kind, spec := (w+3)%4, arms[w-1]|(8-w)<<3
+		f.Add(kind, spec, []byte{kind, spec, 0xA5, 0x3C, 0xF0, 0x0F, 0x66, 0x99})
+	}
 	f.Fuzz(func(t *testing.T, kindB, specB uint8, data []byte) {
 		kind := UnitKinds[int(kindB)%len(UnitKinds)]
-		u := newTestUnit(t, kind)
-		o := newOracleUnit(t, kind)
+		// Bits 3-5 of specB narrow the slices: 8 bits down to 1. A last
+		// slice may be partial (24 bits in 5-bit slices).
+		sliceBits := 8 - uint(specB>>3&7)
+		u := newSlicedUnit(t, kind, sliceBits)
+		o := newOracleUnit(t, kind, sliceBits)
 		// The device hands every unit the 64-bit ALU's speculation
 		// geometry; bit 2 of specB picks that, otherwise the unit's own.
 		geom := u.Geometry()
 		if specB&4 != 0 {
-			geom = newTestUnit(t, ALU).Geometry()
+			geom = newSlicedUnit(t, ALU, sliceBits).Geometry()
 		}
 
 		var spec speculate.Predictor
@@ -340,11 +351,10 @@ func FuzzUnitExecuteWarp(f *testing.F) {
 			if got, want := crf.Stats(), ocrf.Stats(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("CRF stats differ:\n got  %+v\n want %+v", got, want)
 			}
+			got, want := make([]uint32, 7), make([]uint32, 7)
 			for pc := uint32(0); pc < uint32(crf.Entries()); pc++ {
-				for l := 0; l < WarpSize; l++ {
-					if got, want := crf.ReadLane(pc, l), ocrf.ReadLane(pc, l); got != want {
-						t.Fatalf("CRF row %d lane %d: %#x, oracle %#x", pc, l, got, want)
-					}
+				if !reflect.DeepEqual(crf.ReadRow(pc, got), ocrf.ReadRow(pc, want)) {
+					t.Fatalf("CRF row %d: %#x, oracle %#x", pc, got, want)
 				}
 			}
 		}

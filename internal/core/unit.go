@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"st2gpu/internal/adder"
+	"st2gpu/internal/bitmath"
 	"st2gpu/internal/speculate"
 	"st2gpu/internal/stats"
 )
@@ -79,14 +80,14 @@ type Unit struct {
 	agg UnitStats
 
 	// ExecuteWarp's per-warp scratch. The predictor fills the pred and
-	// static planes (static holds its Peek-resolved boundaries, which the
-	// unit does not read) and receives the actual planes; carries and
-	// actualLanes are the packed per-lane forms either side of the adder,
-	// and sums is returned to the caller. Keeping them in the unit (one
-	// per SM) rather than on ExecuteWarp's frame stops them escaping to
-	// the heap on every warp add.
-	pred, static, actual       [speculate.MaxBoundaries]uint32
-	carries, actualLanes, sums [WarpSize]uint64
+	// static planes (the unit does not read static) and receives the
+	// actual planes; peek holds Peek's static planes. carries and agree
+	// are each lane's packed true carries and slice-MSB agreement before
+	// their transposes, and sums is returned to the caller. Keeping them
+	// in the unit (one per SM) rather than on ExecuteWarp's frame stops
+	// them escaping to the heap on every warp add.
+	pred, static, actual, peek [speculate.MaxBoundaries]uint32
+	carries, agree, sums       [WarpSize]uint64
 }
 
 // UnitStats accumulates per-unit activity across a simulation.
@@ -160,42 +161,79 @@ func (u *Unit) ResetStats() {
 // the same packed order, valid until the unit's next call, and whether
 // any lane mispredicted, which stalls the whole warp one cycle. spec
 // predicts the warp's carries and takes its write-back: the SM's CRF
-// behind Peek on the hardware path, or any trace-level design.
+// behind Peek on the hardware path, or any trace-level design. A Peek
+// wrapper is evaluated at the unit's geometry, which gives the same bits
+// as the wrapper's own whenever the two share the slice width: a slice's
+// MSB position does not depend on the adder width.
+//
+// The warp resolves in plane form, a few word operations per boundary
+// (DESIGN.md §12). A lane's suspect slices are every boundary from its
+// lowest E signal upward, and its lowest E is its lowest wrongly
+// predicted boundary f: E[b] = d[b] ^ (d[b-1] & allProp[b]) with d the
+// wrong boundaries, so E is zero below f and one at f. The planes d[b]
+// of lanes that predicted boundary b wrong therefore fix every
+// statistic, and the all-propagate slices are never needed. A
+// Peek-resolved boundary always predicts its true carry, so Peek only
+// masks d.
 func (u *Unit) ExecuteWarp(spec speculate.Predictor, pc, gtidBase, active, cin uint32, ea, eb []uint64) (sums []uint64, stall bool) {
 	n := bits.OnesCount32(active)
 	if n == 0 {
 		return nil, false
 	}
 	nb := int(u.geom.Boundaries())
-	pred, static, actualPlanes := u.pred[:nb], u.static[:nb], u.actual[:nb]
-	carries, actual := u.carries[:n], u.actualLanes[:n]
-	sums = u.sums[:n]
-	spec.PredictWarp(pc, gtidBase, active, cin, ea, eb, pred, static)
-	speculate.PlanesToLanes(active, pred, carries)
+	pred, static, actual, peek := u.pred[:nb], u.static[:nb], u.actual[:nb], u.peek[:nb]
+	inner, peeked := speculate.SplitPeek(spec)
+	inner.PredictWarp(pc, gtidBase, active, cin, ea, eb, pred, static)
 
-	var mispred uint32
-	mispredicts, recomputed := 0, 0
+	// One pass over the operands: each lane's exact sum, its true boundary
+	// carries (bit b-1 the carry into slice b, off the carry vector
+	// ea^eb^sum) and where its slice MSBs agree (bit b the MSB of slice b,
+	// moved up one so both gather the bits at multiples of SliceBits).
+	sums, carries, agree := u.sums[:n], u.carries[:n], u.agree[:n]
+	wmask, sb := bitmath.Mask(u.geom.Width), u.geom.SliceBits
 	j := 0
 	for m := active; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		var e uint64
-		sums[j], actual[j], e = u.ad.Resolve(ea[j], eb[j], uint(cin>>l&1), carries[j])
-		if e != 0 {
-			// Every boundary from the lowest error upward recomputes.
-			r := nb - bits.TrailingZeros64(e)
-			mispred |= 1 << l
-			mispredicts++
-			recomputed += r
-			u.agg.RecomputeHistogram.Observe(r)
+		x, y := ea[j], eb[j]
+		s := x + y + uint64(cin>>bits.TrailingZeros32(m)&1)
+		sums[j] = s & wmask
+		if sb == 8 {
+			carries[j] = bitmath.GatherMSB8((x ^ y ^ s) >> 1)
+			agree[j] = bitmath.GatherMSB8(^(x ^ y))
+		} else {
+			carries[j], agree[j] = 0, 0
+			c, a := x^y^s, ^(x^y)<<1
+			for b := 0; b < nb; b++ {
+				lo := uint(b+1) * sb
+				carries[j] |= (c >> lo & 1) << b
+				agree[j] |= (a >> lo & 1) << b
+			}
 		}
 		j++
 	}
-	speculate.LanesToPlanes(active, actual, actualPlanes)
-	spec.UpdateWarp(pc, gtidBase, active, mispred, cin, ea, eb, actualPlanes)
+	speculate.LanesToPlanes(active, carries, actual)
+	if peeked {
+		speculate.LanesToPlanes(active, agree, peek)
+	} else {
+		clear(peek)
+	}
+
+	// suspect gathers, boundary by boundary, the lanes wrong at or below
+	// it: those recompute slice b+1. A lane first wrong at boundary b
+	// recomputes nb-b slices.
+	var suspect uint32
+	recomputed := 0
+	for b := range actual {
+		d := (pred[b] ^ actual[b]) & active &^ peek[b]
+		u.agg.RecomputeHistogram.Counts[nb-b] += uint64(bits.OnesCount32(d &^ suspect))
+		suspect |= d
+		recomputed += bits.OnesCount32(suspect)
+	}
+	mispredicts := bits.OnesCount32(suspect)
+	inner.UpdateWarp(pc, gtidBase, active, suspect, cin, ea, eb, actual)
 
 	u.agg.MispredLanesHistogram.Observe(mispredicts)
 	u.agg.WarpOps++
-	if mispred != 0 {
+	if suspect != 0 {
 		u.agg.StalledWarpOps++
 	}
 	u.agg.ThreadOps += uint64(n)
@@ -204,7 +242,7 @@ func (u *Unit) ExecuteWarp(spec speculate.Predictor, pc, gtidBase, active, cin u
 	u.agg.RecomputedSlices += uint64(recomputed)
 	u.agg.EnergyST2 += u.price.ST2WarpEnergy(n, recomputed, mispredicts)
 	u.agg.EnergyBaseline += u.price.BaselineWarpEnergy(n)
-	return sums, mispred != 0
+	return sums, suspect != 0
 }
 
 // ThreadMispredictionRate is the paper's Figure 6 metric.

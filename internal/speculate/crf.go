@@ -167,16 +167,6 @@ func (c *CRF) UpdateWarp(pc, _, _, mispred, _ uint32, _, _ []uint64, actual []ui
 	c.WriteBack(pc, mispred, actual)
 }
 
-// ReadLane returns one lane's committed history, packed one bit per
-// boundary, without charging a read (helper for tests and trace tools).
-func (c *CRF) ReadLane(pc uint32, lane int) uint64 {
-	var v uint64
-	for b, p := range c.row(c.Index(pc)) {
-		v |= uint64(p>>lane&1) << b
-	}
-	return v
-}
-
 // BeginCycle advances the CRF clock, committing the previous cycle's
 // staged writes with per-row random arbitration.
 func (c *CRF) BeginCycle(cycle uint64) {
@@ -247,19 +237,4 @@ func (c *CRF) Stats() CRFStats {
 	out.RowDistinctPCs = make([]uint64, c.entries)
 	copy(out.RowDistinctPCs, c.rowDistinct)
 	return out
-}
-
-// Reset clears history, staging, and statistics (kernel relaunch).
-func (c *CRF) Reset() {
-	clear(c.rows)
-	for i := range c.staged {
-		c.staged[i] = c.staged[i][:0]
-	}
-	c.stagedPlanes = c.stagedPlanes[:0]
-	c.nStaged = 0
-	c.stats = CRFStats{}
-	c.cycle = 0
-	clear(c.rowReads)
-	clear(c.rowDistinct)
-	clear(c.pcSeen)
 }

@@ -376,14 +376,24 @@ func TestCRFGeometryAndErrors(t *testing.T) {
 	c.BeginCycle(1)
 	c.WriteBack(2, 1, []uint32{1, 0, 1, 1, 1, 1, 1, 1, 1})
 	c.BeginCycle(2)
-	if got := c.ReadLane(2, 0); got != 0x7D {
+	if got := readLane(c, 2, 0); got != 0x7D {
 		t.Errorf("9-plane write-back left %#x, want 0x7D", got)
 	}
 	c.WriteBack(2, 1, []uint32{0, 1})
 	c.BeginCycle(3)
-	if got := c.ReadLane(2, 0); got != 0x2 {
+	if got := readLane(c, 2, 0); got != 0x2 {
 		t.Errorf("2-plane write-back left %#x, want 0x2", got)
 	}
+}
+
+// readLane returns one lane's committed history from a row read, packed
+// one bit per boundary.
+func readLane(c *CRF, pc uint32, lane int) uint64 {
+	var v uint64
+	for b, p := range c.ReadRow(pc, make([]uint32, MaxBoundaries)) {
+		v |= uint64(p>>lane&1) << b
+	}
+	return v
 }
 
 // lanePlanes packs lane values, from lane 0 up, into the CRF's 7 planes.
@@ -401,20 +411,22 @@ func TestCRFReadWriteCycle(t *testing.T) {
 	c.BeginCycle(1)
 	c.WriteBack(5, 1<<3|1<<7, lanePlanes(carries))
 	// Write not yet committed within the same cycle.
-	if c.ReadLane(5, 3) != 0 {
+	if readLane(c, 5, 3) != 0 {
 		t.Error("staged write visible before commit")
 	}
 	c.BeginCycle(2)
-	if c.ReadLane(5, 3) != 0x55 || c.ReadLane(5, 7) != 0x2A {
+	if readLane(c, 5, 3) != 0x55 || readLane(c, 5, 7) != 0x2A {
 		t.Error("committed write not visible")
 	}
-	if c.ReadLane(5, 4) != 0 {
+	if readLane(c, 5, 4) != 0 {
 		t.Error("unmasked lane was written")
 	}
 	// PC 21 aliases PC 5 (same low 4 bits).
-	if c.ReadLane(21, 3) != 0x55 {
+	if readLane(c, 21, 3) != 0x55 {
 		t.Error("PC aliasing into the same row failed")
 	}
+	// readLane's row reads above count too: take the three below apart.
+	before := c.Stats()
 	row := c.ReadRow(5, make([]uint32, 7))
 	if lanes := naiveLanes(^uint32(0), row); lanes[3] != 0x55 || lanes[7] != 0x2A {
 		t.Error("ReadRow wrong")
@@ -422,11 +434,11 @@ func TestCRFReadWriteCycle(t *testing.T) {
 	c.ReadRow(21, row)
 	c.ReadRow(5, row)
 	st := c.Stats()
-	if st.Reads != 3 || st.WritesCommitted != 1 || st.Conflicts != 0 {
-		t.Errorf("stats = %+v", st)
+	if st.Reads-before.Reads != 3 || st.WritesCommitted != 1 || st.Conflicts != 0 {
+		t.Errorf("stats = %+v, %d reads before", st, before.Reads)
 	}
-	if st.RowReads[5] != 3 || st.RowDistinctPCs[5] != 2 {
-		t.Errorf("row 5: %d reads by %d distinct PCs, want 3 by 2", st.RowReads[5], st.RowDistinctPCs[5])
+	if reads := st.RowReads[5] - before.RowReads[5]; reads != 3 || st.RowDistinctPCs[5] != 2 {
+		t.Errorf("row 5: %d reads by %d distinct PCs, want 3 by 2", reads, st.RowDistinctPCs[5])
 	}
 	if st.LaneBitsWritten != 14 {
 		t.Errorf("lane bits written = %d, want 14", st.LaneBitsWritten)
@@ -451,7 +463,7 @@ func TestCRFArbitration(t *testing.T) {
 	c.WriteBack(4, 1, w1)
 	c.WriteBack(4, 1, w2)
 	c.BeginCycle(2)
-	got := c.ReadLane(4, 0)
+	got := readLane(c, 4, 0)
 	if got != 0x11 && got != 0x22 {
 		t.Fatalf("lane holds %#x, want one of the two writes", got)
 	}
@@ -460,7 +472,7 @@ func TestCRFArbitration(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 	// Different rows do not conflict.
-	c.Reset()
+	c = NewDefaultCRF(testPCs, 7)
 	c.BeginCycle(1)
 	c.WriteBack(1, 1, w1)
 	c.WriteBack(2, 1, w2)
@@ -468,7 +480,7 @@ func TestCRFArbitration(t *testing.T) {
 	if c.Stats().Conflicts != 0 {
 		t.Error("writes to distinct rows should not conflict")
 	}
-	if c.ReadLane(1, 0) != 0x11 || c.ReadLane(2, 0) != 0x22 {
+	if readLane(c, 1, 0) != 0x11 || readLane(c, 2, 0) != 0x22 {
 		t.Error("both row writes should commit")
 	}
 }
@@ -491,7 +503,7 @@ func TestCRFArbitrationDeterministic(t *testing.T) {
 		out := make([]uint64, 0, 16*32)
 		for pc := uint32(0); pc < 16; pc++ {
 			for l := 0; l < 32; l++ {
-				out = append(out, c.ReadLane(pc, l))
+				out = append(out, readLane(c, pc, l))
 			}
 		}
 		return out
@@ -623,7 +635,7 @@ func TestCRFArbitrationFairness(t *testing.T) {
 		c.WriteBack(4, 1, w1)
 		c.WriteBack(4, 1, w2)
 		c.BeginCycle(cyc + 1) // commit
-		switch c.ReadLane(4, 0) {
+		switch readLane(c, 4, 0) {
 		case 0x11:
 			wins1++
 		case 0x22:

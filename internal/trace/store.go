@@ -624,11 +624,11 @@ type storeInfo struct {
 // leaving r positioned at the first section payload. Every table row is
 // sanity-checked (name length, duplicates, lane/record consistency) and
 // the table itself is budget-checked before it is allocated. When
-// wholeFile is set the declared payload total and the full decoded
-// column footprint are also held to maxBytes — the full-load invariant;
-// a partial loader (StoreHandle) instead budgets each LoadKernels call
-// over just its requested sections, so a store bigger than one worker's
-// budget can still be read a slice at a time.
+// wholeFile is set the whole store is held to checkLoadBudget, as a
+// LoadKernels of every kernel would be; a partial loader (StoreHandle)
+// instead budgets each LoadKernels call over just its requested
+// sections, so a store bigger than one worker's budget can still be
+// read a slice at a time.
 func readStoreInfo(r io.Reader, maxBytes uint64, wholeFile bool) (*storeInfo, error) {
 	magic := make([]byte, len(storeMagicStr))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -680,8 +680,8 @@ func readStoreInfo(r io.Reader, maxBytes uint64, wholeFile bool) (*storeInfo, er
 	info.headerLen = int64(len(storeMagicStr)) + int64(len(fixed)) + int64(tableLen)
 
 	// Parse and sanity-check every table row before any section payload
-	// or column allocation: declared payload bytes and the decoded column
-	// footprint both stay under the budget (full loads), and lane counts
+	// or column allocation: declared payload bytes plus the decoded column
+	// footprint stay under the budget (full loads), and lane counts
 	// must be consistent with record counts (1..32 active lanes per
 	// record).
 	info.entries = make([]storeEntry, 0, nkern)
@@ -711,32 +711,38 @@ func readStoreInfo(r io.Reader, maxBytes uint64, wholeFile bool) (*storeInfo, er
 			return nil, fmt.Errorf("trace: store kernel %q declares %d lanes for %d records (want 1..32 per record)",
 				name, lanes, records)
 		}
-		if wholeFile {
-			if sectLen > maxBytes-info.payloadTotal {
-				return nil, fmt.Errorf("trace: store kernel %q declares %d payload bytes with %d of %d remaining: %w",
-					name, sectLen, maxBytes-info.payloadTotal, maxBytes, ErrStoreTooBig)
-			}
-			// Decoded footprint: ~21 bytes per record of mask/offset columns
-			// plus four 8-byte lane columns. Checked against the same budget
-			// so a tiny file full of width-0 blocks cannot demand gigabytes.
-			footprint += entryFootprint(int(records), int(lanes))
-			if footprint > maxBytes {
-				return nil, fmt.Errorf("trace: store declares a %d-byte decoded footprint with a %d-byte budget: %w",
-					footprint, maxBytes, ErrStoreTooBig)
-			}
-		} else if sectLen > uint64(1)<<62-info.payloadTotal {
-			// Even a partial reader refuses absurd declared lengths: the
-			// payload total must stay far below int64 so section offset
+		if sectLen > uint64(1)<<62-info.payloadTotal {
+			// Every reader refuses absurd declared lengths: the payload
+			// total must stay far below int64 so section offset
 			// arithmetic cannot overflow.
 			return nil, fmt.Errorf("trace: store kernel %q declares a %d-byte section: %w", name, sectLen, ErrStoreTooBig)
 		}
 		info.payloadTotal += sectLen
+		if wholeFile {
+			// The decoded footprint counts too, so a tiny file full of
+			// width-0 blocks cannot demand gigabytes.
+			footprint += entryFootprint(int(records), int(lanes))
+			if err := checkLoadBudget(len(info.entries)+1, info.payloadTotal, footprint, maxBytes); err != nil {
+				return nil, err
+			}
+		}
 		info.entries = append(info.entries, storeEntry{name: name, records: int(records), lanes: int(lanes), sectLen: sectLen})
 	}
 	if pos != len(table) {
 		return nil, fmt.Errorf("trace: store section table holds %d trailing bytes", len(table)-pos)
 	}
 	return info, nil
+}
+
+// checkLoadBudget is the one budget rule of both load paths: a load of
+// kernels sections must fit its payload bytes plus their decoded column
+// footprint in maxBytes, or it fails with ErrStoreTooBig.
+func checkLoadBudget(kernels int, payload, footprint, maxBytes uint64) error {
+	if payload > maxBytes || footprint > maxBytes-payload {
+		return fmt.Errorf("trace: store load of %d kernels declares %d payload + %d footprint bytes with a %d-byte budget: %w",
+			kernels, payload, footprint, maxBytes, ErrStoreTooBig)
+	}
+	return nil
 }
 
 // entryFootprint is the decoded in-memory cost of one kernel's columns:
@@ -797,9 +803,10 @@ func (info *storeInfo) decodeSections(entries []storeEntry, payload func(i int) 
 
 // ReadStoreFile loads a store saved by WriteStoreFile under the default
 // byte budget with GOMAXPROCS section-decode workers: the one full-load
-// path. Its section table, its section payloads and its decoded column
-// footprint must each fit the budget, or it fails with ErrStoreTooBig
-// before allocating them. Like LoadKernels it refuses a file whose size
+// path. Its section table must fit the budget, and so must its section
+// payloads plus their decoded column footprint, together — the budget a
+// LoadKernels of every kernel is held to; otherwise it fails with
+// ErrStoreTooBig before allocating them. Like LoadKernels it refuses a file whose size
 // differs from its section table, reads each section at its offset and
 // returns after a full collection.
 func ReadStoreFile(path string) (*Decoded, error) {

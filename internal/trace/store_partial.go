@@ -120,9 +120,8 @@ func (h *StoreHandle) LoadKernels(names []string, workers int) (*Decoded, error)
 				name, len(h.info.entries), h.Names())
 		}
 	}
-	if payload > h.maxBytes || footprint > h.maxBytes-payload {
-		return nil, fmt.Errorf("trace: store load of %d kernels declares %d payload + %d footprint bytes with a %d-byte budget: %w",
-			len(selected), payload, footprint, h.maxBytes, ErrStoreTooBig)
+	if err := checkLoadBudget(len(selected), payload, footprint, h.maxBytes); err != nil {
+		return nil, err
 	}
 
 	f, err := os.Open(h.path)

@@ -189,6 +189,46 @@ func TestPartialLoadErrors(t *testing.T) {
 	}
 }
 
+// TestFullAndPartialLoadShareBudget holds both load paths to one budget
+// rule: a budget that fits the payload and the decoded footprint each,
+// but not their sum, is refused by a LoadKernels of every kernel and by
+// the whole-file read alike, and their sum is accepted by both.
+func TestFullAndPartialLoadShareBudget(t *testing.T) {
+	path, _ := writeMultiKernelStore(t, StoreOptions{})
+	h, err := OpenStore(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var footprint uint64
+	for _, ent := range h.info.entries {
+		footprint += entryFootprint(ent.records, ent.lanes)
+	}
+	payload := h.info.payloadTotal
+	for _, c := range []struct {
+		budget uint64
+		fits   bool
+	}{{max(payload, footprint), false}, {payload + footprint - 1, false}, {payload + footprint, true}} {
+		part, err := OpenStore(path, c.budget)
+		if err != nil {
+			t.Fatalf("budget %d: OpenStore: %v", c.budget, err)
+		}
+		_, partErr := part.LoadKernels(h.Names(), 0)
+		_, fullErr := readStorePath(t, path, c.budget, 0)
+		for _, e := range []struct {
+			path string
+			err  error
+		}{{"LoadKernels", partErr}, {"whole-file read", fullErr}} {
+			if c.fits && e.err != nil {
+				t.Errorf("budget %d = payload %d + footprint %d: %s: %v", c.budget, payload, footprint, e.path, e.err)
+			}
+			if !c.fits && !errors.Is(e.err, ErrStoreTooBig) {
+				t.Errorf("budget %d under payload %d + footprint %d: %s error %v, want ErrStoreTooBig",
+					c.budget, payload, footprint, e.path, e.err)
+			}
+		}
+	}
+}
+
 // FuzzOpenStore drives the shard workers' disk reader with arbitrary
 // bytes written to a file: OpenStore under a small budget, then
 // LoadKernels for each name its section table declares. Neither may
